@@ -28,12 +28,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+BUILD = ROOT / ".bench_build"
 
-# One thread per BLAS pool, set before numpy loads; the kernel library is
-# built inside the checkout.
+# One thread per BLAS pool, set before numpy loads; the kernel library and
+# the compiler's temporary files stay inside the checkout.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ["REPRO_KERNEL_CACHE"] = str(ROOT / ".bench_build" / "repro-kernels")
+os.environ["REPRO_KERNEL_CACHE"] = str(BUILD / "repro-kernels")
+os.environ["TMPDIR"] = str(BUILD / "tmp")
 
 import argparse  # noqa: E402
 import gc  # noqa: E402
@@ -125,6 +127,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (SRC / "repro").is_dir():
         _fail(f"no repro package under {SRC}")
+    (BUILD / "tmp").mkdir(parents=True, exist_ok=True)
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -184,8 +187,7 @@ def main(argv=None) -> int:
         problems += m.check_coverage(args.workload, layer_values,
                                      _units("per_layer"), untraced)
         tracer.dump(
-            ROOT / ".bench_build" / "perfbench"
-            / f"trace-{args.workload}-{args.seed}.json",
+            BUILD / "perfbench" / f"trace-{args.workload}-{args.seed}.json",
             t0=setup_root.start,
         )
         if problems:
