@@ -38,6 +38,7 @@ os.environ["REPRO_KERNEL_CACHE"] = str(BUILD / "repro-kernels")
 os.environ["TMPDIR"] = str(BUILD / "tmp")
 
 import argparse  # noqa: E402
+import ctypes  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -51,6 +52,14 @@ import warnings  # noqa: E402
 #: and half after it, so that setup_s (their median) samples the host at
 #: both ends of the run rather than in one moment of it
 SETUPS = 8
+
+#: glibc malloc thresholds pinned at start-up (mallopt M_MMAP_THRESHOLD,
+#: M_TRIM_THRESHOLD): arrays under 32 MiB come from the heap and freed
+#: memory stays mapped.  glibc's dynamic thresholds settle to a similar
+#: state by themselves, but only after ~36 circuit-n4096 requests; until
+#: then every third request re-faults ~400 MB of fresh pages, so a run's
+#: latency would depend on how much of it fell in that transient.
+MALLOC_OPTIONS = ((-3, 32 << 20), (-1, 1 << 30))
 
 
 def _fail(msg: str) -> None:
@@ -75,6 +84,17 @@ def _guard_tier(tier: str) -> None:
             _fail(f"compiled tier unavailable: {exc}")
         if lib is None:
             _fail("compiled tier unavailable")
+
+
+def _pin_malloc() -> bool:
+    """Apply :data:`MALLOC_OPTIONS`; False where the C library lacks them."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(opt, value) == 1 for opt, value in MALLOC_OPTIONS)
 
 
 def _check_context(inst, tier: str) -> None:
@@ -128,6 +148,7 @@ def main(argv=None) -> int:
     if not (SRC / "repro").is_dir():
         _fail(f"no repro package under {SRC}")
     (BUILD / "tmp").mkdir(parents=True, exist_ok=True)
+    malloc_pinned = _pin_malloc()
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -209,6 +230,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
+        "malloc_pinned": malloc_pinned,
         "samples": len(lat),
         "tail_percentile": p_tail,
         "beyond_tail": len(lat) - math.ceil(p_tail * len(lat) / 100),
