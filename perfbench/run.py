@@ -5,7 +5,7 @@ Run from the repository root::
     python3 perfbench/run.py --workload circuit-n4096 --seed 1 --seconds 36 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics (``setup_s``,
-``latency_p50_ms``, ``latency_tail_ms``, ``throughput_rps``,
+``latency_p5_ms``, ``latency_tail_ms``, ``throughput_rps``,
 ``precision_bits``, ``peak_rss_mb``).  ``--trace 1`` runs the workload
 twice in one process, half the seconds each: first untraced, then with
 span wrappers installed around the public ``repro`` calls
@@ -47,6 +47,22 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
+
+# Why latency_p5_ms and not the median: other tenants of a shared host
+# slow this process in phases of seconds to minutes (a fixed L1-resident
+# integer loop timed between circuit-n4096 requests slows in step with
+# them, so the cause is outside the program).  Whether such phases cover
+# more or less than half of a run moved the whole-run median of
+# circuit-n4096 by over 25% between runs of the same code.  That noise
+# only ever adds time, so the fast end of the distribution is the
+# steadiest estimate of what the program itself costs.  The single
+# fastest request is not: on serve-mix it is whichever request happened
+# to arrive just before a batch cut.  Measured on a 2-vCPU KVM guest of
+# a shared Xeon host, the quartiles of the per-run value spread, as a
+# share of their median: circuit-n4096 (sixteen 36 s runs) p5 8%, p50
+# 17%; serve-mix (six runs) p5 11%, minimum 28%, p50 16%.  The whole-run
+# median still goes to the ``#`` info line, and latency_tail_ms keeps
+# the slow phases in view.
 
 #: timed set-ups after the untimed cold one, half before the measured phase
 #: and half after it, so that setup_s (their median) samples the host at
@@ -234,6 +250,7 @@ def main(argv=None) -> int:
         "samples": len(lat),
         "tail_percentile": p_tail,
         "beyond_tail": len(lat) - math.ceil(p_tail * len(lat) / 100),
+        "latency_p50_ms": round(m.percentile(lat, 50) * 1e3, 3),
         "setup_runs_s": [round(t, 4) for t in setup_times],
         "wrong": wrong,
         "bitmatch_mismatches": mismatches,
@@ -251,7 +268,7 @@ def main(argv=None) -> int:
     else:
         values = {
             "setup_s": statistics.median(setup_times),
-            "latency_p50_ms": m.percentile(lat, 50) * 1e3,
+            "latency_p5_ms": m.percentile(lat, 5) * 1e3,
             "latency_tail_ms": m.percentile(lat, p_tail) * 1e3,
             "throughput_rps": measured.throughput_rps,
             "precision_bits": -math.log2(max(errors)),
