@@ -13,10 +13,7 @@ The stable public surface is this ``__all__``: build a
 :class:`CkksContext` and go through it (``cc.encrypt`` / ``cc.matvec`` /
 ``cc.poly_eval`` / ``cc.compile`` / ``cc.model``); serve compiled plans
 with :class:`CkksServer`; check plans with :func:`check_plan`.
-Everything underscore-prefixed — and the old top-level homes of
-``SlotLinalg`` / ``CircuitTracer`` / ``KeySwitcher`` — is internal
-(the old names still import, with a deprecation warning naming the
-replacement, for one release).
+Everything underscore-prefixed is internal.
 """
 
 from repro.errors import CheddarError, ModelPlanError

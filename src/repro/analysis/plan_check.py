@@ -3,11 +3,13 @@
 :func:`check_plan` walks a :class:`~repro.scheme._circuit.CircuitPlan`'s
 step list *without executing it*, propagating a per-register abstract
 state — live level, scale, and the heuristic ``log2 |noise|`` estimate —
-using the **same float formulas, in the same order**, as the plan
-executor (:meth:`CircuitPlan._run_step` / :meth:`_apply_rescales`).
-The noise/scale prediction is therefore bit-for-bit the value
-``plan.run`` would tag onto each ciphertext; the test suite pins that
-identity, which is what makes the static verdicts trustworthy.
+through the **op table's own rules** (:mod:`repro.scheme.ops`), the
+functions the plan executor and the eager evaluator evaluate.  The
+noise/scale prediction is therefore bit-for-bit the value ``plan.run``
+would tag onto each ciphertext; the test suite pins that identity,
+which is what makes the static verdicts trustworthy.  The operand checks
+are the table's too: an error here is what the eager evaluator would
+have raised.
 
 On top of the faithful propagation the checker flags:
 
@@ -18,7 +20,7 @@ Errors (``report.ok`` is False; the plan should not be run):
   (the noise heuristic depends only on scales and circuit shape), so
   this verdict needs no inputs.
 * ``scale-mismatch`` — add/sub/add_plain operands whose scales differ
-  beyond the evaluator's ``SCALE_RTOL``; the eager path would have
+  beyond the op table's ``SCALE_RTOL``; the eager path would have
   raised :class:`~repro.errors.ScaleMismatchError` at trace time, so
   this only fires on hand-built or corrupted step lists — including the
   add that a drifted rescale chain eventually feeds.
@@ -42,36 +44,39 @@ Warnings (suspicious but not statically fatal):
   cycle keeps primes within ~1 bit of the scale rung, so persistent
   drift means the prime schedule and the scale schedule disagree).
 * ``wasteful-rescale`` — a rescale applied to a value that has seen no
-  scale-raising op (multiply / multiply_plain / mac) since the previous
-  rescale or input: the limb drop buys nothing and costs a level.
+  scale-raising op (the table's ``raises_scale`` flag) since the
+  previous rescale or input: the limb drop buys nothing and costs a
+  level.
 * ``dead-hoist`` — a hoisted ModUp tensor no Galois step consumes.
 * ``redundant-ntt-roundtrip`` — a step materializes coefficient-domain
   components although every consumer accepts (and will re-transform to)
-  the NTT domain; mirrors the planner's ``_keeps_ntt`` rule, so
-  planner-produced plans never trip it — firing means the schedule
-  pays an inverse/forward transform pair for nothing.
+  the NTT domain; the planner's rule over the table's ``keeps_ntt`` /
+  ``ntt_operand`` flags, so planner-produced plans never trip it —
+  firing means the schedule pays an inverse/forward transform pair for
+  nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.intervals import UINT64_MAX, Diagnostic
-from repro.errors import StaticAnalysisError
+from repro.errors import (
+    KeyError_,
+    LevelError,
+    ParameterError,
+    ScaleMismatchError,
+    StaticAnalysisError,
+)
+from repro.scheme.ops import MAC, OPS, RESCALE, NoiseModel, check_key_level
 
-#: step kinds that accept an NTT-domain operand without forcing an
-#: inverse transform (mirror of the planner's _NTT_OK_CONSUMERS)
-_NTT_OK = frozenset({"add", "sub", "negate", "multiply", "multiply_plain"})
-
-#: step kinds that raise the scale (a following rescale is "earned")
-_SCALE_RAISING = frozenset({"multiply", "multiply_plain", "mac"})
-
-
-def _combine_bits(a: float, b: float) -> float:
-    """``log2(2^a + 2^b)`` — identical to the evaluator's helper."""
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log2(1.0 + 2.0 ** (lo - hi))
+#: diagnostic code for each operand-check failure the table raises
+_CODES = {
+    LevelError: "level-mismatch",
+    ScaleMismatchError: "scale-mismatch",
+    KeyError_: "key-level-mismatch",
+}
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,8 @@ class NodeState:
     raised: bool = field(default=False, compare=False)
     #: downstream of a node that already reported budget exhaustion
     exhausted: bool = field(default=False, compare=False)
+    #: the level's :class:`PolyContext`, which the op rules read
+    ctx: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -133,12 +140,12 @@ class PlanReport:
         return "\n".join(lines)
 
 
-def _level_chain(ctx) -> dict[int, tuple[int, ...]]:
-    """``{level: primes}`` for every level reachable by dropping limbs."""
+def _level_chain(ctx) -> dict:
+    """``{level: ctx}`` for every level reachable by dropping limbs."""
     chain = {}
     c = ctx
     while True:
-        chain[c.num_limbs] = tuple(c.primes)
+        chain[c.num_limbs] = c
         if c.num_limbs == 1:
             break
         c = c.drop_last()
@@ -151,12 +158,10 @@ class _Checker:
         self.drift = float(drift_warn_bits)
         self.chain = _level_chain(plan.ctx)
         self.log_q = {
-            lvl: sum(math.log2(q) for q in primes)
-            for lvl, primes in self.chain.items()
+            lvl: sum(math.log2(q) for q in c.primes)
+            for lvl, c in self.chain.items()
         }
-        n = plan.ctx.ring_degree
-        self.half_n = 0.5 * math.log2(n)
-        self.fresh = math.log2(8.0 * plan._sigma * math.sqrt(2.0 * n))
+        self.model = NoiseModel(plan.ctx.ring_degree, plan._sigma)
         self.errors: list[Diagnostic] = []
         self.warnings: list[Diagnostic] = []
         self.states: list[NodeState | None] = [None] * plan._n_slots
@@ -193,45 +198,67 @@ class _Checker:
     def _budget(self, level: int, noise: float) -> float:
         return self.log_q[level] - 1.0 - noise
 
-    def _ks_bits(self, ksk) -> float:
-        return self.plan._ks_bits(ksk)
-
-    def _check_key(self, i, step, ksk, what) -> None:
-        expected = self.chain.get(step.level)
-        if tuple(ksk.base_primes) != expected:
-            self.error(
-                "key-level-mismatch", i, step,
-                f"{what} key was generated for a "
-                f"{len(ksk.base_primes)}-limb basis but the step runs at "
-                f"level {step.level}; key switching there would fail",
+    def _op_step(self, i, step, op) -> None:
+        """Check one op step's operands and propagate its result state."""
+        cts = [self._src(i, step, s) for s in step.srcs]
+        if any(ct is None for ct in cts):
+            return
+        arg, key = step.operands()
+        try:
+            op.validate(cts, arg)
+        except (LevelError, ScaleMismatchError, ParameterError) as exc:
+            self.error(_CODES.get(type(exc), "invalid-step"), i, step, str(exc))
+            if op is RESCALE:
+                return  # no limb left to drop: nothing to propagate
+        else:
+            if op.ctx(cts).num_limbs != step.level:
+                self.error(
+                    "level-mismatch", i, step,
+                    f"{step.kind} operands at level {cts[0].level} but the "
+                    f"step declares level {step.level}",
+                )
+        if key is not None:
+            at = self.chain.get(step.level)
+            try:
+                check_key_level(
+                    key, () if at is None else at.primes, step.level, op.name
+                )
+            except KeyError_ as exc:
+                self.error("key-level-mismatch", i, step, str(exc))
+        if op is MAC:
+            self._check_mac_headroom(i, step, len(cts))
+        raised = op.raises_scale or any(ct.raised for ct in cts)
+        exhausted = any(ct.exhausted for ct in cts)
+        rescales = step.rescales
+        if op is RESCALE:
+            # a lone rescale is the identity plus one fused rescale
+            st = cts[0]
+            rescales += 1
+        else:
+            st = replace(
+                cts[0],
+                scale=op.scale(cts, arg),
+                noise_bits=op.noise(cts, arg, key, self.model),
             )
+        self._finish(i, step, st, rescales, raised, exhausted)
 
-    def _check_scales(self, i, step, sa, sb, op) -> None:
-        # Mirrors Evaluator._check_scales (SCALE_RTOL) without importing
-        # the evaluator at module scope.
-        if not math.isclose(sa, sb, rel_tol=1e-9):
-            self.error(
-                "scale-mismatch", i, step,
-                f"{op} operands at scales 2^{math.log2(sa):.3f} and "
-                f"2^{math.log2(sb):.3f}; the eager evaluator would refuse "
-                "this pair — rescale/re-encode to a common scale",
-            )
-
-    def _finish(
-        self, i, step, level, scale, noise, raised, src_exhausted
-    ) -> None:
-        """Apply fused rescales (executor-identical) and store the state."""
-        if step.rescales:
-            scale_before = scale
-            for _ in range(step.rescales):
-                q_last = self.chain[level][-1]
-                noise = max(noise - math.log2(q_last), self.half_n + 1.0)
-                scale = scale / q_last
-                level -= 1
-            self._rescale_quality(
-                i, step, scale_before, scale, raised
-            )
+    def _finish(self, i, step, st, rescales, raised, src_exhausted) -> None:
+        """Apply ``rescales`` rescales to ``st``, check it, store it."""
+        if rescales:
+            scale_before = st.scale
+            for _ in range(rescales):
+                one = (st,)
+                ctx = RESCALE.ctx(one)
+                st = replace(
+                    st,
+                    level=ctx.num_limbs,
+                    ctx=ctx,
+                    scale=RESCALE.scale(one, None),
+                    noise_bits=RESCALE.noise(one, None, None, self.model),
+                )
+            self._rescale_quality(i, step, scale_before, st.scale, raised)
             raised = False
+        level, scale, noise = st.level, st.scale, st.noise_bits
         budget = self._budget(level, noise)
         exhausted = src_exhausted
         if budget <= 0.0 and not exhausted:
@@ -261,6 +288,7 @@ class _Checker:
             label=getattr(step, "label", "") or step.kind,
             raised=raised,
             exhausted=exhausted,
+            ctx=st.ctx,
         )
 
     def _rescale_quality(self, i, step, before, after, raised) -> None:
@@ -302,163 +330,26 @@ class _Checker:
             kind = step.kind
             if kind == "input":
                 name, scale = step.payload
+                fresh = self.model.fresh_bits
                 self.states[step.dst] = NodeState(
                     level=step.level,
                     scale=scale,
-                    noise_bits=self.fresh,
-                    budget_bits=self._budget(step.level, self.fresh),
+                    noise_bits=fresh,
+                    budget_bits=self._budget(step.level, fresh),
                     step=i,
                     label=getattr(step, "label", "") or f"input:{name}",
-                )
-            elif kind in ("add", "sub"):
-                a = self._src(i, step, step.srcs[0])
-                b = self._src(i, step, step.srcs[1])
-                if a is None or b is None:
-                    continue
-                if a.level != b.level or a.level != step.level:
-                    self.error(
-                        "level-mismatch", i, step,
-                        f"{kind} operands at levels {a.level} and "
-                        f"{b.level} (step declares {step.level})",
-                    )
-                self._check_scales(i, step, a.scale, b.scale, kind)
-                self._finish(
-                    i, step, step.level, a.scale,
-                    _combine_bits(a.noise_bits, b.noise_bits),
-                    a.raised or b.raised,
-                    a.exhausted or b.exhausted,
-                )
-            elif kind == "negate":
-                ct = self._src(i, step, step.srcs[0])
-                if ct is None:
-                    continue
-                self._finish(
-                    i, step, step.level, ct.scale, ct.noise_bits,
-                    ct.raised, ct.exhausted,
-                )
-            elif kind == "add_plain":
-                ct = self._src(i, step, step.srcs[0])
-                if ct is None:
-                    continue
-                pt = step.payload
-                self._check_scales(i, step, ct.scale, pt.scale, kind)
-                self._finish(
-                    i, step, step.level, ct.scale, ct.noise_bits,
-                    ct.raised, ct.exhausted,
-                )
-            elif kind == "multiply_plain":
-                ct = self._src(i, step, step.srcs[0])
-                if ct is None:
-                    continue
-                pt = step.payload[0]
-                noise = ct.noise_bits + math.log2(pt.scale) + self.half_n
-                self._finish(
-                    i, step, step.level, ct.scale * pt.scale, noise,
-                    True, ct.exhausted,
-                )
-            elif kind == "mac":
-                pts = step.payload[0]
-                cts = [self._src(i, step, s) for s in step.srcs]
-                if any(ct is None for ct in cts):
-                    continue
-                self._check_mac_headroom(i, step, len(cts))
-                noise = None
-                for ct, pt in zip(cts, pts):
-                    bits = (
-                        ct.noise_bits + math.log2(pt.scale) + self.half_n
-                    )
-                    noise = (
-                        bits if noise is None
-                        else _combine_bits(noise, bits)
-                    )
-                self._finish(
-                    i, step, step.level,
-                    cts[0].scale * pts[0].scale, noise,
-                    True, any(ct.exhausted for ct in cts),
-                )
-            elif kind == "multiply":
-                a = self._src(i, step, step.srcs[0])
-                b = self._src(i, step, step.srcs[1])
-                if a is None or b is None:
-                    continue
-                if a.level != b.level or a.level != step.level:
-                    self.error(
-                        "level-mismatch", i, step,
-                        f"multiply operands at levels {a.level} and "
-                        f"{b.level} (step declares {step.level})",
-                    )
-                relin = step.payload[0]
-                self._check_key(i, step, relin, "relinearization")
-                noise = _combine_bits(
-                    _combine_bits(
-                        a.noise_bits + math.log2(b.scale),
-                        b.noise_bits + math.log2(a.scale),
-                    )
-                    + self.half_n,
-                    self._ks_bits(relin),
-                )
-                self._finish(
-                    i, step, step.level, a.scale * b.scale, noise,
-                    True, a.exhausted or b.exhausted,
+                    ctx=self.chain[step.level],
                 )
             elif kind == "hoist":
                 gidx = step.payload[0]
                 hoist_groups[gidx] = i
                 hoist_uses.setdefault(gidx, 0)
                 self._src(i, step, step.srcs[0])
-            elif kind == "galois":
-                ct = self._src(i, step, step.srcs[0])
-                if ct is None:
-                    continue
-                ksk, gidx = step.payload[1], step.payload[3]
-                hoist_uses[gidx] = hoist_uses.get(gidx, 0) + 1
-                self._check_key(i, step, ksk, "Galois")
-                noise = _combine_bits(ct.noise_bits, self._ks_bits(ksk))
-                self._finish(
-                    i, step, step.level, ct.scale, noise,
-                    ct.raised, ct.exhausted,
-                )
-            elif kind == "rescale":
-                ct = self._src(i, step, step.srcs[0])
-                if ct is None:
-                    continue
-                if ct.level < 2:
-                    self.error(
-                        "level-mismatch", i, step,
-                        f"rescale of a level-{ct.level} value: no limb "
-                        "left to drop",
-                    )
-                    continue
-                q_last = self.chain[ct.level][-1]
-                noise = max(
-                    ct.noise_bits - math.log2(q_last),
-                    self.half_n + 1.0,
-                )
-                scale = ct.scale / q_last
-                self._rescale_quality(
-                    i, step, ct.scale, scale, ct.raised
-                )
-                budget = self._budget(ct.level - 1, noise)
-                exhausted = ct.exhausted
-                if budget <= 0.0 and not exhausted:
-                    self.error(
-                        "budget-exhausted", i, step,
-                        f"predicted noise {noise:.2f} bits >= "
-                        f"log2(Q_{ct.level - 1}) - 1 = "
-                        f"{self.log_q[ct.level - 1] - 1.0:.2f}: the "
-                        "result cannot decrypt correctly",
-                    )
-                    exhausted = True
-                self.states[step.dst] = NodeState(
-                    level=ct.level - 1,
-                    scale=scale,
-                    noise_bits=noise,
-                    budget_bits=budget,
-                    step=i,
-                    label=getattr(step, "label", "") or "rescale",
-                    raised=False,
-                    exhausted=exhausted,
-                )
+            elif kind in OPS:
+                if kind == "galois":
+                    gidx = step.payload[3]
+                    hoist_uses[gidx] = hoist_uses.get(gidx, 0) + 1
+                self._op_step(i, step, OPS[kind])
             else:
                 self.error(
                     "invalid-step", i, step, f"unknown step kind {kind!r}"
@@ -488,7 +379,7 @@ class _Checker:
         )
 
     def _check_mac_headroom(self, i, step, terms) -> None:
-        qmax = max(self.chain[step.level])
+        qmax = max(self.chain[step.level].primes)
         capacity = UINT64_MAX // (2 * qmax - 1)
         if terms > capacity:
             self.error(
@@ -499,17 +390,18 @@ class _Checker:
             )
 
     def _check_ntt_roundtrip(self, i, step, consumers) -> None:
-        """Planner's _keeps_ntt rule, replayed as a lint."""
+        """The planner's NTT-persistence rule, replayed as a lint."""
         if step.dst < 0 or step.emit_ntt or step.rescales:
             return
-        if step.kind not in (
-            "add", "sub", "negate", "multiply_plain", "mac"
-        ):
+        op = OPS.get(step.kind)
+        if op is None or not op.keeps_ntt:
             return
         if step.dst in self.plan._outputs.values():
             return
         users = consumers.get(step.dst, ())
-        if users and all(u.kind in _NTT_OK for u in users):
+        if users and all(
+            u.kind in OPS and OPS[u.kind].ntt_operand for u in users
+        ):
             self.warn(
                 "redundant-ntt-roundtrip", i, step,
                 f"{step.kind} materializes coefficient-domain components "
@@ -522,10 +414,10 @@ class _Checker:
 def check_plan(plan, *, drift_warn_bits: float = 2.0) -> PlanReport:
     """Statically analyze a compiled :class:`CircuitPlan`.
 
-    Propagates (level, scale, noise) through the step list with the
-    executor's exact formulas and reports budget exhaustion, scale
-    pathologies, dead hoists and redundant transform round trips —
-    see the module docstring for the full catalogue.  ``plan.analyze()``
+    Propagates (level, scale, noise) through the step list with the op
+    table's rules, which the executor runs too, and reports budget
+    exhaustion, scale pathologies, dead hoists and redundant transform
+    round trips — see the module docstring for the full catalogue.  ``plan.analyze()``
     is sugar for this function.
 
     Args:

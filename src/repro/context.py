@@ -21,11 +21,8 @@ importing ``SlotLinalg``, ``CircuitTracer`` or any other internal.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro._compat import warn_once
 from repro.errors import ParameterError
 from repro.poly.rns_poly import PolyContext
 from repro.rns.primes import PrimePool
@@ -35,12 +32,6 @@ from repro.scheme.evaluator import Evaluator
 from repro.scheme.keys import DEFAULT_SIGMA, KeyGenerator
 
 __all__ = ["CkksContext", "Program"]
-
-#: deprecated CkksContext kwarg -> (canonical kwarg, converter)
-_KWARG_ALIASES = {
-    "delta": ("scale_bits", lambda v: int(round(math.log2(float(v))))),
-    "log_delta": ("scale_bits", int),
-}
 
 
 class Program:
@@ -96,8 +87,7 @@ class CkksContext:
     randomness, ``scale_bits`` fixes the default encoding scale
     ``2**scale_bits`` (defaults to ``main_bits``, the size of the limb a
     rescale drops), and ``checked`` toggles sanitizer-checked execution
-    (``None`` defers to ``REPRO_CHECKED``).  The pre-redesign spellings
-    ``delta=`` / ``log_delta=`` are accepted with a deprecation warning.
+    (``None`` defers to ``REPRO_CHECKED``).
 
     All randomness — prime-independent key material and encryption
     noise — flows from the single ``seed`` through one
@@ -127,22 +117,7 @@ class CkksContext:
         aux_bits: int | None = None,
         scale_bits: int | None = None,
         checked: bool | None = None,
-        **deprecated,
     ) -> None:
-        for old, value in deprecated.items():
-            alias = _KWARG_ALIASES.get(old)
-            if alias is None:
-                raise TypeError(
-                    f"CkksContext got an unexpected keyword argument {old!r}"
-                )
-            canonical, convert = alias
-            warn_once(f"CkksContext({old}=...)", f"{canonical}=...")
-            if scale_bits is not None:
-                raise ParameterError(
-                    f"CkksContext got both {canonical!r} and its "
-                    f"deprecated alias {old!r}"
-                )
-            scale_bits = convert(value)
         #: nominal prime sizes — the level planner budgets against these
         self.main_bits = int(main_bits)
         self.terminal_bits = int(terminal_bits)
@@ -288,23 +263,9 @@ class CkksContext:
             f"unknown model kind {kind!r} (choose 'logreg' or 'mlp')"
         )
 
-    # -- internals kept reachable --------------------------------------------
+    # -- internals ------------------------------------------------------------
     def _tracer(self):
         """A fresh recording tracer over the evaluator (internal)."""
         from repro.scheme._circuit import CircuitTracer
 
         return CircuitTracer(self.evaluator)
-
-    def tracer(self):
-        """Deprecated: use :meth:`compile` (it owns the tracer now)."""
-        warn_once("CkksContext.tracer()", "CkksContext.compile(build)")
-        return self._tracer()
-
-    @property
-    def linalg(self) -> SlotLinalg:
-        """Deprecated: use :meth:`matvec` / :meth:`poly_eval` etc."""
-        warn_once(
-            "CkksContext.linalg",
-            "CkksContext.matvec / poly_eval / multiply_vector / add_vector",
-        )
-        return self._linalg

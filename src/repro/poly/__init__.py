@@ -47,8 +47,6 @@ __all__ = [
     "BatchNTT",
     "CostModel",
     "KeySwitchKey",
-    "KeySwitchPlan",
-    "KeySwitcher",
     "LazyAccumulator",
     "LimbState",
     "ModDown",
@@ -62,25 +60,3 @@ __all__ = [
     "compare_methods",
     "make_ntt_backend",
 ]
-
-#: key-switching machinery is internal as of the PR 10 API redesign —
-#: evaluator/plan layers reach it via PolyContext.key_switcher; the old
-#: package-level names keep working for one release behind a warn-once
-#: shim
-_DEPRECATED = {
-    "KeySwitcher": "PolyContext.key_switcher(...)",
-    "KeySwitchPlan": "PolyContext.key_switcher(...).plan_for(...)",
-}
-
-
-def __getattr__(name):
-    replacement = _DEPRECATED.get(name)
-    if replacement is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    from repro import _compat
-    from repro.poly import basis_conv
-
-    _compat.warn_once(f"repro.poly.{name}", replacement)
-    return getattr(basis_conv, name)

@@ -895,79 +895,3 @@ class KeySwitcher:
             else:  # pragma: no cover - planner and executor move together
                 raise ParameterError(f"unknown key-switch step {op!r}")
         return out_polys[0], out_polys[1]
-
-
-class HoistedGaloisPlan:
-    """One shared ModUp front finishing many Galois elements (Plan protocol).
-
-    Precomputes everything a hoisted rotation batch needs — the
-    per-element NTT-domain slot permutations, the key list (checked
-    against the switcher once, at build time), and the ``(dnum, L+K, N)``
-    digit tensor buffer — so :meth:`run` is exactly one
-    :meth:`KeySwitcher.hoist` plus one :meth:`KeySwitcher.run_hoisted`
-    per element, with zero per-call planning or allocation.  This is the
-    plan object behind ``Evaluator.rotate_hoisted``.
-    """
-
-    def __init__(self, switcher: KeySwitcher, elements, keys) -> None:
-        from repro.poly.ntt import automorphism_tables
-
-        self.switcher = switcher
-        self.elements = tuple(int(e) for e in elements)
-        self.keys = tuple(keys)
-        if not self.elements:
-            raise ParameterError(
-                "a hoisted Galois plan needs >= 1 Galois element"
-            )
-        if len(self.keys) != len(self.elements):
-            raise ParameterError(
-                f"need one key per Galois element, got {len(self.keys)} "
-                f"keys for {len(self.elements)} elements"
-            )
-        for ksk in self.keys:
-            switcher._check_key(ksk)
-        n = switcher.ctx.ring_degree
-        self.perms = tuple(
-            automorphism_tables(n, e)[2] for e in self.elements
-        )
-        self._buffer = np.empty(
-            (switcher.dnum, switcher.num_ext, n), np.uint64
-        )
-
-    @classmethod
-    def build(
-        cls, switcher: KeySwitcher, elements, keys
-    ) -> HoistedGaloisPlan:
-        """Plan-protocol constructor."""
-        return cls(switcher, elements, keys)
-
-    def validate(self, config) -> None:
-        """Refuse an operand context this plan was not built for."""
-        reason = self.switcher.ctx.mismatch_reason(config)
-        if reason is not None:
-            raise ParameterError(
-                f"hoisted Galois plan does not match the operand: {reason}"
-            )
-
-    def run(self, poly):
-        """Hoist ``poly`` once, finish every element; ``(c0, c1)`` list."""
-        self.validate(poly.ctx)
-        hoisted = self.switcher.hoist(poly, out=self._buffer)
-        return [
-            self.switcher.run_hoisted(hoisted, ksk, perm=perm)
-            for ksk, perm in zip(self.keys, self.perms)
-        ]
-
-    def cost(self):
-        """Scheme-level pricing: one shared front + per-element finishes."""
-        from repro.scheme.cost import SchemeCostModel
-
-        sw = self.switcher
-        model = SchemeCostModel(
-            sw.ctx.ring_degree,
-            sw.ctx.num_limbs,
-            len(sw.aux),
-            sw.dnum,
-            sw.ctx.method,
-        )
-        return model.hoisted_rotate(len(self.elements))

@@ -4,10 +4,11 @@ Built on :mod:`repro.poly`: keys ride the hybrid key-switching pipeline,
 rotations ride the Galois index-permutation kernels and the hoisted
 (shared-ModUp) schedule, rescaling rides ``exact_rescale`` — and
 :class:`SchemeCostModel` prices each composite op as a sum of the
-already-priced Table-3 kernels.  :class:`CanonicalEncoder` packs complex
-slot vectors through the canonical embedding (rotations become cyclic
-slot shifts), :class:`SlotLinalg` runs the slot-wise workloads (BSGS
-matvec and polynomial evaluation) on top, and
+already-priced Table-3 kernels.  Each homomorphic op is defined once,
+in the op table :mod:`repro.scheme.ops`, which the :class:`Evaluator`,
+the circuit compiler and the static analyzer all read.
+:class:`CanonicalEncoder` packs complex slot vectors through the
+canonical embedding (rotations become cyclic slot shifts), and
 :class:`ReferenceEvaluator` is the exact big-int/CRT plaintext-side
 oracle — now with direct slot semantics — the end-to-end tests compare
 against.
@@ -32,40 +33,11 @@ from repro.scheme.keys import (
 )
 from repro.scheme.reference import ReferenceEvaluator
 
-#: internals as of the PR 10 API redesign, kept importable for one
-#: release behind a warn-once shim (replacement named in the warning)
-_DEPRECATED = {
-    "SlotLinalg": (
-        "repro.scheme._linalg",
-        "CkksContext (cc.matvec / cc.poly_eval / cc.compile)",
-    ),
-    "CircuitTracer": (
-        "repro.scheme._circuit",
-        "CkksContext.compile(build)",
-    ),
-}
-
-
-def __getattr__(name):
-    entry = _DEPRECATED.get(name)
-    if entry is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    from repro._compat import warn_once
-
-    module, replacement = entry
-    warn_once(f"repro.scheme.{name}", replacement)
-    return getattr(importlib.import_module(module), name)
-
 __all__ = [
     "DEFAULT_SIGMA",
     "CanonicalEncoder",
     "Ciphertext",
     "CircuitPlan",
-    "CircuitTracer",
     "Evaluator",
     "KeyGenerator",
     "Plaintext",
@@ -73,7 +45,6 @@ __all__ = [
     "ReferenceEvaluator",
     "SchemeCostModel",
     "SecretKey",
-    "SlotLinalg",
     "TracedCiphertext",
     "bsgs_split",
     "conjugation_element",

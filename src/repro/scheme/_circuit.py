@@ -26,9 +26,10 @@ the discipline to *whole programs*:
   against fresh inputs with zero per-call planning or allocation: the
   key-switch schedules, automorphism permutations, hoist tensors, lazy
   accumulators and encoded (transformed, backend-prepared) plaintexts
-  are all captured once per plan.  Noise estimates are computed at run
-  time per step with the evaluator's exact formulas — they depend on
-  the inputs, the schedule does not.
+  are all captured once per plan.  Every step runs the op table's entry
+  (:mod:`repro.scheme.ops`) — the arithmetic and the scale and noise
+  rules the eager evaluator runs — so noise estimates, computed at run
+  time because they depend on the inputs, match eager float for float.
 
 :class:`CircuitPlan` satisfies the :class:`repro.plan.Plan` protocol:
 ``build`` / ``run`` / ``cost`` / ``validate``.
@@ -37,39 +38,37 @@ the discipline to *whole programs*:
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
 from repro import hooks
 from repro.errors import (
     CheddarError,
-    LevelError,
     ParameterError,
     PlanExecutionError,
     TraceError,
 )
-from repro.poly.basis_conv import KeySwitchKey
 from repro.poly.cost import CostModel, OpCost, _merge
 from repro.poly.lazy import LazyAccumulator
 from repro.poly.ntt import automorphism_tables
 from repro.poly.rns_poly import (
     _FP_MIX,
     COEFF,
-    NTT,
     PolyContext,
-    RnsPolynomial,
     data_fingerprint,
 )
 from repro.scheme.ciphertext import Ciphertext, Plaintext
 from repro.scheme.cost import SchemeCostModel
-from repro.scheme.evaluator import (
-    SCALE_RTOL,
-    Evaluator,
-    _combine_bits,
-    validate_rotations,
+from repro.scheme.evaluator import Evaluator
+from repro.scheme.ops import (
+    OPS,
+    RESCALE,
+    Op,
+    materialize,
+    relin_schedule,
+    scales_match,
 )
-from repro.scheme.keys import galois_element
 
 __all__ = ["CircuitTracer", "TracedCiphertext", "CircuitPlan"]
 
@@ -77,13 +76,16 @@ __all__ = ["CircuitTracer", "TracedCiphertext", "CircuitPlan"]
 class _Node:
     """One recorded evaluator operation (or a declared input)."""
 
-    __slots__ = ("id", "op", "args", "payload", "scale", "ctx")
+    __slots__ = ("id", "op", "args", "arg", "key", "scale", "ctx")
 
-    def __init__(self, nid, op, args, payload, scale, ctx):
+    def __init__(self, nid, op, args, arg, key, scale, ctx):
         self.id = nid
         self.op = op
         self.args = tuple(args)
-        self.payload = payload
+        #: the op's non-ciphertext argument and switching key (op table
+        #: convention); an input's ``arg`` is its name
+        self.arg = arg
+        self.key = key
         self.scale = float(scale)
         self.ctx = ctx
 
@@ -153,12 +155,14 @@ class CircuitTracer(Evaluator):
     """An evaluator that records a program DAG instead of executing it.
 
     Built from a configured eager evaluator (whose context and keys it
-    shares), it exposes the same op surface; each call runs the same
-    soundness checks the eager op would (level / context / scale / key
+    shares), it exposes the same op surface; each call runs the op-table
+    entry's eager operand checks (level / context / scale / key
     availability) against the traced metadata, then appends a node.
     Structurally identical calls are hash-consed to one node, so e.g.
     the balanced power tree of ``poly_eval`` traces to a shared DAG with
-    or without the implementation's own cache.
+    or without the implementation's own cache.  ``rotate_hoisted``
+    traces to plain Galois nodes: the planner rediscovers the shared
+    ModUp, since every Galois node on one source joins one hoist group.
 
     ``encrypt`` / ``decrypt`` raise :class:`TraceError`: a circuit's
     boundary is :meth:`input` and the compiled plan's outputs.
@@ -177,13 +181,13 @@ class CircuitTracer(Evaluator):
         self._input_names: set[str] = set()
 
     # -- node construction -------------------------------------------------
-    def _record(self, op, args, payload_key, payload, scale, ctx):
-        key = (op, tuple(a.id for a in args), payload_key)
-        node = self._cse.get(key)
+    def _record(self, op, args, arg_key, arg, key, scale, ctx):
+        cse_key = (op, tuple(a.id for a in args), arg_key)
+        node = self._cse.get(cse_key)
         if node is None:
-            node = _Node(len(self.nodes), op, args, payload, scale, ctx)
+            node = _Node(len(self.nodes), op, args, arg, key, scale, ctx)
             self.nodes.append(node)
-            self._cse[key] = node
+            self._cse[cse_key] = node
         return TracedCiphertext(node, self)
 
     def _tn(self, ct, op: str) -> _Node:
@@ -203,7 +207,7 @@ class CircuitTracer(Evaluator):
         if scale <= 0:
             raise ParameterError(f"input scale must be > 0, got {scale}")
         self._input_names.add(name)
-        return self._record("input", (), name, name, scale, self.ctx)
+        return self._record("input", (), name, name, None, scale, self.ctx)
 
     def encrypt(self, pt, pk, rng):
         raise TraceError(
@@ -218,105 +222,19 @@ class CircuitTracer(Evaluator):
         )
 
     # -- recorded ops ------------------------------------------------------
-    def add(self, a, b):
-        an, bn = self._tn(a, "add"), self._tn(b, "add")
-        self._check_pair(a, b, "add")
-        self._check_scales(a.scale, b.scale, "add")
-        return self._record("add", (an, bn), None, None, a.scale, an.ctx)
-
-    def sub(self, a, b):
-        an, bn = self._tn(a, "sub"), self._tn(b, "sub")
-        self._check_pair(a, b, "sub")
-        self._check_scales(a.scale, b.scale, "sub")
-        return self._record("sub", (an, bn), None, None, a.scale, an.ctx)
-
-    def negate(self, ct):
-        n = self._tn(ct, "negate")
-        return self._record("negate", (n,), None, None, ct.scale, n.ctx)
-
-    def add_plain(self, ct, pt: Plaintext):
-        n = self._tn(ct, "add_plain")
-        self._check_scales(ct.scale, pt.scale, "add_plain")
-        reason = ct.ctx.mismatch_reason(pt.ctx)
-        if reason is not None:
-            raise ParameterError(f"add_plain: {reason}")
+    def _apply(self, op: Op, cts, arg=None, **res) -> TracedCiphertext:
+        """The eager checks, then a node carrying the op's scale and level."""
+        nodes = [self._tn(ct, op.name) for ct in cts]
+        key = op.check(self, cts, arg)
+        if op.commutative and nodes[0].id > nodes[1].id:
+            nodes.reverse()  # a*b and b*a hash-cons to one node
+        arg_key = id(arg) if isinstance(arg, Plaintext) else arg
         return self._record(
-            "add_plain", (n,), id(pt), pt, ct.scale, n.ctx
+            op.name, nodes, arg_key, arg, key, op.scale(cts, arg), op.ctx(cts)
         )
 
-    def multiply_plain(self, ct, pt: Plaintext):
-        n = self._tn(ct, "multiply_plain")
-        reason = ct.ctx.mismatch_reason(pt.ctx)
-        if reason is not None:
-            raise ParameterError(f"multiply_plain: {reason}")
-        return self._record(
-            "multiply_plain", (n,), id(pt), pt, ct.scale * pt.scale, n.ctx
-        )
-
-    def multiply(self, a, b):
-        an, bn = self._tn(a, "multiply"), self._tn(b, "multiply")
-        if self.relin_key is None:
-            raise TraceError(
-                "multiply requires a relinearization key "
-                "(KeyGenerator.relinearization_key)"
-            )
-        self._check_pair(a, b, "multiply")
-        relin = self._relin_for(a, "multiply")
-        # Products commute; canonicalize the argument order so a*b and
-        # b*a hash-cons to one node.  (multiply IS commutative here: the
-        # tensor components t0/t1/t2 and the noise estimate are all
-        # symmetric in the operands.)
-        if an.id > bn.id:
-            an, bn = bn, an
-        return self._record(
-            "multiply", (an, bn), None, relin, a.scale * b.scale, an.ctx
-        )
-
-    def rescale(self, ct):
-        n = self._tn(ct, "rescale")
-        if ct.level < 2:
-            raise LevelError(
-                f"cannot rescale a level-{ct.level} ciphertext: "
-                "no limb left to drop"
-            )
-        q_last = n.ctx.primes[-1]
-        return self._record(
-            "rescale", (n,), None, None, ct.scale / q_last, n.ctx.drop_last()
-        )
-
-    def apply_galois(self, ct, k: int):
-        n = self._tn(ct, "apply_galois")
-        ksk = self._galois_for(k, ct, "apply_galois")
-        return self._record("galois", (n,), int(k), (int(k), ksk), ct.scale, n.ctx)
-
-    # rotate / conjugate are inherited: they resolve the Galois element
-    # and call apply_galois, which is all the tracer needs.
-
-    def rotate_hoisted(self, ct, rotations: Sequence[int]):
-        """Trace-mode hoisted rotations: plain Galois nodes per index.
-
-        The *planner* rediscovers the shared ModUp — every Galois node
-        on one source joins one hoist group at compile time — so the
-        trace does not need a dedicated hoisted op.  Validation matches
-        the eager path.
-        """
-        self._tn(ct, "rotate_hoisted")
-        if not rotations:
-            raise ParameterError("rotate_hoisted needs >= 1 rotation index")
-        n = self.ctx.ring_degree
-        validate_rotations(rotations, n // 2, "rotate_hoisted")
-        elements = [galois_element(r, n) for r in rotations]
-        keys = [self._galois_for(k, ct, "rotate_hoisted") for k in elements]
-        first = keys[0]
-        for ksk in keys:
-            if (ksk.aux_primes != first.aux_primes or ksk.dnum != first.dnum):
-                raise ParameterError(
-                    "rotate_hoisted: all Galois keys must share one "
-                    "(aux basis, dnum) configuration to share a ModUp"
-                )
-        return {
-            r: self.apply_galois(ct, k) for r, k in zip(rotations, elements)
-        }
+    def _hoist(self, ct, ksk) -> None:
+        return None  # the planner shares the ModUp per hoist group
 
     # -- compilation -------------------------------------------------------
     def compile(self, outputs) -> CircuitPlan:
@@ -363,16 +281,18 @@ class _Step:
         #: trace-node provenance ("n<id>:<op>") for analyzer diagnostics
         self.label = label
 
-
-#: consumer ops that accept an NTT-domain operand without forcing an
-#: inverse transform the eager schedule would not also pay
-_NTT_OK_CONSUMERS = frozenset(
-    {"add", "sub", "negate", "multiply", "multiply_plain"}
-)
-
-#: ops whose producing step can absorb a following single-consumer
-#: rescale (they materialize coefficient-domain components anyway)
-_RESCALE_FUSABLE = frozenset({"multiply", "galois", "multiply_plain"})
+    def operands(self):
+        """The op table's ``(arg, key)`` for this step, from its payload."""
+        kind, payload = self.kind, self.payload
+        if kind == "add_plain":
+            return payload, None
+        if kind in ("multiply_plain", "mac"):
+            return payload[0], None
+        if kind == "multiply":
+            return None, payload[0]
+        if kind == "galois":
+            return payload[0], payload[1]
+        return None, None
 
 
 class CircuitPlan:
@@ -392,6 +312,7 @@ class CircuitPlan:
     ) -> None:
         self.ctx = tracer.ctx
         self._sigma = tracer.sigma
+        self._noise = tracer.noise_model
         self._single = single
         # declared at trace time; some may be dead after DCE, and a
         # caller feeding the full batch must not be punished for that
@@ -417,8 +338,6 @@ class CircuitPlan:
                 continue
             reach.add(n.id)
             stack.extend(n.args)
-            if n.op == "galois":
-                pass  # key/element ride in the payload, no node args
         live = [n for n in tracer.nodes if n.id in reach]
 
         cons: dict[int, list[_Node]] = {n.id: [] for n in live}
@@ -438,7 +357,7 @@ class CircuitPlan:
                 and len(cons[x.id]) == 1
                 and x.id not in out_ids
             ):
-                return (x.args[0], x.payload)
+                return (x.args[0], x.arg)
             return None
 
         for n in live:
@@ -478,8 +397,10 @@ class CircuitPlan:
                 base, k = base_of[src.id]
                 base_of[n.id] = (base, k + 1)
                 inlined.add(src.id)
-            elif src.id not in absorbed and (
-                _eff_op(src) in _RESCALE_FUSABLE or src.id in mac_terms
+            elif (
+                src.id not in absorbed
+                and src.op != "input"
+                and OPS[_eff_op(src)].absorbs_rescale
             ):
                 base_of[n.id] = (src, 1)
                 inlined.add(src.id)
@@ -491,13 +412,13 @@ class CircuitPlan:
         def _keeps_ntt(value_node: _Node, produced_op: str, rescales: int):
             if rescales or value_node.id in out_ids:
                 return False
-            if produced_op not in ("add", "sub", "negate",
-                                   "multiply_plain", "mac"):
+            op = OPS.get(produced_op)
+            if op is None or not op.keeps_ntt:
                 return False
             users = cons[value_node.id]
             if not users:
                 return False
-            return all(c.op in _NTT_OK_CONSUMERS for c in users)
+            return all(OPS[c.op].ntt_operand for c in users)
 
         # -- hoist grouping: Galois ops are grouped by (source value,
         # key configuration); each group shares one ModUp + forward
@@ -506,7 +427,7 @@ class CircuitPlan:
         hoist_specs: list[tuple[_Node, object]] = []  # (src node, switcher)
 
         def _galois_group(gnode: _Node) -> int:
-            k, ksk = gnode.payload
+            ksk = gnode.key
             src = gnode.args[0]
             key = (src.id, tuple(ksk.aux_primes), ksk.dnum)
             idx = hoist_groups.get(key)
@@ -543,22 +464,22 @@ class CircuitPlan:
             level = base.ctx.num_limbs
             levels_used.add(level)
             if op == "input":
-                inputs.append((base.payload, dst, base.scale))
+                inputs.append((base.arg, dst, base.scale))
                 steps.append(_Step("input", dst, (),
-                                   (base.payload, base.scale), level=level))
+                                   (base.arg, base.scale), level=level))
             elif op in ("add", "sub", "negate"):
                 steps.append(_Step(
                     op, dst, [_slot(a) for a in base.args],
                     emit_ntt=emit_ntt, level=level,
                 ))
             elif op == "add_plain":
-                pt = base.payload
+                pt = base.arg
                 steps.append(_Step(
                     "add_plain", dst, (_slot(base.args[0]),), pt,
                     level=level,
                 ))
             elif op == "multiply_plain":
-                pt = base.payload
+                pt = base.arg
                 p_ntt = pt.poly.to_ntt()
                 p_ntt.prepared_operand()
                 steps.append(_Step(
@@ -578,13 +499,8 @@ class CircuitPlan:
                     (pts, p_ntts), rescales, emit_ntt, level,
                 ))
             elif op == "multiply":
-                relin = base.payload  # resolved at the node's level
-                switcher = base.ctx.key_switcher(
-                    relin.aux_primes, relin.dnum
-                )
-                ks_plan = switcher.plan_for(
-                    NTT, has_twin=False, output_domain=COEFF
-                )
+                relin = base.key  # resolved at the node's level
+                switcher, ks_plan = relin_schedule(base.ctx, relin)
                 steps.append(_Step(
                     "multiply", dst,
                     (_slot(base.args[0]), _slot(base.args[1])),
@@ -592,7 +508,7 @@ class CircuitPlan:
                     level=level,
                 ))
             elif op == "galois":
-                k, ksk = base.payload
+                k, ksk = base.arg, base.key
                 gidx = _galois_group(base)
                 if gidx not in hoisted_emitted:
                     hoisted_emitted.add(gidx)
@@ -721,7 +637,7 @@ class CircuitPlan:
 
         Sugar for :func:`repro.analysis.check_plan`: propagates
         level/scale/noise-budget lattices over the step list with the
-        executor's exact formulas and returns a
+        op table's rules (the executor's own) and returns a
         :class:`~repro.analysis.plan_check.PlanReport` flagging budget
         exhaustion, scale pathologies, dead hoists and redundant NTT
         round trips before any ciphertext is touched.
@@ -729,9 +645,6 @@ class CircuitPlan:
         from repro.analysis.plan_check import check_plan
 
         return check_plan(self, **kwargs)
-
-    def _ks_bits(self, ksk: KeySwitchKey) -> float:
-        return math.log2(self._sigma * ksk.dnum * self.ctx.ring_degree)
 
     # -- execution ---------------------------------------------------------
     def run(
@@ -796,47 +709,18 @@ class CircuitPlan:
                     tag=tag,
                 ) from exc
         outs = {
-            name: self._materialize(vals[slot])
+            name: materialize(vals[slot])
             for name, slot in self._outputs.items()
         }
         if self._single:
             return outs["out"]
         return outs
 
-    @staticmethod
-    def _materialize(ct: Ciphertext) -> Ciphertext:
-        """Coefficient-domain view of a (possibly NTT-kept) value."""
-        if ct.domain == COEFF:
-            return ct
-        return Ciphertext(
-            ct.c0.to_coeff(),
-            ct.c1.to_coeff(),
-            scale=ct.scale,
-            noise_bits=ct.noise_bits,
-        )
-
-    def _apply_rescales(self, c0, c1, scale, noise, count):
-        """Eager-identical rescale formulas, applied ``count`` times."""
-        for _ in range(count):
-            ctx = c0.ctx
-            q_last = ctx.primes[-1]
-            c0 = c0.to_coeff().exact_rescale()
-            c1 = c1.to_coeff().exact_rescale()
-            noise = max(
-                noise - math.log2(q_last),
-                0.5 * math.log2(ctx.ring_degree) + 1.0,
-            )
-            scale = scale / q_last
-        return c0, c1, scale, noise
-
-    def _finish(self, step, c0, c1, scale, noise):
-        if step.rescales:
-            c0, c1, scale, noise = self._apply_rescales(
-                c0, c1, scale, noise, step.rescales
-            )
-        elif not step.emit_ntt and c0.domain != COEFF:
-            c0, c1 = c0.to_coeff(), c1.to_coeff()
-        return Ciphertext(c0, c1, scale=scale, noise_bits=noise)
+    def _finish(self, step, ct: Ciphertext) -> Ciphertext:
+        """Fused rescales, then the step's output domain."""
+        for _ in range(step.rescales):
+            ct = RESCALE.apply((ct,), None, None, self._noise)
+        return ct if step.emit_ntt else materialize(ct)
 
     def _run_step(self, step, vals, provided) -> None:
         kind = step.kind
@@ -851,7 +735,7 @@ class CircuitPlan:
             reason = self.ctx.mismatch_reason(ct.ctx)
             if reason is not None:
                 raise ParameterError(f"stale plan for input {name!r}: {reason}")
-            if not math.isclose(ct.scale, scale, rel_tol=SCALE_RTOL):
+            if not scales_match(ct.scale, scale):
                 raise ParameterError(
                     f"input {name!r} arrives at scale "
                     f"2^{math.log2(ct.scale):.3f} but the plan was traced "
@@ -859,124 +743,30 @@ class CircuitPlan:
                 )
             vals[step.dst] = ct
             return
-        if kind in ("add", "sub"):
-            a, b = vals[step.srcs[0]], vals[step.srcs[1]]
-            if a.domain != b.domain or (
-                not step.emit_ntt and a.domain != COEFF
-            ):
-                a, b = self._materialize(a), self._materialize(b)
-            fn0 = a.c0.add if kind == "add" else a.c0.sub
-            fn1 = a.c1.add if kind == "add" else a.c1.sub
-            vals[step.dst] = Ciphertext(
-                fn0(b.c0),
-                fn1(b.c1),
-                scale=a.scale,
-                noise_bits=_combine_bits(a.noise_bits, b.noise_bits),
-            )
-            return
-        if kind == "negate":
-            ct = vals[step.srcs[0]]
-            if not step.emit_ntt:
-                ct = self._materialize(ct)
-            vals[step.dst] = Ciphertext(
-                ct.c0.negate(),
-                ct.c1.negate(),
-                scale=ct.scale,
-                noise_bits=ct.noise_bits,
-            )
-            return
-        if kind == "add_plain":
-            ct = vals[step.srcs[0]]
-            pt = step.payload
-            vals[step.dst] = Ciphertext(
-                ct.c0.to_coeff().add(pt.poly.to_coeff()),
-                ct.c1.to_coeff(),
-                scale=ct.scale,
-                noise_bits=ct.noise_bits,
-            )
-            return
-        n_log_half = 0.5 * math.log2(self.ctx.ring_degree)
-        if kind == "multiply_plain":
-            ct = vals[step.srcs[0]]
-            pt, p_ntt = step.payload
-            c0 = ct.c0.to_ntt().pointwise_multiply(p_ntt)
-            c1 = ct.c1.to_ntt().pointwise_multiply(p_ntt)
-            noise = ct.noise_bits + math.log2(pt.scale) + n_log_half
-            vals[step.dst] = self._finish(
-                step, c0, c1, ct.scale * pt.scale, noise
-            )
-            return
-        if kind == "mac":
-            pts, p_ntts = step.payload
-            cts = [vals[s] for s in step.srcs]
-            acc = self._accs[step.level]
-            c0 = RnsPolynomial.multiply_accumulate(
-                [ct.c0.to_ntt() for ct in cts], p_ntts, acc=acc
-            )
-            c1 = RnsPolynomial.multiply_accumulate(
-                [ct.c1.to_ntt() for ct in cts], p_ntts, acc=acc
-            )
-            noise = None
-            for ct, pt in zip(cts, pts):  # mirrors _fused_inner exactly
-                bits = ct.noise_bits + math.log2(pt.scale) + n_log_half
-                noise = bits if noise is None else _combine_bits(noise, bits)
-            vals[step.dst] = self._finish(
-                step, c0, c1, cts[0].scale * pts[0].scale, noise
-            )
-            return
-        if kind == "multiply":
-            a, b = vals[step.srcs[0]], vals[step.srcs[1]]
-            relin, switcher, ks_plan = step.payload
-            acc = self._accs[step.level]
-            a0, a1 = a.c0.to_ntt(), a.c1.to_ntt()
-            b0, b1 = b.c0.to_ntt(), b.c1.to_ntt()
-            t0 = a0.pointwise_multiply(b0)
-            t1 = RnsPolynomial.multiply_accumulate(
-                [a0, a1], [b1, b0], acc=acc
-            )
-            t2 = a1.pointwise_multiply(b1)
-            d0, d1 = switcher.run(t2, relin, ks_plan)
-            c0 = t0.to_coeff().add(d0)
-            c1 = t1.to_coeff().add(d1)
-            noise = _combine_bits(
-                _combine_bits(
-                    a.noise_bits + math.log2(b.scale),
-                    b.noise_bits + math.log2(a.scale),
-                )
-                + n_log_half,
-                self._ks_bits(relin),
-            )
-            vals[step.dst] = self._finish(
-                step, c0, c1, a.scale * b.scale, noise
-            )
-            return
+        cts = [vals[s] for s in step.srcs]
         if kind == "hoist":
             gidx, switcher = step.payload
-            src = vals[step.srcs[0]]
-            switcher.hoist(src.c1, out=self._hoist_bufs[gidx])
+            switcher.hoist(cts[0].c1, out=self._hoist_bufs[gidx])
             return
-        if kind == "galois":
-            ct = vals[step.srcs[0]]
-            k, ksk, perm, gidx, switcher = step.payload
-            d0, d1 = switcher.run_hoisted(
-                self._hoist_bufs[gidx], ksk, perm=perm
-            )
-            c0 = ct.c0.to_coeff().automorphism(k).add(d0)
-            noise = _combine_bits(ct.noise_bits, self._ks_bits(ksk))
-            vals[step.dst] = self._finish(step, c0, d1, ct.scale, noise)
-            return
-        if kind == "rescale":
-            ct = vals[step.srcs[0]]
-            c0, c1, scale, noise = self._apply_rescales(
-                ct.c0, ct.c1, ct.scale, ct.noise_bits, 1
-            )
-            vals[step.dst] = Ciphertext(
-                c0, c1, scale=scale, noise_bits=noise
-            )
-            return
-        raise ParameterError(  # pragma: no cover - emission is closed
-            f"unknown plan step {kind!r}"
-        )
+        arg, key = step.operands()
+        res = {}
+        if kind in ("add", "sub", "negate"):
+            # domain-preserving: operands meet in the step's output domain
+            if not step.emit_ntt or len({ct.domain for ct in cts}) > 1:
+                cts = [materialize(ct) for ct in cts]
+        elif kind == "multiply_plain":
+            res["p_ntt"] = step.payload[1]
+        elif kind == "mac":
+            res["p_ntts"] = step.payload[1]
+            res["acc"] = self._accs[step.level]
+        elif kind == "multiply":
+            _, res["switcher"], res["ks_plan"] = step.payload
+            res["acc"] = self._accs[step.level]
+        elif kind == "galois":
+            _, _, res["perm"], gidx, res["switcher"] = step.payload
+            res["hoisted"] = self._hoist_bufs[gidx]
+        ct = OPS[kind].apply(cts, arg, key, self._noise, **res)
+        vals[step.dst] = self._finish(step, ct)
 
     # -- pricing -----------------------------------------------------------
     def cost(self) -> OpCost:

@@ -51,7 +51,8 @@ from repro.errors import ParameterError
 from repro.poly.rns_poly import COEFF, RnsPolynomial
 from repro.scheme.ciphertext import Ciphertext, Plaintext
 from repro.scheme.encoder import CanonicalEncoder
-from repro.scheme.evaluator import Evaluator, _combine_bits, validate_rotations
+from repro.scheme.evaluator import Evaluator, validate_rotations
+from repro.scheme.ops import MAC, materialize
 
 
 def bsgs_split(count: int) -> tuple[int, int]:
@@ -253,7 +254,6 @@ class SlotLinalg:
         pt_scale = ct.scale if scale is None else float(scale)
         encoder = self._encoder_for(ct.ctx)
         gs = -(-dim // bs)
-        n = self.ctx.ring_degree
         acc: Ciphertext | None = None
         for g in range(gs):
             terms: list[tuple[Ciphertext, Plaintext]] = []
@@ -269,7 +269,7 @@ class SlotLinalg:
             if not terms:
                 continue
             if fused and len(terms) > 1:
-                inner = self._fused_inner(terms, n)
+                inner = self._fused_inner(terms)
             else:
                 inner = None
                 for baby_ct, pt in terms:
@@ -282,34 +282,18 @@ class SlotLinalg:
         return acc
 
     def _fused_inner(
-        self, terms: Sequence[tuple[Ciphertext, Plaintext]], n: int
+        self, terms: Sequence[tuple[Ciphertext, Plaintext]]
     ) -> Ciphertext:
-        """One giant step's inner sum as two fused NTT-domain MACs.
+        """One giant step's inner sum through the op table's fused MAC.
 
         ``sum_b pt_b ⊙ baby_b`` per component through a single
-        :meth:`RnsPolynomial.multiply_accumulate` and **one** inverse
-        transform, instead of an inverse per diagonal.  Exactly equal to
-        the multiply-then-add chain because every step is the same
-        modular arithmetic — the NTT is linear over each limb's ring and
-        the lazy accumulator folds to the same canonical residues.
+        NTT-domain multiply-accumulate and **one** inverse transform,
+        instead of an inverse per diagonal — bit-identical to the
+        multiply-then-add chain (see :class:`~repro.scheme.ops.Mac`).
         """
-        pts = [pt.poly.to_ntt() for _, pt in terms]
-        c0 = RnsPolynomial.multiply_accumulate(
-            [baby.c0.to_ntt() for baby, _ in terms], pts
-        ).to_coeff()
-        c1 = RnsPolynomial.multiply_accumulate(
-            [baby.c1.to_ntt() for baby, _ in terms], pts
-        ).to_coeff()
-        noise = None
-        for baby, pt in terms:  # mirrors multiply_plain's estimate
-            bits = baby.noise_bits + math.log2(pt.scale) + 0.5 * math.log2(n)
-            noise = bits if noise is None else _combine_bits(noise, bits)
-        return Ciphertext(
-            c0,
-            c1,
-            scale=terms[0][0].scale * terms[0][1].scale,
-            noise_bits=noise,
-        )
+        babies = [baby for baby, _ in terms]
+        pts = [pt for _, pt in terms]
+        return materialize(MAC.apply(babies, pts, None, self.ev.noise_model))
 
     # -- BSGS polynomial evaluation ----------------------------------------
     def poly_eval(

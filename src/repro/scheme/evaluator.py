@@ -1,46 +1,29 @@
 """Homomorphic evaluator over two-component RLWE ciphertexts.
 
+Every op is one entry of the op table (:mod:`repro.scheme.ops`): the
+evaluator runs an entry's operand checks, then its arithmetic and its
+scale and noise rules, and hands back a coefficient-domain ciphertext.
+The compiled-circuit executor and the static analyzer read the same
+entries, which is what keeps them bit-identical to this eager path.
+
 Every operation is a composition of the priced polynomial kernels — the
 batched NTT, the fused hybrid key switch, exact rescaling, the Galois
 index-permutation passes — so :mod:`repro.scheme.cost` can price each op
 the way the paper's Table accounts for composite workloads.
-
-Scheduling notes (the parts that are *not* textbook):
-
-* ``multiply`` relinearizes through the existing
-  :class:`~repro.poly.basis_conv.KeySwitchPlan`: the degree-2 tensor
-  component ``t2 = c1*d1`` stays NTT-domain and the plan decides the one
-  input inverse it costs (the ``intt_input`` step) — no transform is
-  scheduled outside the planner.
-* ``rotate``/``conjugate`` run the *hoisted* schedule even for a single
-  index: ModUp + extended forward NTT of every digit first, then the
-  Galois action as a pure NTT-domain slot permutation of the extended
-  digits, then MAC / fold / ModDown.  ``rotate_hoisted`` shares that
-  ModUp+NTT front across many rotation indices (Halevi–Shoup hoisting),
-  so hoisted and independent rotations are bit-identical by
-  construction — the fast path is free of semantic drift.
-* noise is tracked as a heuristic ``log2 |noise|`` estimate per
-  ciphertext (see :attr:`Ciphertext.noise_bits`); the estimate feeds
-  ``noise_budget_bits`` and the test-suite sanity assertions, nothing
-  cryptographic.
+``rotate_hoisted`` shares the ModUp + extended-NTT front of a Galois key
+switch across many rotation indices (Halevi–Shoup hoisting); hoisted and
+independent rotations are bit-identical by construction.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import (
-    KeyError_,
-    LevelError,
-    ParameterError,
-    ScaleMismatchError,
-)
-from repro.poly.basis_conv import HoistedGaloisPlan, KeySwitchKey
-from repro.poly.ntt import automorphism_tables
-from repro.poly.rns_poly import COEFF, PolyContext, RnsPolynomial
+from repro.errors import KeyError_, ParameterError
+from repro.poly.basis_conv import KeySwitchKey
+from repro.poly.rns_poly import PolyContext
 from repro.scheme.ciphertext import Ciphertext, Plaintext
 from repro.scheme.keys import (
     DEFAULT_SIGMA,
@@ -53,15 +36,20 @@ from repro.scheme.keys import (
     sample_error,
     sample_ternary,
 )
-
-#: relative slack within which two operand scales still count as equal
-SCALE_RTOL = 1e-9
-
-
-def _combine_bits(a: float, b: float) -> float:
-    """``log2(2^a + 2^b)`` without leaving log space."""
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log2(1.0 + 2.0 ** (lo - hi))
+from repro.scheme.ops import (
+    ADD,
+    ADD_PLAIN,
+    GALOIS,
+    MULTIPLY,
+    MULTIPLY_PLAIN,
+    NEGATE,
+    RESCALE,
+    SUB,
+    NoiseModel,
+    Op,
+    check_key_level,
+    materialize,
+)
 
 
 def validate_rotations(
@@ -131,11 +119,7 @@ class Evaluator:
         self.galois_keys = dict(galois_keys or {})
         self.key_source = key_source
         self.sigma = float(sigma)
-        # Fresh-encryption noise: |v*e + e0 + e1*s| with ternary v, s —
-        # ~ sigma * sqrt(2N) spread, padded by 8x for the tail.
-        self._fresh_bits = math.log2(
-            8.0 * self.sigma * math.sqrt(2.0 * ctx.ring_degree)
-        )
+        self.noise_model = NoiseModel(ctx.ring_degree, self.sigma)
 
     @classmethod
     def from_keygen(
@@ -177,7 +161,8 @@ class Evaluator:
         e1 = lift_signed(ctx, sample_error(rng, n, sigma=self.sigma))
         c0 = v.pointwise_multiply(pk.b).to_coeff().add(e0).add(pt.poly.to_coeff())
         c1 = v.pointwise_multiply(pk.a).to_coeff().add(e1)
-        return Ciphertext(c0, c1, scale=pt.scale, noise_bits=self._fresh_bits)
+        noise = self.noise_model.fresh_bits
+        return Ciphertext(c0, c1, scale=pt.scale, noise_bits=noise)
 
     def decrypt(self, ct: Ciphertext, sk: SecretKey) -> Plaintext:
         """``c0 + c1 * s`` at the ciphertext's level, as a plaintext."""
@@ -186,34 +171,7 @@ class Evaluator:
         m.state.scale = ct.scale
         return Plaintext(m)
 
-    # -- operand checks ----------------------------------------------------
-    def _check_pair(self, a: Ciphertext, b: Ciphertext, op: str) -> None:
-        if a.level != b.level:
-            raise LevelError(
-                f"{op}: level mismatch: {a.level} vs {b.level} live limbs "
-                "(rescale the higher-level operand down first)"
-            )
-        reason = a.ctx.mismatch_reason(b.ctx)
-        if reason is not None:
-            raise ParameterError(f"{op}: {reason}")
-
-    def _check_scales(self, sa: float, sb: float, op: str) -> None:
-        if not math.isclose(sa, sb, rel_tol=SCALE_RTOL):
-            raise ScaleMismatchError(
-                f"{op}: scale mismatch: 2^{math.log2(sa):.3f} vs "
-                f"2^{math.log2(sb):.3f}; rescale/re-encode to a common "
-                "scale first"
-            )
-
-    def _check_key_level(self, ksk: KeySwitchKey, ct: Ciphertext, op: str):
-        if ksk.base_primes != ct.ctx.primes:
-            raise KeyError_(
-                f"{op}: key was generated for a {len(ksk.base_primes)}-limb "
-                f"basis but the ciphertext sits at level {ct.level}; "
-                "key switching below the keygen level needs a key_source "
-                "(Evaluator.from_keygen wires one)"
-            )
-
+    # -- key lookup ---------------------------------------------------------
     def _relin_for(self, ct: Ciphertext, op: str) -> KeySwitchKey:
         """The ``s^2 -> s`` key at the operand's level.
 
@@ -228,7 +186,7 @@ class Evaluator:
             )
         if ksk.base_primes != ct.ctx.primes and self.key_source is not None:
             ksk = self.key_source.relinearization_key(ct.ctx)
-        self._check_key_level(ksk, ct, op)
+        check_key_level(ksk, ct.ctx.primes, ct.level, op)
         return ksk
 
     def _galois_for(self, k: int, ct: Ciphertext, op: str) -> KeySwitchKey:
@@ -241,119 +199,39 @@ class Evaluator:
         ksk = self._galois_key_for(k, op)
         if ksk.base_primes != ct.ctx.primes and self.key_source is not None:
             ksk = self.key_source.galois_key(k, ct.ctx)
-        self._check_key_level(ksk, ct, op)
+        check_key_level(ksk, ct.ctx.primes, ct.level, op)
         return ksk
 
-    # -- linear ops --------------------------------------------------------
+    # -- the op set: every op is one entry of the op table ---------------
+    def _apply(self, op: Op, cts, arg=None, **res) -> Ciphertext:
+        """Check the operands, run the entry, return a coefficient-domain
+        result (the tracer overrides this to record instead)."""
+        key = op.check(self, cts, arg)
+        return materialize(op.apply(cts, arg, key, self.noise_model, **res))
+
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check_pair(a, b, "add")
-        self._check_scales(a.scale, b.scale, "add")
-        return Ciphertext(
-            a.c0.add(b.c0),
-            a.c1.add(b.c1),
-            scale=a.scale,
-            noise_bits=_combine_bits(a.noise_bits, b.noise_bits),
-        )
+        return self._apply(ADD, (a, b))
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check_pair(a, b, "sub")
-        self._check_scales(a.scale, b.scale, "sub")
-        return Ciphertext(
-            a.c0.sub(b.c0),
-            a.c1.sub(b.c1),
-            scale=a.scale,
-            noise_bits=_combine_bits(a.noise_bits, b.noise_bits),
-        )
+        return self._apply(SUB, (a, b))
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
-        return Ciphertext(
-            ct.c0.negate(),
-            ct.c1.negate(),
-            scale=ct.scale,
-            noise_bits=ct.noise_bits,
-        )
+        return self._apply(NEGATE, (ct,))
 
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-        self._check_scales(ct.scale, pt.scale, "add_plain")
-        reason = ct.ctx.mismatch_reason(pt.ctx)
-        if reason is not None:
-            raise ParameterError(f"add_plain: {reason}")
-        return Ciphertext(
-            ct.c0.to_coeff().add(pt.poly.to_coeff()),
-            ct.c1.to_coeff(),
-            scale=ct.scale,
-            noise_bits=ct.noise_bits,
-        )
+        return self._apply(ADD_PLAIN, (ct,), pt)
 
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Scale-multiplying plaintext product of both components."""
-        reason = ct.ctx.mismatch_reason(pt.ctx)
-        if reason is not None:
-            raise ParameterError(f"multiply_plain: {reason}")
-        noise = (
-            ct.noise_bits
-            + math.log2(pt.scale)
-            + 0.5 * math.log2(ct.ctx.ring_degree)
-        )
-        return Ciphertext(
-            ct.c0.multiply(pt.poly),
-            ct.c1.multiply(pt.poly),
-            scale=ct.scale * pt.scale,
-            noise_bits=noise,
-        )
+        return self._apply(MULTIPLY_PLAIN, (ct,), pt)
 
-    # -- multiply + relinearize --------------------------------------------
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """HMult fused with relinearization.
+        """HMult fused with relinearization (:class:`~repro.scheme.ops.Multiply`)."""
+        return self._apply(MULTIPLY, (a, b))
 
-        Tensor the two pairs in the NTT domain (four forward transforms,
-        four pointwise products — the cross terms through one fused
-        :meth:`RnsPolynomial.multiply_accumulate`), then switch the
-        degree-2 component back to the ``(1, s)`` basis through the
-        relinearization key, scheduled by the existing
-        :class:`KeySwitchPlan` (NTT-domain input, coefficient output).
-        """
-        self._check_pair(a, b, "multiply")
-        relin = self._relin_for(a, "multiply")
-        a0, a1 = a.c0.to_ntt(), a.c1.to_ntt()
-        b0, b1 = b.c0.to_ntt(), b.c1.to_ntt()
-        t0 = a0.pointwise_multiply(b0)
-        t1 = RnsPolynomial.multiply_accumulate([a0, a1], [b1, b0])
-        t2 = a1.pointwise_multiply(b1)
-        plan = t2.plan_key_switch(relin, output_domain=COEFF)
-        d0, d1 = t2.key_switch(relin, plan=plan)
-        c0 = t0.to_coeff().add(d0)
-        c1 = t1.to_coeff().add(d1)
-        noise = _combine_bits(
-            _combine_bits(
-                a.noise_bits + math.log2(b.scale),
-                b.noise_bits + math.log2(a.scale),
-            )
-            + 0.5 * math.log2(a.ctx.ring_degree),
-            self._ks_bits(relin),
-        )
-        return Ciphertext(c0, c1, scale=a.scale * b.scale, noise_bits=noise)
-
-    def _ks_bits(self, ksk: KeySwitchKey) -> float:
-        """Heuristic key-switching noise: ``sum_d x_d e_d / P`` spread."""
-        return math.log2(self.sigma * ksk.dnum * self.ctx.ring_degree)
-
-    # -- rescaling ---------------------------------------------------------
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Drop the last limb from both components, dividing the scale."""
-        if ct.level < 2:
-            raise LevelError(
-                f"cannot rescale a level-{ct.level} ciphertext: "
-                "no limb left to drop"
-            )
-        q_last = ct.ctx.primes[-1]
-        c0 = ct.c0.to_coeff().exact_rescale()
-        c1 = ct.c1.to_coeff().exact_rescale()
-        noise = max(
-            ct.noise_bits - math.log2(q_last),
-            0.5 * math.log2(ct.ctx.ring_degree) + 1.0,  # rounding floor
-        )
-        return Ciphertext(c0, c1, scale=ct.scale / q_last, noise_bits=noise)
+        return self._apply(RESCALE, (ct,))
 
     # -- Galois rotations --------------------------------------------------
     def _galois_key_for(self, k: int, op: str) -> KeySwitchKey:
@@ -365,27 +243,9 @@ class Evaluator:
             )
         return ksk
 
-    def _finish_galois(
-        self,
-        ct: Ciphertext,
-        switcher,
-        hoisted: np.ndarray,
-        k: int,
-        ksk: KeySwitchKey,
-    ) -> Ciphertext:
-        """Per-rotation tail: permute hoisted digits, MAC, ModDown, add."""
-        perm = automorphism_tables(ct.ctx.ring_degree, k)[2]
-        d0, d1 = switcher.run_hoisted(hoisted, ksk, perm=perm)
-        c0 = ct.c0.to_coeff().automorphism(k).add(d0)
-        noise = _combine_bits(ct.noise_bits, self._ks_bits(ksk))
-        return Ciphertext(c0, d1, scale=ct.scale, noise_bits=noise)
-
     def apply_galois(self, ct: Ciphertext, k: int) -> Ciphertext:
         """``sigma_k`` of the ciphertext, switched back under ``s``."""
-        ksk = self._galois_for(k, ct, "apply_galois")
-        switcher = ct.ctx.key_switcher(ksk.aux_primes, ksk.dnum)
-        hoisted = switcher.hoist(ct.c1.to_coeff())
-        return self._finish_galois(ct, switcher, hoisted, k, ksk)
+        return self._apply(GALOIS, (ct,), int(k))
 
     def rotate(self, ct: Ciphertext, rotation: int) -> Ciphertext:
         """Rotate by ``rotation`` slots (Galois element ``5^rotation``).
@@ -410,11 +270,10 @@ class Evaluator:
 
         The expensive front of every rotation's key switch — ModUp of
         each digit onto ``Q ∪ P`` plus the extended forward NTT — is
-        input-only, so it is paid once and every rotation index reuses
-        the hoisted digit tensor through its own slot permutation + MAC
-        + ModDown tail.  Bit-identical to calling :meth:`rotate` per
-        index (both run :meth:`KeySwitcher.run_hoisted` on the same
-        tensor), just without the repeated front.
+        input-only, so it is paid once and every rotation index finishes
+        from the shared digit tensor through the op table's Galois entry.
+        Bit-identical to calling :meth:`rotate` per index, just without
+        the repeated front.
         """
         if not rotations:
             raise ParameterError("rotate_hoisted needs >= 1 rotation index")
@@ -429,14 +288,11 @@ class Evaluator:
                     "rotate_hoisted: all Galois keys must share one "
                     "(aux basis, dnum) configuration to share a ModUp"
                 )
-        switcher = ct.ctx.key_switcher(first.aux_primes, first.dnum)
-        plan = HoistedGaloisPlan.build(switcher, elements, keys)
-        c0_coeff = ct.c0.to_coeff()
-        out: dict[int, Ciphertext] = {}
-        for rotation, k, ksk, (d0, d1) in zip(
-            rotations, elements, keys, plan.run(ct.c1)
-        ):
-            c0 = c0_coeff.automorphism(k).add(d0)
-            noise = _combine_bits(ct.noise_bits, self._ks_bits(ksk))
-            out[rotation] = Ciphertext(c0, d1, scale=ct.scale, noise_bits=noise)
-        return out
+        hoisted = self._hoist(ct, first)
+        return {
+            r: self._apply(GALOIS, (ct,), k, hoisted=hoisted)
+            for r, k in zip(rotations, elements)
+        }
+
+    def _hoist(self, ct: Ciphertext, ksk: KeySwitchKey) -> np.ndarray:
+        return ct.ctx.key_switcher(ksk.aux_primes, ksk.dnum).hoist(ct.c1)

@@ -250,8 +250,7 @@ class CkksServer:
 
     # -- admission control -------------------------------------------------
     def register_tenant(self, name: str, build, *,
-                        scale_bits: int | None = None, input_dim: int = 1,
-                        scale: float | None = None) -> None:
+                        scale_bits: int | None = None, input_dim: int = 1) -> None:
         """Admit a tenant circuit, or raise :class:`AdmissionError`.
 
         ``build(tracer, x)`` receives a fresh tracer and its declared
@@ -262,8 +261,7 @@ class CkksServer:
         replicate uniformly under any batch packing).
 
         The input scale is ``2**scale_bits`` (default: the context's own
-        ``scale_bits``); the pre-redesign raw-scale ``scale=`` kwarg is
-        accepted with a deprecation warning.  ``input_dim > 1`` admits a
+        ``scale_bits``).  ``input_dim > 1`` admits a
         vector tenant — each request submits an ``input_dim``-vector
         packed into one ciphertext (so batches are one request wide) and
         is delivered the first ``input_dim`` decrypted slots; a compiled
@@ -271,23 +269,9 @@ class CkksServer:
         ``register_tenant(name, model.build, scale_bits=model.scale_bits,
         input_dim=model.dim)``.
         """
-        if scale is not None:
-            from repro._compat import warn_once
-
-            warn_once(
-                "CkksServer.register_tenant(scale=...)", "scale_bits=..."
-            )
-            if scale_bits is not None:
-                raise AdmissionError(
-                    f"tenant {name!r} passed both 'scale_bits' and its "
-                    "deprecated alias 'scale'",
-                    code="conflicting-kwargs", tenant=name,
-                )
-            use_scale = float(scale)
-        else:
-            if scale_bits is None:
-                scale_bits = getattr(self.cc, "scale_bits", 30)
-            use_scale = 2.0 ** int(scale_bits)
+        if scale_bits is None:
+            scale_bits = getattr(self.cc, "scale_bits", 30)
+        use_scale = 2.0 ** int(scale_bits)
         if name in self._tenants:
             raise AdmissionError(
                 f"tenant {name!r} is already registered",

@@ -1,18 +1,11 @@
-"""The PR 10 public-API contract: one entry point, canonical kwargs.
-
-Pins the redesign's three promises:
+"""The public-API contract: one entry point, canonical kwargs.
 
 * :class:`repro.CkksContext` is the single public entry point — the
   curated ``repro.__all__`` resolves, and ``cc.matvec`` /
   ``cc.poly_eval`` / ``cc.compile`` / ``cc.model`` reproduce what the
   internals produce;
 * construction kwargs are spelled one way everywhere (``scale_bits``,
-  ``backend``, ``seed``, ``checked``) with the old spellings accepted
-  behind a deprecation warning;
-* every pre-redesign import path (``repro.scheme.SlotLinalg``,
-  ``repro.scheme.circuit.CircuitTracer``, ``repro.poly.KeySwitcher``,
-  ``cc.tracer()``, ``cc.linalg``) still works and warns **exactly
-  once** per process, naming its replacement.
+  ``backend``, ``seed``, ``checked``); anything else is a ``TypeError``.
 """
 
 import warnings
@@ -22,7 +15,6 @@ import pytest
 
 import repro
 from repro import CkksContext
-from repro._compat import _warned
 from repro.errors import ParameterError
 
 CTX_KW = dict(ring_degree=64, num_main=3, num_aux=3, dnum=2, seed=5)
@@ -31,25 +23,6 @@ CTX_KW = dict(ring_degree=64, num_main=3, num_aux=3, dnum=2, seed=5)
 @pytest.fixture(scope="module")
 def cc() -> CkksContext:
     return CkksContext(rotations=(1, 2), **CTX_KW)
-
-
-@pytest.fixture()
-def fresh_warnings():
-    """Reset the process-global warn-once registry around a test."""
-    saved = set(_warned)
-    _warned.clear()
-    try:
-        yield
-    finally:
-        _warned.clear()
-        _warned.update(saved)
-
-
-def _collect(fn):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fn()
-    return [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 # -- curated surface ---------------------------------------------------------
@@ -120,119 +93,16 @@ def test_model_factory_rejects_unknown_kind(cc):
 
 # -- canonical kwargs --------------------------------------------------------
 
-def test_delta_alias_maps_to_scale_bits(fresh_warnings):
-    caught = _collect(lambda: None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cc = CkksContext(delta=2.0**25, **CTX_KW)
-    assert cc.scale_bits == 25
-    msgs = [str(w.message) for w in caught]
-    assert any("delta" in m and "scale_bits" in m for m in msgs)
-
-
-def test_conflicting_scale_spellings_rejected(fresh_warnings):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ParameterError, match="deprecated alias"):
-            CkksContext(scale_bits=30, delta=2.0**25, **CTX_KW)
-
-
 def test_unknown_kwarg_still_a_typeerror():
     with pytest.raises(TypeError, match="unexpected keyword"):
         CkksContext(frobnicate=1, **CTX_KW)
 
 
-def test_register_tenant_scale_alias(cc, fresh_warnings):
-    from repro import CkksServer
-    from repro.errors import AdmissionError
-
-    server = CkksServer(cc)
-
-    def build(tracer, x):
-        return tracer.rescale(tracer.multiply(x, x))
-
-    warned = _collect(
-        lambda: server.register_tenant("sq-old", build, scale=2.0**30)
-    )
-    assert any("scale_bits" in str(w.message) for w in warned)
-    server.register_tenant("sq-new", build, scale_bits=30)
-    assert server._tenants["sq-old"].scale == server._tenants["sq-new"].scale
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(AdmissionError) as ei:
-            server.register_tenant(
-                "sq-both", build, scale_bits=30, scale=2.0**30
-            )
-    assert ei.value.code == "conflicting-kwargs"
-
-
-# -- deprecation shims: old paths work, warn exactly once --------------------
-
-def _import_slotlinalg():
-    from repro.scheme import SlotLinalg  # noqa: F401
-
-
-def _import_slotlinalg_modpath():
-    from repro.scheme.linalg import SlotLinalg  # noqa: F401
-
-
-def _import_tracer_modpath():
-    from repro.scheme.circuit import CircuitTracer  # noqa: F401
-
-
-def _import_keyswitcher():
-    from repro.poly import KeySwitcher  # noqa: F401
-
-
-@pytest.mark.parametrize("trigger", [
-    _import_slotlinalg,
-    _import_slotlinalg_modpath,
-    _import_tracer_modpath,
-    _import_keyswitcher,
-])
-def test_old_import_paths_warn_exactly_once(trigger, fresh_warnings):
-    first = _collect(trigger)
-    assert len(first) == 1, [str(w.message) for w in first]
-    assert "deprecated" in str(first[0].message)
-    assert "instead" in str(first[0].message)  # names the replacement
-    second = _collect(trigger)
-    assert second == []
-
-
-def test_old_names_resolve_to_the_internals(fresh_warnings):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        import repro.poly as poly
-        import repro.scheme as scheme
-        import repro.scheme.circuit as circuit_shim
-        import repro.scheme.linalg as linalg_shim
-        from repro.poly.basis_conv import KeySwitcher as real_ks
-        from repro.scheme._circuit import CircuitTracer as real_tracer
-        from repro.scheme._linalg import SlotLinalg as real_linalg
-
-        assert scheme.SlotLinalg is real_linalg
-        assert linalg_shim.SlotLinalg is real_linalg
-        assert scheme.CircuitTracer is real_tracer
-        assert circuit_shim.CircuitTracer is real_tracer
-        assert poly.KeySwitcher is real_ks
-
-
-def test_context_method_shims_warn_once(cc, fresh_warnings):
-    first = _collect(lambda: cc.tracer())
-    assert len(first) == 1 and "compile" in str(first[0].message)
-    assert _collect(lambda: cc.tracer()) == []
-    first = _collect(lambda: cc.linalg)
-    assert len(first) == 1 and "matvec" in str(first[0].message)
-    assert _collect(lambda: cc.linalg) == []
-
-
-def test_silent_reexports_do_not_warn(fresh_warnings):
-    def use():
+def test_silent_reexports_do_not_warn():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         from repro.scheme import CircuitPlan, TracedCiphertext, bsgs_split
-        from repro.scheme.circuit import CircuitPlan as cp2  # noqa: F401
-        from repro.scheme.linalg import bsgs_split as bs2  # noqa: F401
 
         assert bsgs_split(8) == (3, 3)
         assert CircuitPlan is not None and TracedCiphertext is not None
-
-    assert _collect(use) == []
+    assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []

@@ -5,8 +5,9 @@ plan must produce limb-for-limb the same ciphertexts (and float-for-
 float the same scale and noise estimates) as running the recorded
 program eagerly.  Seeded random programs — drawn over add/sub/negate/
 plaintext ops/rotations/conjugation/multiply/rescale with level- and
-scale-valid operands — are interpreted both ways across all four
-reducer backends and both acceptance ring degrees.  On top of that:
+scale-valid operands, one op kind per op-table entry the tracer can
+record — are interpreted both ways across all four reducer backends
+and both acceptance ring degrees.  On top of that:
 plan reuse across input batches, stale-plan rejection, the unified
 Plan protocol, and the compiled matvec / poly_eval entry points.
 """
@@ -16,9 +17,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError, TraceError
+from repro.errors import (
+    CheddarError,
+    KeyError_,
+    LevelError,
+    ParameterError,
+    ScaleMismatchError,
+    TraceError,
+)
 from repro.plan import Plan
-from repro.poly.basis_conv import HoistedGaloisPlan
 from repro.poly.rns_poly import PolyContext
 from repro.rns.primes import PrimePool
 from repro.scheme import (
@@ -26,7 +33,6 @@ from repro.scheme import (
     Evaluator,
     KeyGenerator,
     Plaintext,
-    galois_element,
 )
 from repro.scheme._circuit import CircuitTracer
 from repro.scheme.encoder import CanonicalEncoder
@@ -98,7 +104,7 @@ def _gen_ops(seed: int, ctx, num_pts: int, num_random: int = 10):
 
     for _ in range(num_random):
         for kind in r.permutation(
-            ["add", "sub", "neg", "rot", "conj", "mul", "mp", "rescale"]
+            ["add", "sub", "neg", "rot", "conj", "mul", "mp", "ap", "rescale"]
         ):
             if kind in ("add", "sub"):
                 groups: dict[tuple, list[int]] = {}
@@ -131,6 +137,12 @@ def _gen_ops(seed: int, ctx, num_pts: int, num_random: int = 10):
                 p = int(r.integers(num_pts))
                 ops.append(("mp", i, p))
                 push(L, meta[i][1] * SCALE)
+            elif kind == "ap":
+                # the plaintexts sit at the full level and scale SCALE
+                fits = [i for i, key in enumerate(meta) if key == (L, SCALE)]
+                i = int(r.choice(fits))
+                ops.append(("ap", i, int(r.integers(num_pts))))
+                push(L, SCALE)
             else:  # rescale
                 deep = [i for i, (lv, _) in enumerate(meta) if lv >= 2]
                 i = int(r.choice(deep))
@@ -160,6 +172,8 @@ def _interpret(E, ops, x, y, pts):
             vals.append(E.multiply(vals[op[1]], vals[op[2]]))
         elif kind == "mp":
             vals.append(E.multiply_plain(vals[op[1]], pts[op[2]]))
+        elif kind == "ap":
+            vals.append(E.add_plain(vals[op[1]], pts[op[2]]))
         elif kind == "rescale":
             vals.append(E.rescale(vals[op[1]]))
         else:  # pragma: no cover
@@ -301,12 +315,6 @@ class TestPlanProtocol:
         switcher = ctx.key_switcher(tuple(keygen.aux), DNUM)
         ks_plan = switcher.plan_for("ntt", output_domain="coeff")
         assert isinstance(ks_plan, Plan)
-        g_plan = HoistedGaloisPlan.build(
-            switcher,
-            [galois_element(1, 1024)],
-            [keygen.rotation_key(1)],
-        )
-        assert isinstance(g_plan, Plan)
 
     def test_costs_are_positive(self):
         _, plan = TestStalePlanRejection()._plan()
@@ -367,6 +375,42 @@ class TestTracer:
         # multiply is commutative: both orders hash-cons to one node
         y = tracer.input("y", scale=SCALE)
         assert tracer.multiply(x, y).node is tracer.multiply(y, x).node
+
+    @pytest.mark.parametrize(
+        ("program", "expected", "relin"),
+        [
+            (lambda E, x, y: E.multiply(x, y), KeyError_, False),
+            (lambda E, x, y: E.rotate(x, 5), KeyError_, True),  # no key for 5
+            (
+                lambda E, x, y: E.rescale(E.rescale(E.rescale(E.rescale(x)))),
+                LevelError,  # the fourth rescale starts at level 1
+                True,
+            ),
+            (lambda E, x, y: E.add(x, y), ScaleMismatchError, True),
+            (lambda E, x, y: E.multiply(x, E.rescale(y)), LevelError, True),
+        ],
+        ids=["relin-key", "galois-key", "rescale-floor", "scale-add", "level-multiply"],
+    )
+    def test_traced_errors_match_eager(self, program, expected, relin):
+        ctx, keygen, ev = _setup(1024, "smr")
+        if not relin:
+            ev = Evaluator(ctx, galois_keys=ev.galois_keys, sigma=ev.sigma)
+        r = np.random.default_rng(0xE44)
+        x, y = (
+            ev.encrypt(
+                Plaintext.encode(ctx, r.uniform(-1, 1, 8), sc), keygen.public, r
+            )
+            for sc in (SCALE, 2 * SCALE)
+        )
+        tracer = CircuitTracer(ev)
+        tx = tracer.input("x", scale=SCALE)
+        ty = tracer.input("y", scale=2 * SCALE)
+        raised = []
+        for E, a, b in ((ev, x, y), (tracer, tx, ty)):
+            with pytest.raises(CheddarError) as info:
+                program(E, a, b)
+            raised.append(type(info.value))
+        assert raised == [expected, expected]
 
     def test_duplicate_input_name_rejected(self):
         _, _, ev = _setup(1024, "smr")

@@ -13,8 +13,6 @@ Two load-bearing properties:
    lists) are rejected with a diagnostic naming the offending step.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -63,9 +61,6 @@ class _HandPlan:
         self._inputs = inputs  # [(name, slot, scale)]
         self._outputs = outputs  # {name: slot}
         self._n_slots = n_slots
-
-    def _ks_bits(self, ksk):
-        return math.log2(self._sigma * ksk.dnum * self.ctx.ring_degree)
 
 
 class TestAcceptsCompiledPlans:
