@@ -29,19 +29,19 @@ times; ``--baseline`` re-runs the grid and exits non-zero when any
 previously-recorded cell's batched median regresses by more than 25%.
 
 Since PR 9 the grid also spans execution *backends*: every tier named
-by ``--backends`` (default ``numpy,compiled``; ``sharded`` opt-in) gets
-its own cells for the dispatch-sensitive kernels (forward NTT, multiply,
-ModUp / ModDown, key switch), each asserted bit-identical against a
-numpy-tier context built from the same seed *before* it is timed, and
-annotated with a roofline estimate: the compulsory bytes-moved lower
-bound at the measured STREAM-style copy bandwidth (``roofline_s``) and
-the fraction of the measured time it explains (``roofline_frac``).
+by ``--backends`` (default ``numpy,compiled``) gets its own cells for
+the dispatch-sensitive kernels (forward NTT, multiply, ModUp / ModDown,
+key switch), each asserted bit-identical against a numpy-tier context
+built from the same seed *before* it is timed, and annotated with a
+roofline estimate: the compulsory bytes-moved lower bound at the
+measured STREAM-style copy bandwidth (``roofline_s``) and the fraction
+of the measured time it explains (``roofline_frac``).
 
 Usage:
     python benchmarks/bench_poly.py                       # full grid
     python benchmarks/bench_poly.py --smoke               # tiny CI grid
     python benchmarks/bench_poly.py --out PATH            # write elsewhere
-    python benchmarks/bench_poly.py --backends numpy,compiled,sharded
+    python benchmarks/bench_poly.py --backends numpy,compiled
     python benchmarks/bench_poly.py --methods shoup,smr   # reducer subset
     python benchmarks/bench_poly.py --baseline BENCH_poly.json
                                                           # regression gate
@@ -65,6 +65,7 @@ sys.path.insert(0, str(_REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.context import CkksContext  # noqa: E402
+from repro.poly.backends import BACKEND_TIERS  # noqa: E402
 from repro.poly.basis_conv import KeySwitchKey  # noqa: E402
 from repro.poly.ntt import automorphism_tables  # noqa: E402
 from repro.poly.rns_poly import PolyContext, RnsPolynomial  # noqa: E402
@@ -85,7 +86,6 @@ from repro.serving import (  # noqa: E402
 )
 
 METHODS = ("barrett", "montgomery", "shoup", "smr")
-BACKENDS = ("numpy", "sharded", "compiled")
 #: dispatch-sensitive kernel cells the non-numpy tiers re-run
 TIER_OPS = ("ntt_forward", "multiply", "mod_up", "mod_down", "key_switch")
 FULL_GRID = [(1024, 4), (1024, 12), (4096, 4), (4096, 12)]
@@ -495,18 +495,12 @@ def _bench_ml(method: str, repeats: int) -> list[dict]:
 
 
 def _tier_available(tier: str) -> bool:
-    """Whether a non-numpy tier can actually run here (toolchain / pool)."""
-    if tier == "numpy":
-        return True
+    """Whether a tier can actually run here (the compiled one needs cc)."""
     if tier == "compiled":
         from repro.poly.backends.compiled import get_lib
 
         return get_lib() is not None
-    if tier == "sharded":
-        from repro.poly.backends.sharded import get_pool
-
-        return get_pool() is not None
-    return False
+    return True
 
 
 def _limb_arrays(result) -> list[np.ndarray]:
@@ -942,8 +936,8 @@ def _gated_pairs(
     A cell is gated when the baseline recorded the same
     ``(op, n, limbs, method, backend)`` with a median at or above the
     :data:`MIN_GATED_MEDIAN_S` noise floor.  Only the numpy tier is
-    gated (``meta.gating_backend``): compiled/sharded timings depend on
-    the runner's toolchain and core count, so their cells are recorded
+    gated (``meta.gating_backend``): compiled timings depend on the
+    runner's toolchain and core count, so their cells are recorded
     for inspection but never turn CI red.
     """
     recorded = {_cell_key(c): c for c in baseline.get("results", [])}
@@ -1066,18 +1060,18 @@ def main(argv: list[str] | None = None) -> int:
         b.strip() for b in args.backends.split(",") if b.strip()
     )
     for b in backends:
-        if b not in BACKENDS:
-            parser.error(f"unknown backend {b!r} (choose from {BACKENDS})")
+        if b not in BACKEND_TIERS:
+            parser.error(f"unknown backend {b!r} (choose from {BACKEND_TIERS})")
     tiers = []
     skipped = []
     for b in backends:
-        if b == "numpy" or _tier_available(b):
+        if _tier_available(b):
             tiers.append(b)
         else:
             skipped.append(b)
             print(
                 f"WARNING: backend tier {b!r} unavailable on this host "
-                "(no toolchain / worker pool) — skipping its cells"
+                "(no C toolchain) — skipping its cells"
             )
 
     # Full recording runs cover the smoke grid too: the committed

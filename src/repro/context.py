@@ -142,7 +142,7 @@ class CkksContext:
             backend=backend,
             checked=checked,
         )
-        #: resolved execution tier (numpy / sharded / compiled) every
+        #: resolved execution tier (numpy / compiled) every
         #: kernel under this instance dispatches through — see
         #: :mod:`repro.poly.backends`
         self.backend = self.poly_ctx.backend

@@ -79,30 +79,6 @@ class StaticAnalysisError(CheddarError):
     """
 
 
-class BackendError(CheddarError):
-    """A backend dispatch-layer failure (see :mod:`repro.poly.backends`).
-
-    Raised when a non-numpy execution tier cannot honor a request in a
-    way that falls outside normal graceful degradation — the base of the
-    tier-specific errors below.  Mere *unavailability* (no C toolchain,
-    pool already closed) is not an error: those paths degrade to the
-    numpy reference tier with a :class:`~repro.poly.backends.
-    BackendFallbackWarning` instead.
-    """
-
-
-class ShardCrashError(BackendError):
-    """The process-sharded tier's worker pool died mid-operation.
-
-    Raised by the dispatching call that observed the crash (a worker
-    process exited or its pipe broke while a transform or conversion was
-    in flight).  The pool is marked broken and its shared-memory
-    segments are released; every engine bound to the sharded tier then
-    *recovers on the numpy tier* — subsequent calls fall back silently
-    rather than erroring forever.
-    """
-
-
 class SanitizerError(CheddarError):
     """Checked-mode execution observed a value outside its proved bound.
 

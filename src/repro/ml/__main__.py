@@ -3,7 +3,7 @@
 Examples::
 
     PYTHONPATH=src python -m repro.ml --json ml_inference.json
-    PYTHONPATH=src python -m repro.ml --backend numpy,sharded --quick
+    PYTHONPATH=src python -m repro.ml --backend numpy,compiled --quick
 
 Exits nonzero when any (model, degree, backend) cell's encrypted-vs-
 plain agreement falls below the threshold.
@@ -26,7 +26,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend", default="numpy",
         help="comma-separated execution tiers to sweep "
-        "(numpy, sharded, compiled; unavailable tiers fall back)",
+        "(numpy, compiled; unavailable tiers fall back)",
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="split/keys/weights seed")

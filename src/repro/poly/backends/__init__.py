@@ -1,23 +1,15 @@
-"""Backend dispatch layer: numpy / process-sharded / compiled tiers.
+"""Backend dispatch layer: numpy / compiled tiers.
 
 ROADMAP item 3: every bench cell bottoms out in the batched NTT stage
-kernels and the ``(L_out, L_in, N)`` CRT tensor pass, and both are
-embarrassingly parallel across limbs.  This package escalates those two
-hot paths behind a *bit-exact* dispatch seam with three tiers:
+kernels and the ``(L_out, L_in, N)`` CRT tensor pass.  This package
+routes those two hot paths behind a *bit-exact* dispatch seam with two
+tiers:
 
 ``numpy``
     The existing :class:`~repro.poly.batch_ntt.BatchNTT` stage kernels
     and :class:`~repro.poly.basis_conv.BasisConverter` Shoup chains,
-    unchanged — the always-available reference tier every other tier
+    unchanged — the always-available reference tier the compiled tier
     must bit-match.
-
-``sharded``
-    A persistent ``multiprocessing`` worker pool partitioning the
-    ``(L, N)`` limb matrix by rows over ``multiprocessing.shared_memory``
-    segments (:mod:`repro.poly.backends.sharded`).  Wins only when the
-    machine has cores to spare and ``L*N`` is large enough to amortize
-    the per-op IPC round trip; below :data:`~repro.poly.backends.sharded.
-    shard_min_elements` elements a call falls through to numpy.
 
 ``compiled``
     ctypes-loaded C implementations of the four Table-3 butterfly
@@ -34,12 +26,11 @@ variable, else ``numpy``.  Dispatch is *transparent*:
 ``RnsPolynomial`` / ``BasisConverter`` / ``KeySwitcher`` /
 ``CircuitPlan`` never branch on tier, and the sanitizer
 (``REPRO_CHECKED=1``) plus the PR 7 certified stage bounds apply
-identically to every tier (the compiled kernels re-check the per-stage
+identically to both tiers (the compiled kernels re-check the per-stage
 invariant in C and surface violations as
-:class:`~repro.errors.SanitizerError`; sharded workers run the numpy
-kernels, checks included, in-process).
+:class:`~repro.errors.SanitizerError`).
 
-Bit-exactness is the acceptance bar, not an aspiration: every tier's
+Bit-exactness is the acceptance bar, not an aspiration: both tiers'
 NTT outputs are *canonical exact* transforms over the same bit-reversed
 twiddle tables and the converter outputs are the exact CRT residues
 ``X mod p_j``, so equality with the numpy tier is guaranteed by
@@ -56,14 +47,13 @@ from repro.errors import ParameterError
 __all__ = [
     "BACKEND_TIERS",
     "BackendFallbackWarning",
-    "close_backends",
     "make_convert_impl",
     "make_ntt_impl",
     "resolve_backend",
 ]
 
-#: the three dispatch tiers, reference tier first
-BACKEND_TIERS = ("numpy", "sharded", "compiled")
+#: the dispatch tiers, reference tier first
+BACKEND_TIERS = ("numpy", "compiled")
 
 
 class BackendFallbackWarning(RuntimeWarning):
@@ -99,52 +89,30 @@ def make_ntt_impl(engine, tier: str):
     """Build the tier implementation for one ``BatchNTT``, or ``None``.
 
     ``None`` means "use the numpy kernels" — either because the numpy
-    tier was selected or because the requested tier is unavailable
+    tier was selected or because the compiled tier is unavailable
     (which will already have warned once).  The returned impl object
-    exposes ``forward(a, out)`` / ``inverse(a_hat, out)`` /
-    ``pointwise_prepared(a_hat, prepared)``, each returning the result
-    array or ``None`` to fall through to the numpy kernels per call.
+    exposes ``forward(a, out)`` / ``inverse(a_hat, out)``, which always
+    return the result array.
     """
-    if tier == "compiled":
-        from repro.poly.backends.compiled import make_compiled_ntt
+    if tier != "compiled":
+        return None
+    from repro.poly.backends.compiled import make_compiled_ntt
 
-        return make_compiled_ntt(engine)
-    if tier == "sharded":
-        from repro.poly.backends.sharded import make_sharded_ntt
-
-        return make_sharded_ntt(engine)
-    return None
+    return make_compiled_ntt(engine)
 
 
 def make_convert_impl(converter, tier: str):
     """Tier implementation for one ``BasisConverter``, or ``None``.
 
-    The impl exposes ``convert_core(x_hat, v_row, out)`` with the same
-    fall-through contract as :func:`make_ntt_impl`: the scale step and
-    the exact v-correction term always run in the main process (the
-    v guard needs Python big ints), and the tier takes over the
-    ``(L_out, L_in, N)`` tensor pass + fold.
+    The impl exposes ``scale_core(x, out)`` and
+    ``convert_core(x_hat, v_row, out)``, each returning ``None`` to
+    decline a call (checked mode, non-contiguous input) so the numpy
+    path runs it instead.  The exact v-correction term always runs in
+    Python (its guard needs big ints); the tier takes over the scale
+    step and the ``(L_out, L_in, N)`` tensor pass + fold.
     """
-    if tier == "compiled":
-        from repro.poly.backends.compiled import make_compiled_convert
+    if tier != "compiled":
+        return None
+    from repro.poly.backends.compiled import make_compiled_convert
 
-        return make_compiled_convert(converter)
-    if tier == "sharded":
-        from repro.poly.backends.sharded import make_sharded_convert
-
-        return make_sharded_convert(converter)
-    return None
-
-
-def close_backends() -> None:
-    """Release every backend-held OS resource (worker pool, segments).
-
-    Idempotent; also wired to ``atexit`` by the sharded tier itself, so
-    calling it is only needed for deterministic mid-process teardown
-    (tests assert zero shared-memory residue right after this).
-    """
-    import sys
-
-    sharded = sys.modules.get("repro.poly.backends.sharded")
-    if sharded is not None:
-        sharded.close_pool()
+    return make_compiled_convert(converter)

@@ -250,17 +250,15 @@ class CompiledNtt:
     def inverse(self, a_hat, out=None):
         return self._transform(a_hat, self._inv_call, "inverse", out)
 
-    def pointwise_prepared(self, a_hat, prepared):
-        return None  # the numpy pointwise pass is already a single mulmod
-
 
 class CompiledConvert:
     """C CRT tensor pass bound to one :class:`BasisConverter`.
 
-    Takes over ``convert``'s ``(L_out, L_in, N)`` cross-product + fold;
-    the scale step and the exact ``v`` correction stay in the caller (the
-    v guard needs Python big ints).  Declines (returns ``None``) under
-    checked mode so the accumulator instrumentation stays engaged.
+    Takes over the scale step and ``convert``'s ``(L_out, L_in, N)``
+    cross-product + fold; the exact ``v`` correction stays in the caller
+    (the v guard needs Python big ints).  Declines (returns ``None``)
+    under checked mode so the accumulator instrumentation stays engaged,
+    and on non-contiguous input.
     """
 
     def __init__(self, converter, lib: ctypes.CDLL) -> None:

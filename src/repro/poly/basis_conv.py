@@ -107,9 +107,9 @@ class BasisConverter:
         self.dst = _as_ints(dst_primes)
         self.n = int(ring_degree)
         self.checked = checked_mode(checked)
-        #: dispatch tier for the CRT tensor pass (same semantics as
-        #: :class:`~repro.poly.batch_ntt.BatchNTT`'s ``backend``); the
-        #: scale step and the exact v-term always run in-process
+        #: dispatch tier for the scale step and the CRT tensor pass (same
+        #: semantics as :class:`~repro.poly.batch_ntt.BatchNTT`'s
+        #: ``backend``); the exact v-term always runs in Python
         self.backend_tier = resolve_backend(backend)
         self._impl = None
         self._impl_ready = False
@@ -204,9 +204,9 @@ class BasisConverter:
         s1, s2 = self._workspace()[:2]
         if out is None:
             out = s1
-        scale_core = getattr(self._tier_impl(), "scale_core", None)
-        if scale_core is not None:
-            res = scale_core(np.ascontiguousarray(x, dtype=np.uint64), out)
+        impl = self._tier_impl()
+        if impl is not None:
+            res = impl.scale_core(np.ascontiguousarray(x, dtype=np.uint64), out)
             if res is not None:
                 return res
         np.multiply(x, self._w_sh, out=s2)
@@ -244,7 +244,7 @@ class BasisConverter:
         return v_row
 
     def _tier_impl(self):
-        """The lazily built backend impl for the tensor pass, or ``None``."""
+        """The lazily built compiled impl, or ``None`` for numpy."""
         if not self._impl_ready:
             self._impl_ready = True
             self._impl = make_convert_impl(self, self.backend_tier)

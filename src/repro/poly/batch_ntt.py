@@ -96,9 +96,9 @@ class BatchNTT:
             omitted — which picks the same root the per-prime engine picks,
             so the two paths agree either way.
         backend: execution tier for the hot transforms — ``"numpy"`` /
-            ``"sharded"`` / ``"compiled"`` (:mod:`repro.poly.backends`).
-            ``None`` defers to ``REPRO_BACKEND``, then ``"numpy"``.  Every
-            tier is bit-identical; an unavailable tier degrades back to
+            ``"compiled"`` (:mod:`repro.poly.backends`).  ``None`` defers
+            to ``REPRO_BACKEND``, then ``"numpy"``.  Both tiers are
+            bit-identical; an unavailable compiled tier degrades back to
             the numpy kernels after one warning.
     """
 
@@ -173,17 +173,16 @@ class BatchNTT:
         """
         self._kernel.checked = bool(flag)
 
-    def _tier_impl(self):
-        """The lazily built backend impl for this engine (``None`` = numpy).
+    def _transformer(self):
+        """The lazily chosen transform kernels: the tier's, else numpy's.
 
-        A tier that is unavailable (no toolchain, crashed pool) resolves
-        to ``None`` here or returns ``None`` per call — either way the
-        numpy kernels below take over, so callers never branch on tier.
+        An unavailable compiled tier (no toolchain) resolves to the numpy
+        stage kernels here, so callers never branch on tier.
         """
         if not self._impl_ready:
             self._impl_ready = True
             self._impl = make_ntt_impl(self, self.backend_tier)
-        return self._impl
+        return self._kernel if self._impl is None else self._impl
 
     def take(self, num_limbs: int) -> BatchNTT:
         """A BatchNTT over the first ``num_limbs`` limbs, sharing tables.
@@ -292,12 +291,7 @@ class BatchNTT:
         """
         self._check_shape(a, "forward")
         hooks.emit("batch_ntt.forward")
-        impl = self._tier_impl()
-        if impl is not None:
-            res = impl.forward(a, out)
-            if res is not None:
-                return res
-        return self._kernel.forward(a, out=out)
+        return self._transformer().forward(a, out=out)
 
     def inverse(self, a_hat: np.ndarray, *, out: np.ndarray | None = None):
         """(L, N) NTT values -> (L, N) coefficients (Gentleman-Sande).
@@ -306,12 +300,7 @@ class BatchNTT:
         """
         self._check_shape(a_hat, "inverse")
         hooks.emit("batch_ntt.inverse")
-        impl = self._tier_impl()
-        if impl is not None:
-            res = impl.inverse(a_hat, out)
-            if res is not None:
-                return res
-        return self._kernel.inverse(a_hat, out=out)
+        return self._transformer().inverse(a_hat, out=out)
 
     # -- NTT-domain arithmetic ---------------------------------------------
     def prepare_operand(self, b_hat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -330,11 +319,6 @@ class BatchNTT:
     ) -> np.ndarray:
         """Element-wise limb-matrix product against a prepared operand."""
         self._check_shape(a_hat, "pointwise")
-        impl = self._tier_impl()
-        if impl is not None:
-            res = impl.pointwise_prepared(a_hat, prepared)
-            if res is not None:
-                return res
         b = self.backend
         return b.exit(b.mul(b.enter(a_hat), prepared))
 

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.context import CkksContext
 from repro.errors import AdmissionError
+from repro.poly.backends import BACKEND_TIERS
 from repro.serving.faults import FaultInjector
 from repro.serving.loadgen import draw_specs, run_load, verify_delivered
 from repro.serving.scheduler import CkksServer, ServingConfig
@@ -101,10 +102,10 @@ def build_server(
 ) -> CkksServer:
     """A soak-ready server: small ring, two tenants, armed injector.
 
-    ``backend`` picks the kernel execution tier (numpy / sharded /
-    compiled) and is threaded through both the context (which dispatches
-    on it) and the config (which asserts the two agree), so a soak run
-    exercises the full serving path on that tier.
+    ``backend`` picks the kernel execution tier (numpy / compiled) and
+    is threaded through both the context (which dispatches on it) and
+    the config (which asserts the two agree), so a soak run exercises
+    the full serving path on that tier.
     """
     cc = CkksContext(
         ring_degree=256, num_main=4, num_aux=3, dnum=2, seed=seed,
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=str, default=None,
                         help="write the report dict to this path")
     parser.add_argument("--backend", type=str, default=None,
-                        choices=("numpy", "sharded", "compiled"),
+                        choices=BACKEND_TIERS,
                         help="kernel execution tier (default: REPRO_BACKEND "
                              "or numpy)")
     parser.add_argument("--checked", action="store_true", default=None,

@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro import CkksContext
 from repro.errors import ParameterError
+from repro.poly.backends import resolve_backend
 
 CTX_KW = dict(ring_degree=64, num_main=3, num_aux=3, dnum=2, seed=5)
 
@@ -36,7 +37,7 @@ def test_context_stores_canonical_attributes(cc):
     assert cc.scale_bits == 30
     assert cc.scale == 2.0**30
     assert cc.main_bits == 30 and cc.terminal_bits == 25
-    assert cc.backend == "numpy"
+    assert cc.backend == resolve_backend(None)
     assert cc.checked in (True, False)
 
 

@@ -128,8 +128,8 @@ def test_serving_cells_use_the_wider_threshold():
 
 
 def test_non_numpy_tiers_are_never_gated():
-    """Compiled/sharded timings depend on the runner's toolchain and
-    core count — their cells are recorded but must never turn CI red,
+    """Compiled timings depend on the runner's toolchain and core
+    count — their cells are recorded but must never turn CI red,
     even when both sides carry the same tier cell with a huge slowdown."""
     tier_base = dict(_cell(med=1.0), backend="compiled")
     tier_now = dict(_cell(med=50.0), backend="compiled")
