@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import json
 import os
 import platform
@@ -67,7 +68,7 @@ import numpy as np  # noqa: E402
 from repro.context import CkksContext  # noqa: E402
 from repro.poly.backends import BACKEND_TIERS  # noqa: E402
 from repro.poly.basis_conv import KeySwitchKey  # noqa: E402
-from repro.poly.ntt import automorphism_tables  # noqa: E402
+from repro.poly.ntt import NegacyclicNTT, automorphism_tables  # noqa: E402
 from repro.poly.rns_poly import PolyContext, RnsPolynomial  # noqa: E402
 from repro.rns.primes import digit_ranges, ntt_friendly_primes  # noqa: E402
 from repro.scheme import (  # noqa: E402
@@ -159,16 +160,26 @@ def _time(fn, repeats: int) -> tuple[float, float]:
 
 
 # -- looped reference implementations (the pre-batching code paths) --------
+@functools.lru_cache(maxsize=8)
+def _ntts(ctx: PolyContext) -> list[NegacyclicNTT]:
+    """Per-prime engines pinned to ``ctx``'s batched roots, built once per
+    context so the looped cells time transforms, not table builds."""
+    return [
+        NegacyclicNTT(q, ctx.ring_degree, ctx.method, psi=psi)
+        for q, psi in zip(ctx.primes, ctx.batch_ntt.psis)
+    ]
+
+
 def _looped_forward(ctx: PolyContext, limbs: np.ndarray) -> np.ndarray:
     out = np.empty_like(limbs)
-    for i, ntt in enumerate(ctx.ntts):
+    for i, ntt in enumerate(_ntts(ctx)):
         out[i] = ntt.forward(limbs[i])
     return out
 
 
 def _looped_multiply(ctx: PolyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
-    for i, ntt in enumerate(ctx.ntts):
+    for i, ntt in enumerate(_ntts(ctx)):
         out[i] = ntt.inverse(ntt.pointwise(ntt.forward(a[i]), ntt.forward(b[i])))
     return out
 
@@ -262,12 +273,12 @@ def _looped_key_switch(
             ext[lo:hi] = limbs[lo:hi]
             ext[hi:] = conv[lo:]
             key = ksk.pairs[d][half]
-            for i, ntt in enumerate(ext_ctx.ntts):
+            for i, ntt in enumerate(_ntts(ext_ctx)):
                 prod = ntt.pointwise(ntt.forward(ext[i]), key.limbs[i])
                 s = acc[i] + prod
                 q = np.uint64(ext_ctx.primes[i])
                 acc[i] = np.where(s >= q, s - q, s)
-        for i, ntt in enumerate(ext_ctx.ntts):
+        for i, ntt in enumerate(_ntts(ext_ctx)):
             acc[i] = ntt.inverse(acc[i])
         halves.append(_looped_mod_down(primes, aux, acc))
     return halves[0], halves[1]
@@ -313,7 +324,7 @@ def _looped_rotate(
         ext[lo:hi] = c1[lo:hi]
         ext[hi:] = conv[lo:]
         hat = np.empty_like(ext)
-        for i, ntt in enumerate(ext_ctx.ntts):
+        for i, ntt in enumerate(_ntts(ext_ctx)):
             hat[i] = ntt.forward(ext[i])
         ext_digits.append(hat[:, perm])
     halves = []
@@ -321,12 +332,12 @@ def _looped_rotate(
         acc = np.zeros((ext_ctx.num_limbs, n), np.uint64)
         for d, hat in enumerate(ext_digits):
             key = gk.pairs[d][half]
-            for i, ntt in enumerate(ext_ctx.ntts):
+            for i, ntt in enumerate(_ntts(ext_ctx)):
                 prod = ntt.pointwise(hat[i], key.limbs[i])
                 s = acc[i] + prod
                 q = np.uint64(ext_ctx.primes[i])
                 acc[i] = np.where(s >= q, s - q, s)
-        for i, ntt in enumerate(ext_ctx.ntts):
+        for i, ntt in enumerate(_ntts(ext_ctx)):
             acc[i] = ntt.inverse(acc[i])
         halves.append(_looped_mod_down(primes, aux, acc))
     d0, d1 = halves

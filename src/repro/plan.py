@@ -1,13 +1,7 @@
-"""The ``Plan`` protocol: one shape for every ahead-of-time schedule.
+"""The ``Plan`` protocol: the public shape of an ahead-of-time schedule.
 
-Three planning surfaces grew up independently in this codebase —
-``KeySwitchPlan`` (PR 3), the hoisted-rotation tensors behind
-``KeySwitcher.hoist``/``run_hoisted`` (PR 4), and the BSGS schedules
-inside ``SlotLinalg`` (PR 5).  Each one precomputes a schedule once and
-replays it many times, but each exposed a different API.  This module
-names the common contract so callers can treat any of them — including
-whole-circuit :class:`repro.scheme._circuit.CircuitPlan` objects —
-uniformly:
+A plan precomputes a schedule once and replays it many times.  Its
+contract:
 
 * ``SomePlan.build(...)`` constructs a plan from a configuration,
 * ``plan.run(...)`` replays it against fresh inputs,
@@ -16,9 +10,11 @@ uniformly:
   context, wrong level) with a descriptive error instead of corrupt
   output.
 
-The protocol is intentionally structural (``runtime_checkable``): the
-concrete plan classes live in different layers (poly vs scheme) and do
-not share a base class.
+Whole-circuit :class:`repro.scheme._circuit.CircuitPlan` objects (what
+``CkksContext.compile`` returns) are its one implementation, and
+``repro.Plan`` is the public name for their type, which lives in a
+private module.  The protocol is structural (``runtime_checkable``), so
+an implementation needs no base class.
 """
 
 from __future__ import annotations

@@ -140,7 +140,7 @@ class CompiledNtt:
     """C-kernel implementation bound to one :class:`BatchNTT` engine.
 
     Holds contiguous casts of the engine's prepared twiddle tables in the
-    C ABI dtypes (built once per engine — ``take_rows``/``extend`` clones
+    C ABI dtypes (built once per engine — ``take``/``extend`` clones
     get their own impl) plus one persistent state buffer, so a transform
     is: range-check, one copy in, one C call, one copy out.
     """

@@ -28,15 +28,15 @@ On top of the converter sit the key-switching kernels:
 * :class:`ModDown` — divide an extended-basis element by ``P`` exactly
   (convert the P-part back to Q, subtract, scale by ``P^-1``), the
   floor-division counterpart of ``exact_rescale``;
-* :class:`KeySwitcher` — the fused hybrid key-switching pipeline.  A
-  :class:`KeySwitchPlan` makes NTT-domain state *explicit*: the plan is
-  built once from the operand's domain (including its cached
-  coefficient/NTT twin) and the requested output domain, the executor
-  interprets the plan step by step, and the step list is the proof that
-  no forward/inverse round trip is redundant — e.g. an NTT-domain output
-  inverse-transforms only the ``K`` auxiliary rows of each half, never
-  the ``L`` base rows.  All intermediates live in persistent per-switcher
-  scratch buffers.
+* :class:`KeySwitcher` — the fused hybrid key-switching pipeline, one
+  chain per switch: per digit a ModUp, one extended forward NTT and the
+  MAC into two lazy accumulators, then one fold, two extended inverse
+  NTTs and two ModDowns.  That is ``dnum`` forward and 2 inverse passes
+  over the ``L+K`` extended rows, with no redundant round trip; an
+  NTT-domain operand adds one ``L``-row inverse unless it carries a
+  cached coefficient twin.  The hoisted variant shares the front across
+  rotations and the same finish.  All intermediates live in persistent
+  per-switcher scratch buffers.
 
 Domain/representative conventions: conversion acts on the *canonical*
 representative ``X in [0, Q)`` of the CRT reconstruction, and ModDown
@@ -48,7 +48,6 @@ and are out of scope for this layer.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -361,9 +360,7 @@ class ModDown:
     convert the P-part residues back onto Q, subtract, and scale by the
     cached ``P^-1 mod q_i`` — the key-switching counterpart of
     ``exact_rescale`` (which divides by one limb; this divides by the
-    whole P-part in one pass).  :meth:`combine` is domain-agnostic
-    (per-row constants commute with the NTT), which is what lets the
-    NTT-domain key-switch output skip inverse-transforming base rows.
+    whole P-part in one pass).
     """
 
     def __init__(
@@ -398,13 +395,7 @@ class ModDown:
     def combine(
         self, x_base: np.ndarray, conv: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """``out = (x_base - conv) * P^-1 mod q`` on ``(L, N)`` rows.
-
-        Valid in the coefficient *or* NTT domain as long as ``x_base``
-        and ``conv`` share one: subtraction and per-row constant
-        multiplication are pointwise, so they commute with the
-        (per-row-linear) NTT.
-        """
+        """``out = (x_base - conv) * P^-1 mod q`` on ``(L, N)`` rows."""
         s1, s2 = self._s1, self._s2
         q = self._q
         np.subtract(q, conv, out=s1)  # q - conv in (0, q]
@@ -504,100 +495,6 @@ class KeySwitchKey:
         return cls(ext_ctx, len(_as_ints(aux_primes)), pairs)
 
 
-@dataclass(frozen=True)
-class KeySwitchPlan:
-    """An explicit NTT-domain schedule for one key switch.
-
-    ``steps`` is the exact sequence the executor interprets — each entry
-    ``(op, arg)`` where ``arg`` is a digit index (``mod_up`` / ``mac``)
-    or the number of limb *rows* the step transforms.  ``forward_rows`` /
-    ``inverse_rows`` total those transforms; the test suite pins them to
-    the information-theoretic minimum for each (input state, output
-    domain) pair — the "zero redundant round trips" claim, stated as
-    data.
-    """
-
-    input_domain: str
-    output_domain: str
-    #: identity of the switcher configuration the plan was built for —
-    #: the executor refuses a plan from a different (basis, dnum), which
-    #: would otherwise silently skip or duplicate digit work
-    ext_primes: tuple[int, ...]
-    dnum: int
-    steps: tuple[tuple[str, int], ...]
-    # Pricing metadata (appended with defaults so older positional
-    # construction keeps working); filled by KeySwitcher.plan_for.
-    ring_degree: int = 0
-    method: str = ""
-    num_base: int = 0
-
-    @classmethod
-    def build(cls, switcher: KeySwitcher, poly, output_domain: str = "coeff"):
-        """Plan-protocol constructor: schedule switching ``poly``."""
-        return switcher.plan(poly, output_domain)
-
-    def run(self, poly, ksk: KeySwitchKey):
-        """Execute this plan against ``poly`` under ``ksk``."""
-        switcher = poly.ctx.key_switcher(ksk.aux_primes, ksk.dnum)
-        return switcher.run(poly, ksk, self)
-
-    def validate(self, config: KeySwitcher) -> None:
-        """Refuse to run under a switcher this plan was not built for."""
-        if (
-            self.ext_primes != tuple(config.ext_ctx.primes)
-            or self.dnum != config.dnum
-        ):
-            raise ParameterError(
-                "plan was built for a different (extended basis, dnum) "
-                "configuration than this key's switcher"
-            )
-
-    def cost(self):
-        """Price one execution with the polynomial-layer cost model.
-
-        The method-priced key-switch core, plus the input inverse
-        transform when the plan starts from an un-twinned NTT operand
-        (``reuse_coeff`` and coefficient inputs add nothing).
-        """
-        from repro.poly.cost import CostModel, _merge
-
-        if not self.ring_degree or not self.method or not self.num_base:
-            raise ParameterError(
-                "plan carries no pricing metadata; build it through "
-                "KeySwitcher.plan / plan_for"
-            )
-        model = CostModel(self.ring_degree, self.num_base, self.method)
-        num_aux = len(self.ext_primes) - self.num_base
-        total = model.key_switch(
-            num_aux, dnum=self.dnum, output_domain=self.output_domain
-        )
-        input_rows = sum(arg for op, arg in self.steps if op == "intt_input")
-        if input_rows:
-            total = _merge(total, model.intt().scaled(input_rows))
-        return total
-
-    @property
-    def forward_rows(self) -> int:
-        return sum(
-            arg for op, arg in self.steps if op in ("ntt_ext", "ntt_conv")
-        )
-
-    @property
-    def inverse_rows(self) -> int:
-        return sum(
-            arg
-            for op, arg in self.steps
-            if op in ("intt_input", "intt_ext", "intt_aux")
-        )
-
-    def describe(self) -> str:
-        ops = " -> ".join(f"{op}[{arg}]" for op, arg in self.steps)
-        return (
-            f"{self.input_domain} -> {self.output_domain}: {ops} "
-            f"({self.forward_rows} fwd rows, {self.inverse_rows} inv rows)"
-        )
-
-
 class KeySwitcher:
     """The fused hybrid key-switching pipeline for one (ctx, P, dnum).
 
@@ -605,20 +502,24 @@ class KeySwitcher:
     ``PolyContext.key_switcher``); holds every per-basis precompute — one
     :class:`ModUp` per digit, the :class:`ModDown`, the extended-basis
     batched NTT (twiddle tables shared with the base context via
-    ``BatchNTT.extend``), the auxiliary-row window engine, two
-    :class:`~repro.poly.lazy.LazyAccumulator` halves, and all transform /
-    conversion scratch — so every stage of a steady-state switch writes
-    into reusable buffers (the reducer-level temporaries inside the MAC
-    and the two output polynomials are the only fresh arrays).
+    ``BatchNTT.extend``), two :class:`~repro.poly.lazy.LazyAccumulator`
+    halves, and all transform scratch — so every stage of a steady-state
+    switch writes into reusable buffers (the reducer-level temporaries
+    inside the MAC and the two output polynomials are the only fresh
+    arrays).
+
+    :meth:`run` (one key switch) and :meth:`run_hoisted` (one key against
+    a shared :meth:`hoist` front) differ only in where the NTT-domain
+    extended digits come from; both end in the same fold → extended
+    inverse NTT → ModDown finish.
     """
 
     def __init__(self, ctx, aux_primes, dnum: int) -> None:
         self.ctx = ctx
         self.aux = _as_ints(aux_primes)
         self.ext_ctx = ctx.extend(self.aux)
-        num_base, num_aux = ctx.num_limbs, len(self.aux)
-        self.num_ext = num_base + num_aux
-        self.digits = digit_ranges(num_base, dnum)
+        self.num_ext = ctx.num_limbs + len(self.aux)
+        self.digits = digit_ranges(ctx.num_limbs, dnum)
         self.dnum = dnum
         n = ctx.ring_degree
         ext_primes = self.ext_ctx.primes
@@ -635,15 +536,11 @@ class KeySwitcher:
             ctx.primes, self.aux, n,
             checked=self.checked, backend=self.backend,
         )
-        #: window engine over the auxiliary rows only (shared tables)
-        self.aux_batch = self.ext_ctx.batch_ntt.take_rows(num_base, self.num_ext)
-        self.aux_batch.set_checked(self.checked)
         ext_shape = (self.num_ext, n)
         self._ext_buf = np.empty(ext_shape, np.uint64)
         self._ahat = np.empty(ext_shape, np.uint64)
         self._c = (np.empty(ext_shape, np.uint64),
                    np.empty(ext_shape, np.uint64))
-        self._conv_hat = np.empty((num_base, n), np.uint64)
         self._signed = ctx.method == "smr"
         self._lanes = (np.empty(ext_shape, np.int64) if self._signed else None)
 
@@ -656,70 +553,26 @@ class KeySwitcher:
             LazyAccumulator(red, shape, strategy="reduced", checked=self.checked),
         )
 
-    # -- planning ----------------------------------------------------------
-    def plan_for(
-        self,
-        input_domain: str,
-        *,
-        has_twin: bool = False,
-        output_domain: str = "coeff",
-    ) -> KeySwitchPlan:
-        """Build the explicit schedule from *described* input state.
+    def run(self, poly, ksk: KeySwitchKey):
+        """Key-switch ``poly`` under ``ksk``: the coefficient-domain
+        ``(c0, c1)`` pair.
 
-        ``input_domain`` and ``has_twin`` (whether an NTT-domain operand
-        carries a cached coefficient twin, making its input inverse
-        free) fully determine the step list — which is what lets a
-        circuit compiler plan a switch ahead of time, before the operand
-        exists.
+        Per digit: ModUp onto ``Q ∪ P``, one extended forward NTT, and the
+        MAC into both halves; then the shared finish.  An NTT-domain
+        operand enters through ``to_coeff()`` — free when it carries a
+        cached coefficient twin, one ``L``-row inverse otherwise.
         """
-        from repro.poly.rns_poly import COEFF, NTT
-
-        if input_domain not in (COEFF, NTT):
-            raise LayoutError(f"unknown input domain {input_domain!r}")
-        if output_domain not in (COEFF, NTT):
-            raise LayoutError(f"unknown output domain {output_domain!r}")
-        steps: list[tuple[str, int]] = []
-        if input_domain == NTT:
-            if has_twin:
-                steps.append(("reuse_coeff", 0))
-            else:
-                steps.append(("intt_input", self.ctx.num_limbs))
-        for d in range(self.dnum):
-            steps.append(("mod_up", d))
-            steps.append(("ntt_ext", self.num_ext))
-            steps.append(("mac", d))
-        steps.append(("fold", 2))
-        if output_domain == COEFF:
-            steps.append(("intt_ext", 2 * self.num_ext))
-            steps.append(("mod_down", 2))
-        else:
-            num_aux = self.num_ext - self.ctx.num_limbs
-            steps.append(("intt_aux", 2 * num_aux))
-            steps.append(("ntt_conv", 2 * self.ctx.num_limbs))
-            steps.append(("mod_down", 2))
-        return KeySwitchPlan(
-            input_domain,
-            output_domain,
-            tuple(self.ext_ctx.primes),
-            self.dnum,
-            tuple(steps),
-            ring_degree=self.ctx.ring_degree,
-            method=self.ctx.method,
-            num_base=self.ctx.num_limbs,
-        )
-
-    def plan(self, poly, output_domain: str) -> KeySwitchPlan:
-        """Build the explicit schedule for switching ``poly``.
-
-        Consults the polynomial's *actual* domain state — including its
-        cached coefficient twin, which makes the input inverse transform
-        free — so the plan reflects what the executor will really do.
-        """
-        return self.plan_for(
-            poly.domain,
-            has_twin=poly.state.twin is not None,
-            output_domain=output_domain,
-        )
+        if not self.ctx.compatible(poly.ctx):
+            raise ParameterError("polynomial context does not match switcher")
+        self._check_key(ksk)
+        coeff_limbs = poly.to_coeff().limbs
+        for acc in self._accs:
+            acc.reset()
+        for d, (lo, hi) in enumerate(self.digits):
+            self.modups[d].apply(coeff_limbs[lo:hi], self._ext_buf)
+            self.ext_ctx.batch_ntt.forward(self._ext_buf, out=self._ahat)
+            self._mac(self._ahat, ksk, d)
+        return self._finish()
 
     # -- hoisting (shared ModUp across rotations) --------------------------
     def hoist(self, poly, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -780,9 +633,6 @@ class KeySwitcher:
             raise LayoutError(
                 f"hoisted digit tensor {np.shape(hoisted)} != {expect}"
             )
-        from repro.poly.rns_poly import COEFF, RnsPolynomial
-
-        c0, c1 = self._c
         for acc in self._accs:
             acc.reset()
         for d in range(self.dnum):
@@ -791,20 +641,9 @@ class KeySwitcher:
             else:
                 a_hat = np.take(hoisted[d], perm, axis=1, out=self._ahat)
             self._mac(a_hat, ksk, d)
-        self._accs[0].fold_into(c0)
-        self._accs[1].fold_into(c1)
-        ext_batch = self.ext_ctx.batch_ntt
-        ext_batch.inverse(c0, out=c0)
-        ext_batch.inverse(c1, out=c1)
-        num_base = self.ctx.num_limbs
-        out_polys = []
-        for c in (c0, c1):
-            out = np.empty((num_base, self.ctx.ring_degree), np.uint64)
-            self.moddown.apply(c, out)
-            out_polys.append(RnsPolynomial(self.ctx, out, COEFF))
-        return out_polys[0], out_polys[1]
+        return self._finish()
 
-    # -- execution ---------------------------------------------------------
+    # -- the shared back half ----------------------------------------------
     def _check_key(self, ksk: KeySwitchKey) -> None:
         if (
             ksk.dnum != self.dnum
@@ -831,67 +670,20 @@ class KeySwitcher:
             else:
                 acc.accumulate_product(lanes, parts[0])
 
-    def run(self, poly, ksk: KeySwitchKey, plan: KeySwitchPlan | None = None):
-        """Execute a key switch, returning the ``(c0, c1)`` pair.
+    def _finish(self):
+        """Fold both halves, inverse-transform them over ``Q ∪ P`` and
+        ModDown each onto ``Q``: the coefficient-domain ``(c0, c1)``."""
+        from repro.poly.rns_poly import COEFF, RnsPolynomial
 
-        The executor is a small interpreter over the plan's steps — the
-        planner alone decides which rows go through which transform.
-        """
-        from repro.poly.rns_poly import COEFF, NTT, RnsPolynomial
-
-        if not self.ctx.compatible(poly.ctx):
-            raise ParameterError("polynomial context does not match switcher")
-        self._check_key(ksk)
-        if plan is None:
-            plan = self.plan(poly, COEFF)
-        plan.validate(self)
-        if plan.input_domain != poly.domain:
-            raise LayoutError(
-                f"plan was built for a {plan.input_domain}-domain operand, "
-                f"got {poly.domain}"
-            )
-        ext_batch = self.ext_ctx.batch_ntt
-        num_base = self.ctx.num_limbs
-        coeff_limbs = None
         c0, c1 = self._c
-        for acc in self._accs:
-            acc.reset()
-        out_polys: list[RnsPolynomial] = []
-        for op, arg in plan.steps:
-            if op in ("intt_input", "reuse_coeff"):
-                # Both resolve through to_coeff(): the twin cache makes
-                # reuse_coeff free, intt_input pays one (L, N) inverse.
-                coeff_limbs = poly.to_coeff().limbs
-            elif op == "mod_up":
-                if coeff_limbs is None:
-                    coeff_limbs = poly.limbs  # already coefficient-domain
-                lo, hi = self.digits[arg]
-                self.modups[arg].apply(coeff_limbs[lo:hi], self._ext_buf)
-            elif op == "ntt_ext":
-                ext_batch.forward(self._ext_buf, out=self._ahat)
-            elif op == "mac":
-                self._mac(self._ahat, ksk, arg)
-            elif op == "fold":
-                self._accs[0].fold_into(c0)
-                self._accs[1].fold_into(c1)
-            elif op == "intt_ext":
-                ext_batch.inverse(c0, out=c0)
-                ext_batch.inverse(c1, out=c1)
-            elif op == "intt_aux":
-                self.aux_batch.inverse(c0[num_base:], out=c0[num_base:])
-                self.aux_batch.inverse(c1[num_base:], out=c1[num_base:])
-            elif op == "ntt_conv":
-                pass  # fused into mod_down below (needs the conversion)
-            elif op == "mod_down":
-                for c in (c0, c1):
-                    out = np.empty((num_base, self.ctx.ring_degree), np.uint64)
-                    if plan.output_domain == COEFF:
-                        self.moddown.apply(c, out)
-                    else:
-                        conv = self.moddown.converter.convert(c[num_base:])
-                        self.ctx.batch_ntt.forward(conv, out=self._conv_hat)
-                        self.moddown.combine(c[:num_base], self._conv_hat, out)
-                    out_polys.append(RnsPolynomial(self.ctx, out, plan.output_domain))
-            else:  # pragma: no cover - planner and executor move together
-                raise ParameterError(f"unknown key-switch step {op!r}")
-        return out_polys[0], out_polys[1]
+        self._accs[0].fold_into(c0)
+        self._accs[1].fold_into(c1)
+        ext_batch = self.ext_ctx.batch_ntt
+        ext_batch.inverse(c0, out=c0)
+        ext_batch.inverse(c1, out=c1)
+        halves = []
+        for c in (c0, c1):
+            out = np.empty((self.ctx.num_limbs, self.ctx.ring_degree), np.uint64)
+            self.moddown.apply(c, out)
+            halves.append(RnsPolynomial(self.ctx, out, COEFF))
+        return halves[0], halves[1]

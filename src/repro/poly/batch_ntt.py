@@ -189,37 +189,20 @@ class BatchNTT:
 
         Twiddle tables are immutable, so a rescaled (child) context reuses
         its parent's prepared rows as views instead of recomputing power
-        tables — the batched analogue of ``PolyContext.drop_last`` sharing
-        per-prime engines.
+        tables.
         """
         if not 1 <= num_limbs <= self.num_limbs:
             raise ParameterError(
                 f"cannot take {num_limbs} of {self.num_limbs} limbs"
             )
-        return self.take_rows(0, num_limbs)
-
-    def take_rows(self, start: int, stop: int) -> BatchNTT:
-        """A BatchNTT over limb rows ``[start, stop)``, sharing tables.
-
-        The general form of :meth:`take`: key switching transforms *row
-        windows* of the extended basis (e.g. only the auxiliary P-part
-        rows of an NTT-domain key-switch result during ModDown), and the
-        window engine's prepared twiddle rows are views into this
-        engine's — no power-table rebuild.
-        """
-        if not (0 <= start < stop <= self.num_limbs):
-            raise ParameterError(
-                f"row window [{start}, {stop}) outside "
-                f"[0, {self.num_limbs})"
-            )
-        if start == 0 and stop == self.num_limbs:
+        if num_limbs == self.num_limbs:
             return self
         return self._clone(
-            self.primes[start:stop],
-            self.psis[start:stop],
-            tuple(p[start:stop] for p in self._fwd),
-            tuple(p[start:stop] for p in self._inv),
-            tuple(p[start:stop] for p in self._n_inv),
+            self.primes[:num_limbs],
+            self.psis[:num_limbs],
+            tuple(p[:num_limbs] for p in self._fwd),
+            tuple(p[:num_limbs] for p in self._inv),
+            tuple(p[:num_limbs] for p in self._n_inv),
         )
 
     def extend(

@@ -303,22 +303,16 @@ class CostModel:
             raw_adds64=conv.raw_adds64,
         )
 
-    def key_switch(
-        self, num_aux: int, *, dnum: int = 1, output_domain: str = "coeff"
-    ) -> OpCost:
+    def key_switch(self, num_aux: int, *, dnum: int = 1) -> OpCost:
         """The fused hybrid key switch (§4.2/§4.3), both halves.
 
         Method-priced parts (the context's NTT backend): ``dnum``
         forward NTTs over the extended basis, the two-half MAC through
-        the lazy accumulator, and the output transforms — full extended
-        inverses for a coefficient output, or only the ``num_aux``
-        auxiliary-row inverses plus ``L``-row forwards of the converted
-        tails for an NTT output (the planner's whole point).  The
-        conversion sub-kernels (ModUp / ModDown) always run Shoup chains
-        and ride along pre-priced in ``extra_int32``.
+        the lazy accumulator, and the two extended inverses of the
+        folded halves.  The conversion sub-kernels (ModUp / ModDown)
+        always run Shoup chains and ride along pre-priced in
+        ``extra_int32``.
         """
-        if output_domain not in ("coeff", "ntt"):
-            raise ParameterError(f"unknown output domain {output_domain!r}")
         ext = self.num_limbs + num_aux
         fwd = self.ntt()
         inv = self.intt()
@@ -331,14 +325,9 @@ class CostModel:
         # raw 64-bit adds, one terminal fold per lane.
         modmuls += 2 * (dnum + 1) * lanes
         raw_adds = 2 * dnum * lanes
-        if output_domain == "coeff":
-            modmuls += 2 * ext * inv.modmuls
-            modadds += 2 * ext * inv.modadds
-        else:
-            modmuls += 2 * (num_aux * inv.modmuls
-                            + self.num_limbs * fwd.modmuls)
-            modadds += 2 * (num_aux * inv.modadds
-                            + self.num_limbs * fwd.modadds)
+        # Two extended inverse transforms, one per folded half.
+        modmuls += 2 * ext * inv.modmuls
+        modadds += 2 * ext * inv.modadds
         conversions = [self.mod_down(num_aux), self.mod_down(num_aux)]
         conversions.append(self.mod_up(num_aux, dnum=dnum))
         # mod_down was counted twice (one per half); mod_up covers all

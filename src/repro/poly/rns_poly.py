@@ -11,9 +11,9 @@ A :class:`PolyContext` pins the limb basis (ordered primes from a
 method.  Hot paths — ``to_ntt`` / ``to_coeff`` / ``pointwise_multiply`` /
 ``multiply`` / ``exact_rescale`` — run through the context's
 :class:`~repro.poly.batch_ntt.BatchNTT`, which transforms the whole limb
-matrix per stage instead of looping Python over per-prime engines; the
-per-limb :class:`~repro.poly.ntt.NegacyclicNTT` engines are kept as the
-reference implementation tests cross-check against.  Rescaling
+matrix per stage instead of looping Python over per-prime engines (the
+per-limb :class:`~repro.poly.ntt.NegacyclicNTT` engines stay the
+reference implementation tests cross-check against).  Rescaling
 (:meth:`RnsPolynomial.exact_rescale`) drops the last limb with the
 inverse-CRT correction (its per-limb inverse table cached on the context),
 following the level schedule a :class:`~repro.rns.cycle.RescalingCycle`
@@ -36,7 +36,6 @@ from repro.poly.backends import resolve_backend
 from repro.poly.batch_ntt import BatchNTT
 from repro.poly.cost import CostModel
 from repro.poly.lazy import LazyAccumulator
-from repro.poly.ntt import NegacyclicNTT
 from repro.rns.primes import Prime, PrimePool
 
 COEFF = "coeff"
@@ -143,7 +142,6 @@ class PolyContext:
         *,
         checked: bool | None = None,
         backend: str | None = None,
-        _engines: list[NegacyclicNTT] | None = None,
         _batch: BatchNTT | None = None,
     ) -> None:
         if not primes:
@@ -153,20 +151,9 @@ class PolyContext:
         if len(set(self.primes)) != len(self.primes):
             raise ParameterError("limb primes must be pairwise distinct")
         self.method = method
-        if _engines is not None:
-            # Internal reuse hook (drop_last): twiddle tables are immutable,
-            # so a child level shares its parent's per-limb engines.
-            if len(_engines) != len(self.primes) or any(
-                e.q != q for e, q in zip(_engines, self.primes)
-            ):
-                raise ParameterError("engine list does not match limb primes")
-            self._ntts: list[NegacyclicNTT] | None = list(_engines)
-        else:
-            # Built lazily (see :attr:`ntts`): the batched hot path never
-            # needs the per-prime reference engines.
-            self._ntts = None
         if _batch is not None:
-            # Same reuse hook for the batched engine (drop_last slices rows).
+            # Internal reuse hook (drop_last, extend): twiddle tables are
+            # immutable, so a derived context shares the donor's rows.
             if (
                 _batch.primes != self.primes
                 or _batch.n != ring_degree
@@ -200,7 +187,6 @@ class PolyContext:
         self.moduli = np.array(self.primes, dtype=np.uint64).reshape(-1, 1)
         self._certificate = None
         self._dropped: PolyContext | None = None
-        self._parent: PolyContext | None = None
         #: base context this one was built from via :meth:`extend` (if any)
         self._ext_parent: PolyContext | None = None
         self._extended: dict[tuple[int, ...], PolyContext] = {}
@@ -229,25 +215,6 @@ class PolyContext:
                 self.ring_degree, self.primes, self.method
             )
         return self._certificate
-
-    @property
-    def ntts(self) -> list[NegacyclicNTT]:
-        """Per-limb reference engines, built on first use.
-
-        Pinned to the batched engine's roots so the reference and batched
-        paths are bit-identical by construction; a rescaled child borrows
-        its parent's engines (twiddle tables are immutable) so rescale
-        chains stay O(L) rather than O(L^2).
-        """
-        if self._ntts is None:
-            if self._parent is not None:
-                self._ntts = list(self._parent.ntts[: self.num_limbs])
-            else:
-                self._ntts = [
-                    NegacyclicNTT(q, self.ring_degree, self.method, psi=psi)
-                    for q, psi in zip(self.primes, self.batch_ntt.psis)
-                ]
-        return self._ntts
 
     @classmethod
     def from_pool(
@@ -291,17 +258,13 @@ class PolyContext:
         if self.num_limbs < 2:
             raise LevelError("cannot drop the last remaining limb")
         if self._dropped is None:
-            child = PolyContext(
+            self._dropped = PolyContext(
                 self.ring_degree,
                 self.primes[:-1],
                 self.method,
                 checked=self.checked,
-                _engines=None if self._ntts is None else self._ntts[:-1],
                 _batch=self.batch_ntt.take(self.num_limbs - 1),
             )
-            # Parent link lets the child borrow reference engines lazily.
-            child._parent = self
-            self._dropped = child
         return self._dropped
 
     def extend(self, aux_primes: Sequence[Prime | int]) -> PolyContext:
@@ -933,8 +896,7 @@ class RnsPolynomial:
         Treats the last ``num_aux`` limb rows as the P-part and computes
         ``floor(X / P)`` on the base basis (the key-switching rescale;
         see :class:`~repro.poly.basis_conv.ModDown`).  Requires the
-        coefficient domain; the fused ``key_switch`` pipeline has an
-        NTT-domain variant that never inverse-transforms base rows.
+        coefficient domain.
         """
         if self.domain != COEFF:
             raise LayoutError("mod_down requires the coefficient domain")
@@ -944,36 +906,18 @@ class RnsPolynomial:
         kern.apply(self.limbs, out)
         return RnsPolynomial(base, out, COEFF)
 
-    def plan_key_switch(self, ksk, *, output_domain: str = COEFF):
-        """The explicit NTT-domain schedule ``key_switch`` would execute.
-
-        The plan is the domain-state planner's output: built from this
-        polynomial's current domain (a cached coefficient twin makes the
-        input inverse free) and the requested output domain; its step
-        list and transform-row totals are inspectable, and passing it to
-        :meth:`key_switch` executes exactly those steps.
-        """
-        switcher = self.ctx.key_switcher(ksk.aux_primes, ksk.dnum)
-        return switcher.plan(self, output_domain)
-
-    def key_switch(
-        self, ksk, *, output_domain: str = COEFF, plan=None
-    ) -> tuple[RnsPolynomial, RnsPolynomial]:
+    def key_switch(self, ksk) -> tuple[RnsPolynomial, RnsPolynomial]:
         """Hybrid key switching: the fused ModUp → NTT → MAC → ModDown
-        pipeline (§4.2/§4.3), returning the ``(c0, c1)`` pair.
+        pipeline (§4.2/§4.3), returning the coefficient-domain
+        ``(c0, c1)`` pair.
 
         Each limb digit is ModUp-extended onto ``Q ∪ P``, transformed
         once, multiplied against the key pair through one batched
         :class:`~repro.poly.lazy.LazyAccumulator` per half, and the
-        folded sums are ModDown-rescaled back to ``Q``.  All scheduling
-        follows the :class:`~repro.poly.basis_conv.KeySwitchPlan` (see
-        :meth:`plan_key_switch`): with ``output_domain="ntt"`` only the
-        auxiliary rows are ever inverse-transformed.
+        folded sums are inverse-transformed and ModDown-rescaled back to
+        ``Q`` (see :class:`~repro.poly.basis_conv.KeySwitcher`).
         """
-        switcher = self.ctx.key_switcher(ksk.aux_primes, ksk.dnum)
-        if plan is None:
-            plan = switcher.plan(self, output_domain)
-        return switcher.run(self, ksk, plan)
+        return self.ctx.key_switcher(ksk.aux_primes, ksk.dnum).run(self, ksk)
 
     # -- CRT reconstruction (reference/tests; Python-int arithmetic) -------
     def to_int_coeffs(self, *, centered: bool = True) -> list[int]:

@@ -1,10 +1,9 @@
 """Circuit compiler: trace an evaluator program, plan it, replay it.
 
-PRs 3–5 each gave one composite op an ahead-of-time plan — the
-:class:`~repro.poly.basis_conv.KeySwitchPlan` schedule, the hoisted
-rotation tensor, the BSGS matvec/poly_eval schedules — and each beat its
-eager composition while staying bit-identical.  This module generalizes
-the discipline to *whole programs*:
+Single composite ops already run ahead-of-time schedules — the hoisted
+rotation tensor, the BSGS matvec/poly_eval schedules — and each beats
+its eager composition while staying bit-identical.  This module
+generalizes the discipline to *whole programs*:
 
 * :class:`CircuitTracer` is an :class:`~repro.scheme.evaluator.Evaluator`
   that records instead of computing: every op appends a node to a DAG
@@ -24,7 +23,7 @@ the discipline to *whole programs*:
   seeded random DAGs both ways and compare limbs).
 * The **executor** (:meth:`CircuitPlan.run`) replays the step list
   against fresh inputs with zero per-call planning or allocation: the
-  key-switch schedules, automorphism permutations, hoist tensors, lazy
+  key switchers, automorphism permutations, hoist tensors, lazy
   accumulators and encoded (transformed, backend-prepared) plaintexts
   are all captured once per plan.  Every step runs the op table's entry
   (:mod:`repro.scheme.ops`) — the arithmetic and the scale and noise
@@ -66,7 +65,6 @@ from repro.scheme.ops import (
     RESCALE,
     Op,
     materialize,
-    relin_schedule,
     scales_match,
 )
 
@@ -500,11 +498,11 @@ class CircuitPlan:
                 ))
             elif op == "multiply":
                 relin = base.key  # resolved at the node's level
-                switcher, ks_plan = relin_schedule(base.ctx, relin)
+                switcher = base.ctx.key_switcher(relin.aux_primes, relin.dnum)
                 steps.append(_Step(
                     "multiply", dst,
                     (_slot(base.args[0]), _slot(base.args[1])),
-                    (relin, switcher, ks_plan), rescales,
+                    (relin, switcher), rescales,
                     level=level,
                 ))
             elif op == "galois":
@@ -760,7 +758,7 @@ class CircuitPlan:
             res["p_ntts"] = step.payload[1]
             res["acc"] = self._accs[step.level]
         elif kind == "multiply":
-            _, res["switcher"], res["ks_plan"] = step.payload
+            _, res["switcher"] = step.payload
             res["acc"] = self._accs[step.level]
         elif kind == "galois":
             _, _, res["perm"], gidx, res["switcher"] = step.payload

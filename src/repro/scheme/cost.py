@@ -8,13 +8,13 @@ kernel cost.
 
 The key-switch cost is split at the hoisting boundary:
 
-* ``_ks_shared`` — ModUp of every digit plus the ``dnum`` extended-basis
+* ``ks_shared`` — ModUp of every digit plus the ``dnum`` extended-basis
   forward NTTs.  Input-only work: a hoisted rotation pays it *once*.
-* ``_ks_finish`` — the two-half MAC through the lazy accumulators, the
+* ``ks_finish`` — the two-half MAC through the lazy accumulators, the
   terminal folds, the two extended inverse NTTs and the two ModDowns.
   Per-output work: every rotation index pays it.
 
-``_ks_shared + _ks_finish`` equals the monolithic
+``ks_shared + ks_finish`` equals the monolithic
 ``CostModel.key_switch`` field-for-field (the test suite pins this), so
 the split is an accounting view, not a second cost model.
 """
@@ -87,22 +87,16 @@ class SchemeCostModel:
             extra_int32=2 * down.int32_instrs,
         )
 
-    # The halves started life as private accounting helpers; the circuit
-    # compiler prices hoisting with them, so they are public now.  The
-    # underscore spellings remain as aliases.
-    _ks_shared = ks_shared
-    _ks_finish = ks_finish
-
     # -- composite ops -----------------------------------------------------
     def relinearize(self) -> OpCost:
         """Key switch of the degree-2 tensor component + 2 component adds.
 
-        The input arrives NTT-domain from the tensor, so the plan's
-        ``intt_input`` step (one L-row inverse) rides in front.
+        The input arrives NTT-domain from the tensor with no coefficient
+        twin, so one L-row inverse rides in front.
         """
         cost = self.poly.intt().scaled(self.poly.num_limbs, "relinearize")
-        cost = _merge(cost, self._ks_shared())
-        cost = _merge(cost, self._ks_finish())
+        cost = _merge(cost, self.ks_shared())
+        cost = _merge(cost, self.ks_finish())
         cost = _merge(cost, self.poly.add())
         return _merge(cost, self.poly.add())
 
@@ -133,8 +127,8 @@ class SchemeCostModel:
         the hoisted digits.
         """
         cost = OpCost("rotate", self.poly.method, 0, 0)
-        cost = _merge(cost, self._ks_shared())
-        cost = _merge(cost, self._ks_finish())
+        cost = _merge(cost, self.ks_shared())
+        cost = _merge(cost, self.ks_finish())
         cost = _merge(cost, self.poly.automorphism("coeff"))
         cost = _merge(cost, self.poly.automorphism("ntt"))
         return _merge(cost, self.poly.add())
@@ -142,7 +136,7 @@ class SchemeCostModel:
     def hoisted_rotate(self, count: int) -> OpCost:
         """``count`` rotations of one ciphertext sharing a single ModUp.
 
-        The shared front (:meth:`_ks_shared`) is paid once; every index
+        The shared front (:meth:`ks_shared`) is paid once; every index
         pays the per-output tail, the Galois passes and the add.  For
         ``count >= 2`` this is strictly cheaper than ``count``
         independent :meth:`rotate` calls by ``(count - 1)`` shared
@@ -154,11 +148,11 @@ class SchemeCostModel:
                 f"hoisted_rotate needs >= 1 rotation, got {count}"
             )
         per = _merge(
-            _merge(self._ks_finish(), self.poly.automorphism("coeff")),
+            _merge(self.ks_finish(), self.poly.automorphism("coeff")),
             _merge(self.poly.automorphism("ntt"), self.poly.add()),
         )
         return _merge(
-            self._ks_shared().scaled(1, "hoisted_rotate"),
+            self.ks_shared().scaled(1, "hoisted_rotate"),
             per.scaled(count),
         )
 

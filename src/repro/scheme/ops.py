@@ -8,8 +8,8 @@ Every consumer of an op's semantics reads the same entry of :data:`OPS`:
   and records the ``scale`` and ``ctx`` rules instead of computing;
 * the circuit planner reads the four flags, and the
   :class:`~repro.scheme._circuit.CircuitPlan` executor runs ``apply``
-  with the key-switch schedules, accumulators, hoist tensors and
-  encodings it captured at compile time;
+  with the key switchers, accumulators, hoist tensors and encodings it
+  captured at compile time;
 * :func:`repro.analysis.check_plan` replays ``validate``, ``scale`` and
   ``noise`` and the flags over a step list without running it.
 
@@ -43,7 +43,7 @@ import math
 
 from repro.errors import KeyError_, LevelError, ParameterError, ScaleMismatchError
 from repro.poly.ntt import automorphism_tables
-from repro.poly.rns_poly import COEFF, NTT, RnsPolynomial
+from repro.poly.rns_poly import COEFF, RnsPolynomial
 from repro.scheme.ciphertext import Ciphertext
 
 #: relative slack within which two operand scales still count as equal
@@ -113,18 +113,6 @@ def check_key_level(ksk, primes, level: int, op: str) -> None:
             "below the keygen level needs a key_source "
             "(Evaluator.from_keygen wires one)"
         )
-
-
-def relin_schedule(ctx, relin):
-    """The switcher and key-switch plan relinearization runs through.
-
-    The degree-2 tensor component enters NTT-domain with no coefficient
-    twin and leaves in the coefficient domain, so the schedule depends
-    only on the key configuration: the planner captures it at compile
-    time, eager multiplies derive the same one per call.
-    """
-    switcher = ctx.key_switcher(relin.aux_primes, relin.dnum)
-    return switcher, switcher.plan_for(NTT, output_domain=COEFF)
 
 
 def materialize(ct: Ciphertext) -> Ciphertext:
@@ -307,7 +295,7 @@ class Multiply(Op):
     Tensor the two pairs in the NTT domain (four forward transforms, the
     cross terms through one fused multiply-accumulate), then switch the
     degree-2 component back to the ``(1, s)`` basis through the
-    relinearization key along :func:`relin_schedule`.
+    relinearization key's switcher.
     """
 
     name = "multiply"
@@ -339,16 +327,16 @@ class Multiply(Op):
             model.key_switch_bits(relin),
         )
 
-    def compute(self, cts, arg, relin, switcher=None, ks_plan=None, acc=None):
+    def compute(self, cts, arg, relin, switcher=None, acc=None):
         a, b = cts
         if switcher is None:
-            switcher, ks_plan = relin_schedule(a.ctx, relin)
+            switcher = a.ctx.key_switcher(relin.aux_primes, relin.dnum)
         a0, a1 = a.c0.to_ntt(), a.c1.to_ntt()
         b0, b1 = b.c0.to_ntt(), b.c1.to_ntt()
         t0 = a0.pointwise_multiply(b0)
         t1 = RnsPolynomial.multiply_accumulate([a0, a1], [b1, b0], acc=acc)
         t2 = a1.pointwise_multiply(b1)
-        d0, d1 = switcher.run(t2, relin, ks_plan)
+        d0, d1 = switcher.run(t2, relin)
         return t0.to_coeff().add(d0), t1.to_coeff().add(d1)
 
 

@@ -456,6 +456,11 @@ class CkksServer:
             cap = min(cap, self.config.max_batch_slots)
         return cap
 
+    def _capacity(self, tenant: _Tenant) -> int:
+        """Requests one batch of ``tenant`` holds: a vector tenant's
+        request owns the whole packing, so its batches are 1 wide."""
+        return 1 if tenant.input_dim > 1 else self._slots_cap()
+
     async def _run_loop(self) -> None:
         cfg = self.config
         while True:
@@ -473,7 +478,7 @@ class CkksServer:
             )
             wait_s = cut_at - time.monotonic()
             live = sum(1 for r in tenant.queue if not r.future.done())
-            if wait_s > 0 and live < self._slots_cap():
+            if wait_s > 0 and live < self._capacity(tenant):
                 self._wake.clear()
                 try:
                     await asyncio.wait_for(self._wake.wait(), wait_s)
@@ -499,8 +504,7 @@ class CkksServer:
         """
         now = time.monotonic()
         batch: list[Request] = []
-        # a vector tenant's request owns the whole packing: batches of 1
-        cap = 1 if tenant.input_dim > 1 else self._slots_cap()
+        cap = self._capacity(tenant)
         while tenant.queue and len(batch) < cap:
             req = tenant.queue.popleft()
             if req.future.done():

@@ -96,11 +96,6 @@ def test_take_shares_tables_and_matches(setup, method, rng):
     assert sub.primes == primes[:2]
     ref = np.stack([engs[i].forward(a[i]) for i in range(2)])
     assert np.array_equal(sub.forward(a[:2]), ref)
-    assert batch.take(batch.num_limbs) is batch
-    with pytest.raises(ParameterError):
-        batch.take(0)
-    with pytest.raises(ParameterError):
-        batch.take(batch.num_limbs + 1)
 
 
 def test_default_roots_match_per_prime_engines(rng):
@@ -154,29 +149,29 @@ def test_rejects_out_of_range_coefficients():
         batch.forward(bad)
 
 
-# -- row windows + extended bases share tables (PR 3) -----------------------
-def test_take_rows_window_bit_matches_fresh_engine(rng):
+# -- prefixes + extended bases share tables ---------------------------------
+def test_take_prefix_bit_matches_fresh_engine(rng):
     n = 64
     primes = _basis(n)
     batch = BatchNTT(primes, n, "shoup")
-    window = batch.take_rows(1, 3)
-    assert window.primes == primes[1:3]
-    fresh = BatchNTT(primes[1:3], n, "shoup", psis=batch.psis[1:3])
-    x = _random_limbs(primes[1:3], n, rng)
-    assert np.array_equal(window.forward(x), fresh.forward(x))
-    assert np.array_equal(window.inverse(x), fresh.inverse(x))
+    prefix = batch.take(2)
+    assert prefix.primes == primes[:2]
+    fresh = BatchNTT(primes[:2], n, "shoup", psis=batch.psis[:2])
+    x = _random_limbs(primes[:2], n, rng)
+    assert np.array_equal(prefix.forward(x), fresh.forward(x))
+    assert np.array_equal(prefix.inverse(x), fresh.inverse(x))
     # Prepared rows are views into the parent tables, not copies.
-    assert window._fwd[0].base is batch._fwd[0]
+    assert prefix._fwd[0].base is batch._fwd[0]
 
 
-def test_take_rows_validation():
+def test_take_validation():
     n = 16
     batch = BatchNTT(_basis(n), n, "smr")
-    assert batch.take_rows(0, batch.num_limbs) is batch
+    assert batch.take(batch.num_limbs) is batch
     with pytest.raises(ParameterError):
-        batch.take_rows(2, 2)
+        batch.take(0)
     with pytest.raises(ParameterError):
-        batch.take_rows(0, batch.num_limbs + 1)
+        batch.take(batch.num_limbs + 1)
 
 
 @pytest.mark.parametrize("method", METHODS)

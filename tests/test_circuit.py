@@ -307,14 +307,9 @@ class TestStalePlanRejection:
 
 class TestPlanProtocol:
     def test_conformance(self):
-        ctx, keygen, ev = _setup(1024, "smr")
         _, plan = TestStalePlanRejection()._plan()
         assert isinstance(plan, Plan)
         assert isinstance(plan, CircuitPlan)
-
-        switcher = ctx.key_switcher(tuple(keygen.aux), DNUM)
-        ks_plan = switcher.plan_for("ntt", output_domain="coeff")
-        assert isinstance(ks_plan, Plan)
 
     def test_costs_are_positive(self):
         _, plan = TestStalePlanRejection()._plan()

@@ -1,9 +1,9 @@
-"""Execute the README's "Encrypted inference" walkthrough verbatim.
+"""Execute the README's code walkthroughs verbatim.
 
-The section promises a model -> compile -> serve path that a reader can
-paste and run; this test extracts its fenced python block straight out
-of ``README.md`` and ``exec``s it, so the docs cannot drift from the
-public API they advertise.
+The "Quick tour" and "Encrypted inference" sections promise code a
+reader can paste and run; these tests extract their fenced python
+blocks straight out of ``README.md`` and ``exec`` them in order, so the
+docs cannot drift from the public API they advertise.
 """
 
 import re
@@ -21,13 +21,24 @@ def _section(text: str, heading: str) -> str:
     return rest if end < 0 else rest[:end]
 
 
-def test_encrypted_inference_walkthrough_runs_verbatim():
-    section = _section(README.read_text(), "Encrypted inference")
-    blocks = _FENCE.findall(section)
-    assert blocks, "the Encrypted inference section lost its code block"
+def _run_section(heading: str) -> dict:
+    """Run every python block of one README section in one namespace."""
+    blocks = _FENCE.findall(_section(README.read_text(), heading))
+    assert blocks, f"the {heading} section lost its code blocks"
     namespace: dict = {"__name__": "readme_walkthrough"}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)  # noqa: S102
+    return namespace
+
+
+def test_quick_tour_runs_verbatim():
+    namespace = _run_section("Quick tour")
+    # both blocks ran: the scheme-layer plan and the key-switch pair
+    assert "plan" in namespace and "c1" in namespace
+
+
+def test_encrypted_inference_walkthrough_runs_verbatim():
+    namespace = _run_section("Encrypted inference")
     # the walkthrough's own asserts are the real gate; spot-check that
     # it actually got to the end with a served score in hand
     assert "scores" in namespace

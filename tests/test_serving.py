@@ -188,6 +188,25 @@ def test_mixed_tenants_batch_separately(cc):
     assert tenants == {"affine", "square"}
 
 
+def test_vector_tenant_is_cut_without_waiting_out_the_window(cc):
+    """A vector tenant's batch holds one request, so a lone request is
+    cut at once instead of waiting the batch window for partners it
+    could not take."""
+    server = make_server(cc, batch_window_s=5.0, default_deadline_s=30.0)
+    server.register_tenant(
+        "vector", make_affine(cc), scale_bits=SCALE_BITS, input_dim=2
+    )
+
+    async def timed():
+        start = time.monotonic()
+        value = await server.submit("vector", np.array([0.5, -0.5]))
+        return value, time.monotonic() - start
+
+    value, elapsed_s = serve(server, timed())
+    assert elapsed_s < 2.5
+    assert np.allclose(value, [0.5, 0.0], atol=1e-4)
+
+
 # -- deadlines, cancellation, backpressure ---------------------------------
 
 def test_expired_request_rejected_structurally(cc):
