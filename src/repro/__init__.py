@@ -1,9 +1,10 @@
 """Bit-faithful reproduction of the paper's RNS-CKKS arithmetic stack.
 
 Subpackages: :mod:`repro.rns` (primes, reducers, rescaling cycles),
-:mod:`repro.poly` (negacyclic NTT, RNS polynomials, lazy reduction, cost
-model), :mod:`repro.scheme` (RLWE keys, ciphertexts, the homomorphic
-evaluator and its composite cost model), :mod:`repro.analysis` (the
+:mod:`repro.poly` (negacyclic NTT, RNS polynomials, lazy reduction,
+Table-3 kernel prices), :mod:`repro.scheme` (RLWE keys, ciphertexts, the
+homomorphic evaluator and the circuit compiler, whose plans price
+themselves), :mod:`repro.analysis` (the
 static overflow / noise-budget analyzer and sanitizer-checked
 execution), :mod:`repro.serving` (the fault-tolerant multi-tenant
 batch-serving layer) and :mod:`repro.ml` (encrypted ML inference end to

@@ -88,49 +88,40 @@ def _bench_plans(n: int, method: str):
     rots = SlotLinalg.matvec_rotations(dim)
     ev = Evaluator.from_keygen(keygen, rotations=rots)
     encoder = CanonicalEncoder(ctx)
-    lin = SlotLinalg(encoder, ev)
     r = np.random.default_rng(0xD1A6)
     matrix = r.standard_normal((dim, dim))
     coeffs = [0.5, -1.0, 0.25, 0.125]
 
+    def compile_slots(build, scale):
+        """Trace ``build(linalg, x)`` on a recording evaluator, compile it."""
+        tracer = CircuitTracer(ev)
+        x = tracer.input("x", scale=scale)
+        return tracer.compile(build(SlotLinalg(encoder, tracer), x))
+
+    def hoisted(lin, x):
+        rotated = lin.ev.rotate_hoisted(x, [1, 2, 3])
+        return lin.ev.add(lin.ev.add(rotated[1], rotated[2]), rotated[3])
+
     # Scales follow the benchmark harness's shallow-basis choices: the
-    # scale stack Delta^(bs*gs) must clear Q at L=4.
-    plans = [
-        ("matvec", lin.compile_matvec(matrix, input_scale=2.0**30)),
+    # scale stack Delta^(bs*gs) must clear Q at L=4.  The benchmark times
+    # the composite at 2^12; the checker proves that shape exhausts the
+    # noise budget at its final multiply (the L=4 basis leaves no room
+    # for an intermediate rescale), so the gated variant runs one scale
+    # rung lower where the budget clears.
+    return [
+        ("matvec", compile_slots(lambda lin, x: lin.matvec_naive(x, matrix), 2.0**30)),
+        ("poly_eval", compile_slots(lambda lin, x: lin.poly_eval(x, coeffs), 2.0**24)),
+        ("hoisted_rotations", compile_slots(hoisted, 2.0**30)),
         (
-            "poly_eval",
-            lin.compile_poly_eval(coeffs, input_scale=2.0**24),
+            "matvec_poly_eval_rescale",
+            compile_slots(
+                lambda lin, x: lin.ev.rescale(
+                    lin.poly_eval(lin.matvec_naive(x, matrix), coeffs)
+                ),
+                2.0**10,
+            ),
         ),
     ]
-
-    tracer = CircuitTracer(ev)
-    x = tracer.input("x", scale=2.0**30)
-    rotated = tracer.rotate_hoisted(x, [1, 2, 3])
-    plans.append(
-        (
-            "hoisted_rotations",
-            tracer.compile(
-                tracer.add(tracer.add(rotated[1], rotated[2]), rotated[3])
-            ),
-        )
-    )
-
-    # The benchmark times this composite at 2^12; the checker proves
-    # that shape exhausts the noise budget at its final multiply (the
-    # L=4 basis leaves no room for an intermediate rescale), so the
-    # gated variant runs one scale rung lower where the budget clears.
-    tracer2 = CircuitTracer(ev)
-    traced_lin = SlotLinalg(encoder, tracer2)
-    y = tracer2.input("x", scale=2.0**10)
-    composite = tracer2.compile(
-        tracer2.rescale(
-            traced_lin.poly_eval(
-                traced_lin.matvec_naive(y, matrix), coeffs
-            )
-        )
-    )
-    plans.append(("matvec_poly_eval_rescale", composite))
-    return plans
 
 
 def run_circuits(n: int, methods, verbose=False) -> int:

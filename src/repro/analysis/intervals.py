@@ -90,11 +90,6 @@ def _coerce(v: Interval | int) -> Interval:
     return v if isinstance(v, Interval) else Interval.point(v)
 
 
-def mulhi32_interval(x: Interval) -> Interval:
-    """Abstract ``mulhi32`` applied to a full 64-bit product interval."""
-    return x >> 32
-
-
 def lazy_fold(x: Interval, q: int) -> Interval:
     """Abstract branch-free fold ``min(s, s - q)`` (unsigned wrap select).
 

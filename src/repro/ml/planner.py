@@ -37,11 +37,7 @@ from repro.errors import (
     ParameterError,
 )
 from repro.rns.cycle import RescalingCycle, find_rescaling_cycle
-from repro.scheme._linalg import bsgs_split
-
-#: extra bits poly_eval reserves above the stacked scale (kept in sync
-#: with SlotLinalg._check_scale_budget's headroom)
-_POLY_HEADROOM_BITS = 8
+from repro.scheme._linalg import bsgs_split, stack_budget
 
 _NODE_RE = re.compile(r"\bn(\d+):")
 
@@ -180,7 +176,8 @@ class LevelPlanner:
     def require_budget(self, ct, coeffs) -> None:
         """Pre-check a ``poly_eval`` scale stack at ``ct``'s level.
 
-        Mirrors ``SlotLinalg._check_scale_budget`` but raises the
+        The budget rule ``poly_eval`` enforces
+        (:func:`~repro.scheme._linalg.stack_budget`), raised as the
         layer-named :class:`ModelPlanError` so an undeployable
         activation is rejected with model context, statically.
         """
@@ -190,18 +187,13 @@ class LevelPlanner:
         if len(coeffs) < 2:
             return
         bs, gs = bsgs_split(len(coeffs))
-        stack = bs * gs
-        need = stack * math.log2(ct.scale) + math.log2(
-            max(1.0, sum(abs(c) for c in coeffs))
-        )
-        have = math.log2(ct.ctx.modulus) - 1
-        if need + _POLY_HEADROOM_BITS > have:
+        need, have = stack_budget(ct, coeffs, bs * gs)
+        if need > have:
             raise ModelPlanError(
                 f"layer {self._where()!r}: degree-{len(coeffs) - 1} "
-                f"activation stacks ~{need:.0f}+{_POLY_HEADROOM_BITS} "
-                f"scale bits but log2(Q/2) at level {ct.level} is only "
-                f"{have:.0f}; lower the activation degree or enter the "
-                "layer at a higher level",
+                f"activation stacks ~{need:.0f} scale bits but level "
+                f"{ct.level} leaves {have:.0f} after headroom; lower the "
+                "activation degree or enter the layer at a higher level",
                 layer=self._where(),
             )
 

@@ -5,7 +5,7 @@ contract:
 
 * ``SomePlan.build(...)`` constructs a plan from a configuration,
 * ``plan.run(...)`` replays it against fresh inputs,
-* ``plan.cost()`` prices it with the calibratable cost model,
+* ``plan.cost()`` prices one run in Table-3 int32 instructions,
 * ``plan.validate(config)`` rejects a stale plan (wrong basis, wrong
   context, wrong level) with a descriptive error instead of corrupt
   output.
@@ -38,7 +38,7 @@ class Plan(Protocol):
         ...
 
     def cost(self) -> Any:
-        """Price one ``run`` with the layer's cost model."""
+        """Price one ``run`` (an ``OpCost``; Table-3 int32 instructions)."""
         ...
 
     def validate(self, config: Any) -> None:

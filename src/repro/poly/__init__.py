@@ -5,8 +5,8 @@ rescaling cycles; this package turns them into ring arithmetic —
 :class:`NegacyclicNTT` per limb (the reference path), :class:`BatchNTT`
 across the whole ``(num_limbs, N)`` limb matrix (the limb-parallel hot
 path), :class:`RnsPolynomial` across limbs, :class:`LazyAccumulator` for
-§4.2 deferred folds, and :class:`CostModel` for Table-3-style instruction
-pricing.
+§4.2 deferred folds, and :class:`CostModel`, the Table-3 int32 kernel
+prices a compiled plan's ``cost()`` sums.
 """
 
 from repro.poly.basis_conv import (
@@ -21,7 +21,6 @@ from repro.poly.cost import (
     RAW64_INSTRS,
     CostModel,
     OpCost,
-    compare_methods,
 )
 from repro.poly.lazy import LazyAccumulator
 from repro.poly.ntt import (
@@ -57,6 +56,5 @@ __all__ = [
     "RnsPolynomial",
     "automorphism_tables",
     "bit_reverse_permutation",
-    "compare_methods",
     "make_ntt_backend",
 ]

@@ -160,14 +160,6 @@ class BasisConverter:
         self._row_bound = l_in * (2 * max(self.dst) - 1)
         self._space: tuple | None = None
 
-    @property
-    def num_src(self) -> int:
-        return len(self.src)
-
-    @property
-    def num_dst(self) -> int:
-        return len(self.dst)
-
     def _workspace(self) -> tuple:
         if self._space is None:
             l_in, l_out, n = len(self.src), len(self.dst), self.n

@@ -34,7 +34,6 @@ from repro.analysis.sanitizer import assert_within, checked_mode
 from repro.errors import LayoutError, LevelError, ParameterError
 from repro.poly.backends import resolve_backend
 from repro.poly.batch_ntt import BatchNTT
-from repro.poly.cost import CostModel
 from repro.poly.lazy import LazyAccumulator
 from repro.rns.primes import Prime, PrimePool
 
@@ -247,11 +246,6 @@ class PolyContext:
         for q in self.primes:
             prod *= q
         return prod
-
-    @cached_property
-    def cost_model(self) -> CostModel:
-        """Table-3-style instruction pricing for ops in this context."""
-        return CostModel(self.ring_degree, self.num_limbs, self.method)
 
     def drop_last(self) -> PolyContext:
         """The context one rescale down (last limb removed), cached."""

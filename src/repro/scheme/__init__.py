@@ -2,9 +2,9 @@
 
 Built on :mod:`repro.poly`: keys ride the hybrid key-switching pipeline,
 rotations ride the Galois index-permutation kernels and the hoisted
-(shared-ModUp) schedule, rescaling rides ``exact_rescale`` — and
-:class:`SchemeCostModel` prices each composite op as a sum of the
-already-priced Table-3 kernels.  Each homomorphic op is defined once,
+(shared-ModUp) schedule, rescaling rides ``exact_rescale``; a compiled
+:class:`CircuitPlan` prices itself from the Table-3 kernel entries of
+:class:`~repro.poly.cost.CostModel`.  Each homomorphic op is defined once,
 in the op table :mod:`repro.scheme.ops`, which the :class:`Evaluator`,
 the circuit compiler and the static analyzer all read.
 :class:`CanonicalEncoder` packs complex slot vectors through the
@@ -17,7 +17,6 @@ against.
 from repro.scheme._circuit import CircuitPlan, TracedCiphertext
 from repro.scheme._linalg import bsgs_split
 from repro.scheme.ciphertext import Ciphertext, Plaintext
-from repro.scheme.cost import SchemeCostModel
 from repro.scheme.encoder import CanonicalEncoder, special_fft, special_ifft
 from repro.scheme.evaluator import Evaluator
 from repro.scheme.keys import (
@@ -43,7 +42,6 @@ __all__ = [
     "Plaintext",
     "PublicKey",
     "ReferenceEvaluator",
-    "SchemeCostModel",
     "SecretKey",
     "TracedCiphertext",
     "bsgs_split",

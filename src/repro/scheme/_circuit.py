@@ -58,7 +58,6 @@ from repro.poly.rns_poly import (
     data_fingerprint,
 )
 from repro.scheme.ciphertext import Ciphertext, Plaintext
-from repro.scheme.cost import SchemeCostModel
 from repro.scheme.evaluator import Evaluator
 from repro.scheme.ops import (
     OPS,
@@ -768,74 +767,74 @@ class CircuitPlan:
 
     # -- pricing -----------------------------------------------------------
     def cost(self) -> OpCost:
-        """Price one :meth:`run` from the calibratable per-op entries.
+        """Price one :meth:`run` in Table-3 int32 instructions.
 
-        Field-wise sum over the step list: key-switching steps price
-        through :class:`~repro.scheme.cost.SchemeCostModel` (the hoisted
-        split — one shared front per hoist step, one finish per Galois
-        step), linear steps through the polynomial-layer
-        :class:`~repro.poly.cost.CostModel` at the step's level.
+        Field-wise sum over the step list, each step kind priced here
+        from the :class:`~repro.poly.cost.CostModel` kernel entries at
+        the step's level.  The plan supplies what the op table cannot
+        know: term counts, output domains, fused rescales and hoist
+        sharing — a hoist step pays the key switch's shared front once,
+        each Galois step of its group pays only the finish.
         """
-        method = self.ctx.method
-        n = self.ctx.ring_degree
-        poly_models: dict[int, CostModel] = {}
-        scheme_models: dict[tuple, SchemeCostModel] = {}
+        models: dict[int, CostModel] = {}
 
-        def poly_model(level: int) -> CostModel:
-            m = poly_models.get(level)
-            if m is None:
-                m = CostModel(n, level, method)
-                poly_models[level] = m
-            return m
+        def at(level: int) -> CostModel:
+            if level not in models:
+                models[level] = CostModel(self.ctx.ring_degree, level, self.ctx.method)
+            return models[level]
 
-        def scheme_model(level, num_aux, dnum) -> SchemeCostModel:
-            key = (level, num_aux, dnum)
-            m = scheme_models.get(key)
-            if m is None:
-                m = SchemeCostModel(n, level, num_aux, dnum, method)
-                scheme_models[key] = m
-            return m
-
-        total = OpCost("circuit", method, 0, 0)
+        total = OpCost(self.ctx.method, 0, 0)
         for s in self._steps:
-            pm = poly_model(s.level)
-            limbs = s.level
+            m, limbs = at(s.level), s.level
+            key = s.operands()[1]
+            parts: list[tuple[OpCost, int]] = []  # (kernel, calls)
             if s.kind in ("add", "sub", "negate"):
-                total = _merge(total, pm.add().scaled(2))
+                parts = [(m.add(), 2)]
             elif s.kind == "add_plain":
-                total = _merge(total, pm.add())
+                parts = [(m.add(), 1)]
             elif s.kind == "multiply_plain":
-                total = _merge(total, pm.ntt().scaled(2 * limbs))
-                total = _merge(total, pm.pointwise().scaled(2 * limbs))
-                if not s.emit_ntt:
-                    total = _merge(total, pm.intt().scaled(2 * limbs))
+                parts = [(m.ntt(), 2 * limbs), (m.pointwise(), 2 * limbs)]
             elif s.kind == "mac":
                 terms = len(s.srcs)
-                total = _merge(total, pm.ntt().scaled(2 * terms * limbs))
-                total = _merge(
-                    total, pm.multiply_accumulate(terms).scaled(2)
-                )
-                if not s.emit_ntt:
-                    total = _merge(total, pm.intt().scaled(2 * limbs))
+                parts = [
+                    (m.ntt(), 2 * terms * limbs),
+                    (m.multiply_accumulate(terms), 2),
+                ]
             elif s.kind == "multiply":
-                relin = s.payload[0]
-                sm = scheme_model(s.level, relin.num_aux, relin.dnum)
-                total = _merge(total, sm.hmult())
+                # The tensor (four forward transforms, two pointwise
+                # products, a two-term MAC for the cross component, two
+                # inverses for the degree-0/1 outputs), then the
+                # relinearization: one more inverse for the degree-2
+                # input, the key switch and its two component adds.
+                parts = [
+                    (m.ntt(), 4 * limbs),
+                    (m.pointwise(), 2 * limbs),
+                    (m.multiply_accumulate(2), 1),
+                    (m.intt(), 3 * limbs),
+                    (m.ks_shared(key.num_aux, dnum=key.dnum), 1),
+                    (m.ks_finish(key.num_aux, dnum=key.dnum), 1),
+                    (m.add(), 2),
+                ]
             elif s.kind == "hoist":
                 switcher = s.payload[1]
-                sm = scheme_model(s.level, len(switcher.aux), switcher.dnum)
-                total = _merge(total, sm.ks_shared())
+                parts = [(m.ks_shared(len(switcher.aux), dnum=switcher.dnum), 1)]
             elif s.kind == "galois":
-                ksk = s.payload[1]
-                sm = scheme_model(s.level, ksk.num_aux, ksk.dnum)
-                total = _merge(total, sm.ks_finish())
-                total = _merge(total, pm.automorphism("ntt"))
-                total = _merge(total, pm.automorphism("coeff"))
-                total = _merge(total, pm.add())
+                # the finish, a free NTT-domain permutation of the
+                # hoisted digits, the coefficient-domain pass on c0 and
+                # the add of the switched part into it
+                parts = [
+                    (m.ks_finish(key.num_aux, dnum=key.dnum), 1),
+                    (m.automorphism("ntt"), 1),
+                    (m.automorphism("coeff"), 1),
+                    (m.add(), 1),
+                ]
             elif s.kind == "rescale":
-                total = _merge(total, pm.rescale().scaled(2))
+                parts = [(m.rescale(), 2)]
             # input steps are free
-            for _ in range(s.rescales):
-                total = _merge(total, poly_model(limbs).rescale().scaled(2))
-                limbs -= 1
+            if s.kind in ("multiply_plain", "mac") and not s.emit_ntt:
+                parts.append((m.intt(), 2 * limbs))
+            for level in range(limbs, limbs - s.rescales, -1):
+                parts.append((at(level).rescale(), 2))
+            for op, calls in parts:
+                total = _merge(total, op.scaled(calls))
         return total

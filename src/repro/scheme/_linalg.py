@@ -33,11 +33,13 @@ Scheduling — the parts that are not textbook:
   ``Delta^(bs*gs - g*bs - b)`` so every giant-step term lands at the
   common output scale ``Delta^(bs*gs)`` (the encoder's exact big-int
   path handles the huge constants).  The scale budget
-  ``bs*gs*log2(Delta)`` must fit under ``log2(Q) - 1``; a
-  :class:`ParameterError` names the shortfall otherwise.  The fast path
-  computes each power of ``x`` once through a balanced halving tree; the
-  naive composition re-derives the *same* tree for every monomial, so
-  the two stay bit-identical while the fast path wins on reuse.
+  (:func:`stack_budget`, which the ML level planner checks too):
+  ``bs*gs*log2(Delta)`` plus :data:`STACK_HEADROOM_BITS` must fit under
+  ``log2(Q) - 1``; a :class:`ParameterError` names the shortfall
+  otherwise.  The fast path computes each power of ``x`` once through a
+  balanced halving tree; the naive composition re-derives the *same*
+  tree for every monomial, so the two stay bit-identical while the fast
+  path wins on reuse.
 """
 
 from __future__ import annotations
@@ -55,15 +57,40 @@ from repro.scheme.evaluator import Evaluator, validate_rotations
 from repro.scheme.ops import MAC, materialize
 
 
-def bsgs_split(count: int) -> tuple[int, int]:
-    """Balanced ``(baby, giant)`` split with ``baby * giant >= count``."""
+#: bits of noise/rounding headroom a poly_eval scale stack keeps under Q/2
+STACK_HEADROOM_BITS = 8
+
+
+def bsgs_split(count: int, baby_steps: int | None = None) -> tuple[int, int]:
+    """``(baby, giant)`` split with ``baby * giant >= count``.
+
+    Balanced by default; ``baby_steps`` overrides the baby count.
+    """
     if count < 1:
         raise ParameterError(f"BSGS needs a positive term count, got {count}")
-    baby = math.isqrt(count)
-    if baby * baby < count:
-        baby += 1
-    giant = -(-count // baby)
-    return baby, giant
+    if baby_steps is None:
+        baby = math.isqrt(count)
+        if baby * baby < count:
+            baby += 1
+    else:
+        baby = int(baby_steps)
+        if baby < 1:
+            raise ParameterError(f"baby_steps must be >= 1, got {baby}")
+    return baby, -(-count // baby)
+
+
+def stack_budget(ct, coeffs: Sequence[float], stack: int) -> tuple[float, float]:
+    """``(need, have)`` in bits for stacking ``ct``'s scale ``stack``-fold.
+
+    ``need`` covers ``Delta^stack`` times the coefficient mass; ``have``
+    is ``log2(Q/2)`` of ``ct``'s *live* basis (after rescales the stack
+    must fit the remaining limbs, not the keygen-level Q) less
+    :data:`STACK_HEADROOM_BITS`.  The stack fits iff ``need <= have``.
+    """
+    need = stack * math.log2(ct.scale) + math.log2(
+        max(1.0, sum(abs(c) for c in coeffs))
+    )
+    return need, math.log2(ct.ctx.modulus) - 1 - STACK_HEADROOM_BITS
 
 
 class SlotLinalg:
@@ -128,11 +155,7 @@ class SlotLinalg:
     @staticmethod
     def matvec_rotations(dim: int, *, baby_steps: int | None = None) -> list[int]:
         """Rotation indices a ``dim``-slot matvec needs Galois keys for."""
-        bs, gs = (
-            bsgs_split(dim)
-            if baby_steps is None
-            else (baby_steps, -(-dim // baby_steps))
-        )
+        bs, gs = bsgs_split(dim, baby_steps)
         return list(range(1, bs)) + [g * bs for g in range(1, gs)]
 
     def _check_matrix(self, matrix) -> tuple[np.ndarray, int]:
@@ -158,11 +181,13 @@ class SlotLinalg:
         Bit-identical to :meth:`matvec_naive` by construction.
         """
         matrix, dim = self._check_matrix(matrix)
-        bs = bsgs_split(dim)[0] if baby_steps is None else int(baby_steps)
+        bs, gs = bsgs_split(dim, baby_steps)
         babies: dict[int, Ciphertext] = {0: ct}
         if bs > 1:
             babies.update(self.ev.rotate_hoisted(ct, list(range(1, bs))))
-        return self._matvec(ct, matrix, dim, bs, scale, babies.__getitem__, fused=True)
+        return self._matvec(
+            ct, matrix, dim, (bs, gs), scale, babies.__getitem__, fused=True
+        )
 
     def matvec_naive(
         self,
@@ -176,84 +201,30 @@ class SlotLinalg:
         plaintext multiply and one accumulate per matrix diagonal
         (the reference the benchmark times the fast path against)."""
         matrix, dim = self._check_matrix(matrix)
-        bs = bsgs_split(dim)[0] if baby_steps is None else int(baby_steps)
+        bs, gs = bsgs_split(dim, baby_steps)
 
         def baby(b: int) -> Ciphertext:
             return ct if b == 0 else self.ev.rotate(ct, b)
 
-        return self._matvec(ct, matrix, dim, bs, scale, baby, fused=False)
-
-    # -- compiled circuits --------------------------------------------------
-    def _trace(self):
-        """A tracer twin of this helper: same encoder, recording evaluator."""
-        from repro.scheme._circuit import CircuitTracer
-
-        tracer = CircuitTracer(self.ev)
-        return tracer, SlotLinalg(self.encoder, tracer)
-
-    def compile_matvec(
-        self,
-        matrix,
-        *,
-        input_scale: float,
-        baby_steps: int | None = None,
-        scale: float | None = None,
-    ):
-        """Compile the BSGS matvec into a reusable :class:`CircuitPlan`.
-
-        Traces the per-diagonal composition (:meth:`matvec_naive`) and
-        lets the planner rediscover the fast path — the hoisted baby
-        front and the fused inner MACs fall out of the generic hoist
-        grouping and MAC-fusion passes — so the plan is bit-identical to
-        both eager variants while also capturing every diagonal encoding
-        and key-switch schedule ahead of time.  ``plan.run(ct)`` then
-        applies the matrix to any ciphertext arriving at ``input_scale``.
-        """
-        tracer, traced_lin = self._trace()
-        x = tracer.input("x", scale=input_scale)
-        out = traced_lin.matvec_naive(
-            x, matrix, baby_steps=baby_steps, scale=scale
-        )
-        return tracer.compile(out)
-
-    def compile_poly_eval(
-        self,
-        coeffs: Sequence[float],
-        *,
-        input_scale: float,
-        baby_steps: int | None = None,
-    ):
-        """Compile BSGS polynomial evaluation into a :class:`CircuitPlan`.
-
-        The tracer's hash-consing plays the role of the eager power
-        cache — every power of ``x`` traces to one node no matter how
-        many terms use it — and the scale-stacked constant encodings are
-        captured (and NTT-prepared) once at compile time.
-        """
-        tracer, traced_lin = self._trace()
-        x = tracer.input("x", scale=input_scale)
-        out = traced_lin.poly_eval(x, coeffs, baby_steps=baby_steps)
-        return tracer.compile(out)
+        return self._matvec(ct, matrix, dim, (bs, gs), scale, baby, fused=False)
 
     def _matvec(
         self,
         ct: Ciphertext,
         matrix: np.ndarray,
         dim: int,
-        bs: int,
+        split: tuple[int, int],
         scale: float | None,
         baby: Callable[[int], Ciphertext],
         *,
         fused: bool,
     ) -> Ciphertext:
-        if bs < 1:
-            raise ParameterError(f"baby-step count must be >= 1, got {bs}")
+        bs, gs = split
         validate_rotations(
             self.matvec_rotations(dim, baby_steps=bs), dim, "matvec"
         )
         pt_scale = ct.scale if scale is None else float(scale)
         encoder = self._encoder_for(ct.ctx)
-        gs = -(-dim // bs)
         acc: Ciphertext | None = None
         for g in range(gs):
             terms: list[tuple[Ciphertext, Plaintext]] = []
@@ -333,11 +304,7 @@ class SlotLinalg:
                 "poly_eval needs a nonzero coefficient of degree >= 1 "
                 "(plain constants need no ciphertext)"
             )
-        bs, gs = (
-            bsgs_split(len(coeffs))
-            if baby_steps is None
-            else (int(baby_steps), -(-len(coeffs) // int(baby_steps)))
-        )
+        bs, gs = bsgs_split(len(coeffs), baby_steps)
         self._check_scale_budget(ct, coeffs, bs * gs)
         power = self._power_tree(ct, cached=cached)
         sc = ct.scale
@@ -410,23 +377,18 @@ class SlotLinalg:
             raise ParameterError(
                 f"poly_eval needs a scale > 1 to stack, got {ct.scale}"
             )
-        need = stack * math.log2(ct.scale) + math.log2(
-            max(1.0, sum(abs(c) for c in coeffs))
-        )
+        need, have = stack_budget(ct, coeffs, stack)
         if need > 960:
             raise ParameterError(
                 f"poly_eval scale stack needs ~{need:.0f} bits, beyond "
                 "float64 scale tracking; lower the degree or the scale"
             )
-        # Budget against the *operand's* live modulus: after rescales the
-        # stack must fit the remaining limbs, not the keygen-level Q.
-        have = math.log2(ct.ctx.modulus) - 1
-        if need + 8 > have:  # ~8 bits of noise/rounding headroom
+        if need > have:
             raise ParameterError(
                 f"poly_eval scale budget: Delta^{stack} plus coefficient "
-                f"mass needs ~{need:.0f}+8 bits but log2(Q/2) at level "
-                f"{ct.level} is only {have:.0f}; lower the degree, the "
-                "scale, or baby_steps"
+                f"mass needs ~{need:.0f} bits but level {ct.level} leaves "
+                f"{have:.0f} (log2(Q/2) less {STACK_HEADROOM_BITS} bits of "
+                "headroom); lower the degree, the scale, or baby_steps"
             )
 
     def _encode_constant(

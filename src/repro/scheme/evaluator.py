@@ -8,8 +8,9 @@ entries, which is what keeps them bit-identical to this eager path.
 
 Every operation is a composition of the priced polynomial kernels — the
 batched NTT, the fused hybrid key switch, exact rescaling, the Galois
-index-permutation passes — so :mod:`repro.scheme.cost` can price each op
-the way the paper's Table accounts for composite workloads.
+index-permutation passes — so a compiled plan prices each of its steps
+from the :class:`~repro.poly.cost.CostModel` kernel entries
+(:meth:`~repro.scheme._circuit.CircuitPlan.cost`).
 ``rotate_hoisted`` shares the ModUp + extended-NTT front of a Galois key
 switch across many rotation indices (Halevi–Shoup hoisting); hoisted and
 independent rotations are bit-identical by construction.

@@ -291,13 +291,6 @@ class KeyGenerator:
             self._galois[cache_key] = ksk
         return ksk
 
-    def rotation_key(self, rotation: int) -> KeySwitchKey:
-        """Galois key for a slot rotation by ``rotation``."""
-        return self.galois_key(galois_element(rotation, self.ctx.ring_degree))
-
-    def conjugation_key(self) -> KeySwitchKey:
-        return self.galois_key(conjugation_element(self.ctx.ring_degree))
-
     def galois_keys(
         self, rotations: Sequence[int] = (), *, conjugate: bool = False
     ) -> dict[int, KeySwitchKey]:

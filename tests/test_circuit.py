@@ -450,9 +450,16 @@ class TestCompiledLinalg:
         )
         return lin, ct, r.standard_normal((dim, dim)), sc
 
+    @staticmethod
+    def _compile(lin, build, scale):
+        """Trace ``build(traced_linalg, x)`` and compile it."""
+        tracer = CircuitTracer(lin.ev)
+        x = tracer.input("x", scale=scale)
+        return tracer.compile(build(SlotLinalg(lin.encoder, tracer), x))
+
     def test_compiled_matvec_matches_both_eager_paths(self):
         lin, ct, mat, sc = self._lin(16)
-        plan = lin.compile_matvec(mat, input_scale=sc)
+        plan = self._compile(lin, lambda t, x: t.matvec_naive(x, mat), sc)
         got = plan.run(ct)
         _assert_ct_equal(got, lin.matvec(ct, mat), "vs fused")
         _assert_ct_equal(got, lin.matvec_naive(ct, mat), "vs naive")
@@ -464,7 +471,7 @@ class TestCompiledLinalg:
     def test_compiled_poly_eval_matches_eager(self):
         lin, ct, _, sc = self._lin(16)
         coeffs = [0.5, -1.0, 0.25, 0.125]
-        plan = lin.compile_poly_eval(coeffs, input_scale=sc)
+        plan = self._compile(lin, lambda t, x: t.poly_eval(x, coeffs), sc)
         _assert_ct_equal(plan.run({"x": ct}), lin.poly_eval(ct, coeffs))
 
 

@@ -1,10 +1,14 @@
 """Cost-model validation: butterfly counts and Table-3 consistency."""
 
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.poly.cost import MODADD_INSTRS, CostModel, compare_methods
+from repro.poly.cost import MODADD_INSTRS, RAW64_INSTRS, CostModel
 from repro.rns.reduction import REDUCTION_COSTS
+from repro.scheme.ops import OPS
 
 
 def test_butterfly_count():
@@ -32,30 +36,15 @@ def test_shoup_pays_for_companions():
     """Table 3's 'many constants' drawback shows up in the model."""
     shoup = CostModel(64, 2, "shoup")
     smr = CostModel(64, 2, "smr")
-    assert shoup.ntt().twiddle_consts == 2 * smr.ntt().twiddle_consts
     assert shoup.pointwise().modmuls > smr.pointwise().modmuls
 
 
-def test_poly_multiply_scales_with_limbs():
-    one = CostModel(64, 1, "smr").poly_multiply()
-    four = CostModel(64, 4, "smr").poly_multiply()
-    assert four.modmuls == 4 * one.modmuls
-    assert four.modadds == 4 * one.modadds
-    # Each limb prime owns its twiddle tables: consts scale with limbs too.
-    assert four.twiddle_consts == 4 * one.twiddle_consts
-
-
-def test_shoup_intt_charges_scaling_companion():
-    """n^-1 needs its Shoup companion, like every other stored constant."""
-    shoup = CostModel(64, 2, "shoup")
-    smr = CostModel(64, 2, "smr")
-    assert shoup.intt().twiddle_consts - shoup.ntt().twiddle_consts == 2
-    assert smr.intt().twiddle_consts - smr.ntt().twiddle_consts == 1
-
-
 def test_smr_is_cheapest_end_to_end():
-    """Alg. 2's Table-3 win must survive aggregation to full multiplies."""
-    totals = compare_methods(4096, 25)
+    """Alg. 2's Table-3 win must survive aggregation to a whole circuit."""
+    totals = {
+        method: _plans(method)[0].cost().int32_instrs
+        for method in REDUCTION_COSTS
+    }
     assert totals["smr"] == min(totals.values())
     assert totals["smr"] < totals["barrett"]
 
@@ -65,17 +54,8 @@ def test_rescale_cost_counts_surviving_limbs():
     rescale = model.rescale()
     assert rescale.modmuls == 64 * 3
     assert rescale.modadds == 64 * 3
-    assert rescale.twiddle_consts == 3
     with pytest.raises(ParameterError):
         CostModel(64, 1, "smr").rescale()
-
-
-def test_table_renders_every_operation():
-    model = CostModel(64, 3, "smr")
-    text = model.table()
-    for op in ("ntt", "intt", "pointwise", "add", "poly_multiply", "rescale"):
-        assert op in text
-    assert "(-q, q)" in text  # SMR's Table-3 range in the header
 
 
 def test_validation():
@@ -85,56 +65,30 @@ def test_validation():
         CostModel(64, 2, "karatsuba")
 
 
-def test_context_exposes_cost_model(pool64):
-    from repro.poly.rns_poly import PolyContext
-
-    ctx = PolyContext.from_pool(pool64, num_terminal=1, num_main=2)
-    model = ctx.cost_model
-    assert model is ctx.cost_model  # cached
-    assert model.num_limbs == 3
-    assert model.method == "smr"
-    assert model.poly_multiply().int32_instrs > 0
-
-
 def test_scaled_opcost():
     op = CostModel(64, 2, "smr").ntt()
-    twice = op.scaled(2, "double-ntt")
-    assert twice.name == "double-ntt"
+    twice = op.scaled(2)
     assert twice.modmuls == 2 * op.modmuls
     assert twice.int32_instrs == 2 * op.int32_instrs
 
 
 def test_multiply_accumulate_pricing():
-    from repro.poly.cost import RAW64_INSTRS
-
     model = CostModel(64, 3, "smr")
     lanes = 64 * 3
     k = 8
     reduced = model.multiply_accumulate(k)
     assert reduced.modmuls == (k + 1) * lanes  # products + terminal fold
     assert reduced.raw_adds64 == k * lanes  # deferred folds ride raw adds
-    raw = model.multiply_accumulate(k, strategy="raw")
-    assert raw.modmuls == lanes  # one deferred reduce per lane
-    assert raw.raw_muls64 == k * lanes and raw.raw_adds64 == k * lanes
-    # §4.2's point: deferring the reductions beats reducing every term.
-    assert raw.int32_instrs < reduced.int32_instrs
     per_mul = REDUCTION_COSTS["smr"].total_instrs
     assert reduced.int32_instrs == (
         reduced.modmuls * per_mul + k * lanes * RAW64_INSTRS
     )
-    # raw needs SMR; bad inputs refused.
-    with pytest.raises(ParameterError):
-        CostModel(64, 3, "shoup").multiply_accumulate(2, strategy="raw")
     with pytest.raises(ParameterError):
         model.multiply_accumulate(0)
-    with pytest.raises(ParameterError):
-        model.multiply_accumulate(2, strategy="eager")
     # scaled() carries the raw 64-bit fields along.
-    twice = raw.scaled(2)
-    assert twice.raw_muls64 == 2 * raw.raw_muls64
-    assert twice.int32_instrs == 2 * raw.int32_instrs
-    # The rendered table includes the fused op.
-    assert "multiply_accumulate" in model.table()
+    twice = reduced.scaled(2)
+    assert twice.raw_adds64 == 2 * reduced.raw_adds64
+    assert twice.int32_instrs == 2 * reduced.int32_instrs
 
 
 # -- basis conversion / key switching pricing (PR 3) ------------------------
@@ -146,7 +100,6 @@ def test_basis_convert_formula():
     assert op.method == "shoup"
     assert op.modmuls == n * (4 + 4 * 3 + 3 + 3)
     assert op.raw_adds64 == n * (4 * 3 + 3)
-    assert op.twiddle_consts == 2 * 4 + 2 * 4 * 3 + 2 * 3
     assert op.int32_instrs > 0
     with pytest.raises(ParameterError):
         model.basis_convert(0, 3)
@@ -176,22 +129,21 @@ def test_mod_down_adds_combine_lanes():
 
 
 def test_key_switch_composite_pricing():
+    """The key switch prices as two halves split at the hoisting
+    boundary: the input-side shared front and the per-output finish."""
     model = CostModel(256, 8, "smr")
-    coeff = model.key_switch(3, dnum=2)
-    # Conversion sub-kernels ride along pre-priced (Shoup chains).
-    assert coeff.extra_int32 > 0
+    shared = model.ks_shared(3, dnum=2)
+    finish = model.ks_finish(3, dnum=2)
+    # ModUp / ModDown run Shoup chains: priced apart, carried as int32.
+    assert shared.method == finish.method == "smr"
+    assert shared.extra_int32 == model.mod_up(3, dnum=2).int32_instrs
+    assert finish.extra_int32 == 2 * model.mod_down(3).int32_instrs
     # scaled() carries the pre-priced component along.
-    assert coeff.scaled(2).extra_int32 == 2 * coeff.extra_int32
-    assert coeff.scaled(2).int32_instrs == 2 * coeff.int32_instrs
+    assert finish.scaled(2).extra_int32 == 2 * finish.extra_int32
+    assert finish.scaled(2).int32_instrs == 2 * finish.int32_instrs
 
 
-def test_table_renders_new_kernels():
-    text = CostModel(64, 3, "smr").table()
-    for op in ("basis_convert", "mod_up", "mod_down", "key_switch"):
-        assert op in text
-
-
-# -- automorphism + scheme-layer composite pricing (PR 4) -------------------
+# -- automorphism pricing ----------------------------------------------------
 def test_automorphism_pricing():
     model = CostModel(256, 4, "smr")
     coeff = model.automorphism("coeff")
@@ -204,63 +156,114 @@ def test_automorphism_pricing():
         model.automorphism("fourier")
 
 
-def test_scheme_ks_split_sums_to_key_switch():
-    """ks_shared + ks_finish is an accounting split of key_switch,
-    field for field — not a second cost model."""
-    from repro.poly.cost import _merge
-    from repro.scheme.cost import SchemeCostModel
+# -- compiled plans price themselves -----------------------------------------
+PLAN_COEFFS = (0.5, -1.0, 0.25, 0.125)
 
-    for method in ("barrett", "montgomery", "shoup", "smr"):
-        sc = SchemeCostModel(256, 6, 3, 2, method)
-        ks = sc.poly.key_switch(3, dnum=2)
-        split = _merge(sc.ks_shared(), sc.ks_finish())
-        for field in (
-            "modmuls",
-            "modadds",
-            "twiddle_consts",
-            "raw_muls64",
-            "raw_adds64",
-            "extra_int32",
-        ):
-            assert getattr(split, field) == getattr(ks, field), (
-                method,
-                field,
-            )
+#: int32 instructions per run of the three plans of _plans: the
+#: perfbench circuit at N=256 (16x16 matvec -> degree-3 poly -> rescale),
+#: the mixed program, and a product carrying two fused rescales
+PINNED_INT32 = {
+    "barrett": (21_172_224, 3_423_744, 3_114_496),
+    "montgomery": (19_274_752, 3_109_888, 2_831_872),
+    "shoup": (15_553_536, 2_519_040, 2_303_488),
+    "smr": (15_479_808, 2_482_176, 2_266_624),
+}
+
+
+@lru_cache(maxsize=None)
+def _context(method: str):
+    """N=256, L=12, K=5, dnum=3: the serve-mix shape, matvec keys."""
+    from repro import CkksContext
+
+    return CkksContext(
+        ring_degree=256,
+        num_main=11,
+        num_aux=5,
+        dnum=3,
+        seed=1,
+        method=method,
+        rotations=CkksContext.matvec_rotations(16),
+    )
+
+
+@lru_cache(maxsize=None)
+def _plans(method: str):
+    """Three compiled plans that together hold every step kind."""
+    cc = _context(method)
+    matrix = np.random.default_rng(0).uniform(-1.0, 1.0, (16, 16)) / 8
+    vector = np.linspace(-1.0, 1.0, 16)
+    circuit = cc.compile(
+        lambda p, x: p.rescale(p.poly_eval(p.matvec(x, matrix), PLAN_COEFFS))
+    )
+
+    def mixed(p, x):
+        sq = p.rescale(p.multiply(x, x))
+        lin = p.rescale(p.multiply_vector(x, vector))
+        return p.negate(p.sub(sq, lin))
+
+    def two_rescales(p, x):
+        return p.rescale(p.rescale(p.multiply(p.multiply_vector(x, vector), x)))
+
+    return circuit, cc.compile(mixed), cc.compile(two_rescales)
+
+
+def test_pinned_plans_hold_every_step_kind():
+    tags = [t for p in _plans("smr") for t in p.describe().split(" ; ")]
+    heads = {t.split("->")[0] for t in tags}
+    kinds = {h.split("~")[0].split("+")[0] for h in heads}
+    assert kinds == set(OPS) | {"input", "hoist"}
+    # both output domains of the plaintext products
+    assert {"mac", "mac~ntt", "multiply_plain", "multiply_plain~ntt"} <= heads
+    assert "multiply+rs2" in heads  # fused rescales, one level apart
+
+
+@pytest.mark.parametrize("method", ("barrett", "montgomery", "shoup", "smr"))
+def test_compiled_plan_pricing_is_pinned(method):
+    got = tuple(p.cost().int32_instrs for p in _plans(method))
+    assert got == PINNED_INT32[method]
 
 
 def test_hoisted_rotation_amortizes_the_shared_front():
-    from repro.scheme.cost import SchemeCostModel
+    """A hoist group pays the key switch's shared front once; each
+    rotation of the group adds only a finish, the Galois passes and
+    its add."""
+    cc = _context("shoup")
+    model = CostModel(256, 12, "shoup")
 
-    sc = SchemeCostModel(1024, 4, 2, 2, "shoup")
-    rotate = sc.rotate().int32_instrs
-    shared = sc.ks_shared().int32_instrs
-    for count in (2, 4, 8):
-        hoisted = sc.hoisted_rotate(count).int32_instrs
-        assert hoisted < count * rotate
-        # exactly (count - 1) shared fronts cheaper
-        assert hoisted == count * rotate - (count - 1) * shared
-    with pytest.raises(ParameterError):
-        sc.hoisted_rotate(0)
+    def rotations(count: int) -> int:
+        def build(p, x):
+            rotated = p.rotate_hoisted(x, list(range(1, count + 1)))
+            for k in range(1, count + 1):
+                x = p.add(x, rotated[k])
+            return x
+
+        return cc.compile(build).cost().int32_instrs
+
+    shared = model.ks_shared(5, dnum=3).int32_instrs
+    per_rotation = (
+        model.ks_finish(5, dnum=3).int32_instrs
+        + model.automorphism("coeff").int32_instrs
+        + 3 * model.add().int32_instrs  # the Galois step's add + one add step
+    )
+    for count in (1, 2, 3):
+        assert rotations(count) == shared + count * per_rotation
 
 
 def test_hmult_composite_exceeds_its_parts():
-    from repro.scheme.cost import SchemeCostModel
-
-    sc = SchemeCostModel(256, 4, 2, 2, "smr")
-    hmult = sc.hmult()
-    relin = sc.relinearize()
-    assert hmult.int32_instrs > relin.int32_instrs
-    assert relin.int32_instrs > sc.poly.key_switch(2, dnum=2).int32_instrs
-    assert sc.rescale().modmuls == 2 * sc.poly.rescale().modmuls
-
-
-def test_scheme_table_renders_composites():
-    from repro.scheme.cost import SchemeCostModel
-
-    text = SchemeCostModel(64, 3, 2, 2, "smr").table()
-    for op in ("relinearize", "hmult", "rotate", "hoisted_rotate"):
-        assert op in text
-    with pytest.raises(ParameterError):
-        SchemeCostModel(64, 3, 0, 2, "smr")
-    with pytest.raises(ParameterError):
-        SchemeCostModel(64, 3, 2, 9, "smr")
+    """A multiply step prices the tensor plus the whole relinearization
+    key switch; a fused rescale adds both components' rescale at the
+    step's level."""
+    cc = _context("smr")
+    model = CostModel(256, 12, "smr")
+    mult = cc.compile(lambda p, x: p.multiply(x, x))
+    fused = cc.compile(lambda p, x: p.rescale(p.multiply(x, x)))
+    assert "multiply+rs1" in fused.describe()
+    key_switch = (
+        model.ks_shared(5, dnum=3).int32_instrs
+        + model.ks_finish(5, dnum=3).int32_instrs
+    )
+    assert mult.cost().int32_instrs > key_switch
+    assert (
+        fused.cost().int32_instrs - mult.cost().int32_instrs
+        == 2 * model.rescale().int32_instrs
+    )

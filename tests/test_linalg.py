@@ -3,9 +3,8 @@
 The fast paths must be *bit-identical* to their naive per-diagonal /
 per-monomial compositions (the benchmark's acceptance bar, pinned here
 at test scale), decode to the plaintext-side oracle within slot
-precision, and be priced coherently by :class:`SchemeCostModel` (the
-fused composite strictly cheaper, >= 2x at the benchmark's matvec
-shape).
+precision, and run the schedule they claim (op counts pinned by
+instrumenting the evaluator).
 """
 
 from functools import lru_cache
@@ -21,7 +20,6 @@ from repro.scheme import (
     Evaluator,
     KeyGenerator,
     ReferenceEvaluator,
-    SchemeCostModel,
     bsgs_split,
 )
 from repro.scheme._linalg import SlotLinalg
@@ -74,6 +72,50 @@ def test_matvec_rotations_names_the_key_set():
     assert SlotLinalg.matvec_rotations(16) == [1, 2, 3, 4, 8, 12]
     assert SlotLinalg.matvec_rotations(16, baby_steps=8) == [1, 2, 3, 4, 5, 6, 7, 8]
     assert SlotLinalg.matvec_rotations(1) == []
+
+
+@lru_cache(maxsize=None)
+def _cc():
+    from repro import CkksContext
+
+    return CkksContext(
+        ring_degree=256,
+        num_main=3,
+        num_aux=4,
+        dnum=2,
+        seed=1,
+        rotations=CkksContext.matvec_rotations(DIM),
+    )
+
+
+#: every entry point that takes a baby_steps override
+BABY_STEP_ENTRIES = {
+    "bsgs_split": lambda cc, ct, m, bs: bsgs_split(DIM, baby_steps=bs),
+    "matvec_rotations": lambda cc, ct, m, bs: cc.matvec_rotations(DIM, baby_steps=bs),
+    "matvec": lambda cc, ct, m, bs: cc.matvec(ct, m, baby_steps=bs),
+    "matvec_naive": lambda cc, ct, m, bs: SlotLinalg(
+        cc.encoder, cc.evaluator
+    ).matvec_naive(ct, m, baby_steps=bs),
+    "compiled matvec": lambda cc, ct, m, bs: cc.compile(
+        lambda p, x: p.matvec(x, m, baby_steps=bs)
+    ),
+    "poly_eval": lambda cc, ct, m, bs: cc.poly_eval(
+        ct, [0.5, 1.0, 0.25], baby_steps=bs
+    ),
+    "compiled poly_eval": lambda cc, ct, m, bs: cc.compile(
+        lambda p, x: p.poly_eval(x, [0.5, 1.0, 0.25], baby_steps=bs)
+    ),
+}
+
+
+@pytest.mark.parametrize("baby_steps", (0, -1))
+@pytest.mark.parametrize("entry", sorted(BABY_STEP_ENTRIES))
+def test_baby_steps_below_one_rejected(entry, baby_steps):
+    cc = _cc()
+    z, m = _data(256)
+    ct = cc.encrypt(z, num_slots=DIM)
+    with pytest.raises(ParameterError, match="baby_steps must be >= 1"):
+        BABY_STEP_ENTRIES[entry](cc, ct, m, baby_steps)
 
 
 # -- matvec ----------------------------------------------------------------
@@ -213,34 +255,12 @@ def test_poly_eval_linear_and_errors():
         lin.poly_eval(big, [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
 
-# -- cost model ------------------------------------------------------------
-def test_cost_matvec_fused_beats_naive_by_2x_at_bench_shape():
-    sc = SchemeCostModel(4096, 12, 4, 3, "shoup")
-    for dim in (16, 64):
-        fast = sc.matvec(dim).int32_instrs
-        naive = sc.matvec_naive(dim).int32_instrs
-        assert fast < naive
-        if dim == 64:
-            assert naive >= 2 * fast  # the benchmark acceptance shape
-    assert sc.matvec(16, baby_steps=8).int32_instrs != sc.matvec(16).int32_instrs
-
-
-def test_cost_poly_eval_caching_never_loses():
-    sc = SchemeCostModel(1024, 8, 3, 2, "smr")
-    for deg in (1, 2, 3, 7, 15):
-        fast = sc.poly_eval(deg).int32_instrs
-        naive = sc.poly_eval_naive(deg).int32_instrs
-        assert fast <= naive
-    assert sc.poly_eval_naive(7).int32_instrs > sc.poly_eval(7).int32_instrs
-
-
-def test_cost_poly_eval_schedule_matches_implementation():
-    """The model walks the implementation's exact op sequence —
-    (hmults, plaintext mults, ciphertext adds) pinned against
-    instrumented SlotLinalg runs, including the bare-giant case
+# -- schedules -------------------------------------------------------------
+def test_poly_eval_op_counts():
+    """(hmults, plaintext mults, ciphertext adds) of instrumented
+    poly_eval / poly_eval_naive runs, including the bare-giant case
     (degree 6: the last block holds only c6, which rides
     multiply_plain(x^6, const), not an hmult)."""
-    sc = SchemeCostModel(256, 4, 2, 2, "smr")
     n = 256
     ctx, keygen, enc, lin = _setup(n, "smr")
     z, _ = _data(n)
@@ -249,9 +269,6 @@ def test_cost_poly_eval_schedule_matches_implementation():
         (6, (4, 5, 4), (10, 5, 4)),  # the bare-giant shape
         (7, (5, 5, 4), (11, 5, 4)),
     ):
-        bs, gs = bsgs_split(deg + 1)
-        assert sc._poly_eval_schedule(deg + 1, bs, gs, True) == expect_fast
-        assert sc._poly_eval_schedule(deg + 1, bs, gs, False) == expect_naive
         ct = _encrypt(lin, keygen, z, scale=2.0**9)
         coeffs = [0.1 * (k + 1) for k in range(deg + 1)]
         counts = [0, 0, 0]
@@ -270,20 +287,10 @@ def test_cost_poly_eval_schedule_matches_implementation():
         )
         try:
             lin.poly_eval(ct, coeffs)
+            fast = tuple(counts)
+            counts[:] = [0, 0, 0]
+            lin.poly_eval_naive(ct, coeffs)
         finally:
             ev.multiply, ev.multiply_plain, ev.add = originals
-        assert tuple(counts) == expect_fast, deg
-
-
-def test_cost_multiply_plain_and_table():
-    sc = SchemeCostModel(256, 4, 2, 2, "smr")
-    assert sc.multiply_plain().int32_instrs < sc.hmult().int32_instrs
-    text = sc.table()
-    for op in ("multiply_plain", "matvec", "matvec_naive", "poly_eval"):
-        assert op in text
-    with pytest.raises(ParameterError):
-        sc.matvec(0)
-    with pytest.raises(ParameterError):
-        sc.poly_eval(0)
-    with pytest.raises(ParameterError):
-        sc.matvec(16, baby_steps=0)
+        assert fast == expect_fast, deg
+        assert tuple(counts) == expect_naive, deg
