@@ -1,7 +1,9 @@
 /* Compiled backend tier: the four Table-3 butterfly stage-kernel
- * families (Barrett / Montgomery / Shoup / SMR) and the CRT tensor pass
- * of fast basis conversion, as plain C over the same precomputed tables
- * the numpy kernels use.
+ * families (Barrett / Montgomery / Shoup / SMR), the lazy
+ * product-accumulate and fold of the key-switch inner product (one
+ * kernel per reducer), the CRT tensor pass of fast basis conversion and
+ * ModDown's combine step, as plain C over the same precomputed tables
+ * and reducer constants the numpy kernels use.
  *
  * Bit-exactness contract: every transform output is the *canonical
  * exact* negacyclic NTT (or inverse) over the same bit-reversed twiddle
@@ -11,7 +13,10 @@
  * stage invariants nevertheless mirror the numpy kernels exactly
  * (canonical [0, q) state for the Shoup / Montgomery / SMR families,
  * Harvey 2q-lazy [0, 2q) state for Barrett) so that checked mode
- * asserts the very same certified per-stage bounds.
+ * asserts the very same certified per-stage bounds.  The lazy
+ * product-accumulate and the ModDown combine go further: they replay
+ * the numpy reducers' 64-bit wrapping arithmetic step for step, so even
+ * the unfolded accumulator state matches the numpy tier bit for bit.
  *
  * Checked mode: with `bound` non-NULL, each (limb, stage) pass scans
  * the live row against bound[limb] — the caller passes the engine's
@@ -20,7 +25,9 @@
  * violation stops the transform and reports {value, stage m (0 = the
  * n^-1 scale), limb, coefficient} through `err`, and the function
  * returns 1.  The Python wrapper raises SanitizerError from that
- * tuple.
+ * tuple.  The accumulator, converter and combine kernels carry no
+ * checks: under checked mode their Python wrappers decline and the
+ * instrumented numpy path runs instead.
  *
  * Layout: data is one contiguous (L, n) row-major matrix; twiddle
  * tables are contiguous (L, n) in the backend-prepared dtype; per-limb
@@ -454,4 +461,137 @@ EXPORT int crt_scale(const uint64_t *x, const uint64_t *w,
         }
     }
     return 0;
+}
+
+/* -- lazy product-accumulate and fold (§4.2) --------------------------
+ * acc[l, k] += reduce(a[l, perm ? perm[k] : k] * b[l, k]) with one
+ * Table-3 reducer's term, formed with exactly the numpy reducer's
+ * 64-bit wrapping steps: [0, 2q) for Barrett / Montgomery / Shoup (no
+ * final fold), (-q, q) for SMR.  The accumulator state therefore
+ * matches the numpy tier bit for bit, and the Python bound tracker's
+ * per-term charge describes this kernel as exactly as the numpy one.
+ * The SMR accumulator is int64; it is added as uint64 so overflow wraps
+ * like numpy instead of being undefined.  `perm` (NULL, or n indices in
+ * [0, n) that the caller has checked) is the hoisted key switch's
+ * NTT-domain slot gather, fused into the operand load.  `c` is the
+ * reducer's per-limb constant: Barrett's mu, Montgomery's -q^-1 mod
+ * 2^32, SMR's signed m (as its 64-bit pattern); Shoup takes the
+ * per-element companions `bsh` instead. */
+
+static inline uint64_t term_barrett(uint64_t a, uint64_t b, uint64_t bsh,
+                                    uint64_t q, uint64_t mu) {
+    (void)bsh;
+    return barrett_mul(a, b, q, 2 * q, mu >> 32, mu & 0xffffffffu);
+}
+
+static inline uint64_t term_montgomery(uint64_t a, uint64_t b, uint64_t bsh,
+                                       uint64_t q, uint64_t qinv_neg) {
+    (void)bsh;
+    uint64_t x = a * b;
+    uint64_t m = ((x & 0xffffffffu) * qinv_neg) & 0xffffffffu;
+    return (x + m * q) >> 32;
+}
+
+static inline uint64_t term_shoup(uint64_t a, uint64_t b, uint64_t bsh,
+                                  uint64_t q, uint64_t unused) {
+    (void)unused;
+    uint64_t hi = ((a & 0xffffffffu) * (bsh & 0xffffffffu)) >> 32;
+    return (a * b - hi * q) & 0xffffffffu;
+}
+
+static inline uint64_t term_smr(uint64_t a, uint64_t b, uint64_t bsh,
+                                uint64_t q, uint64_t m) {
+    (void)bsh;
+    int64_t x = (int64_t)(a * b);
+    int32_t z = (int32_t)((uint32_t)x * (uint32_t)m); /* signed mullo32 */
+    int64_t hi = ((int64_t)z * (int64_t)q) >> 32;     /* signed mulhi32 */
+    return (uint64_t)((x >> 32) - hi);
+}
+
+#define LAZY_MAC(NAME, TERM)                                                 \
+    EXPORT void NAME(uint64_t *acc, const uint64_t *a, const uint64_t *b,    \
+                     const uint64_t *bsh, const int64_t *perm,               \
+                     const uint64_t *q, const uint64_t *c, int64_t L,        \
+                     int64_t n) {                                            \
+        for (int64_t l = 0; l < L; ++l) {                                    \
+            uint64_t ql = q[l], cl = c ? c[l] : 0;                           \
+            uint64_t *accl = acc + l * n;                                    \
+            const uint64_t *al = a + l * n, *bl = b + l * n;                 \
+            const uint64_t *shl = bsh ? bsh + l * n : bl;                    \
+            if (perm)                                                        \
+                for (int64_t k = 0; k < n; ++k)                              \
+                    accl[k] += TERM(al[perm[k]], bl[k], shl[k], ql, cl);     \
+            else                                                             \
+                for (int64_t k = 0; k < n; ++k)                              \
+                    accl[k] += TERM(al[k], bl[k], shl[k], ql, cl);           \
+        }                                                                    \
+    }
+
+LAZY_MAC(lazy_mac_barrett, term_barrett)
+LAZY_MAC(lazy_mac_montgomery, term_montgomery)
+LAZY_MAC(lazy_mac_shoup, term_shoup)
+LAZY_MAC(lazy_mac_smr, term_smr)
+
+/* s mod q through mu = floor(2^64 / q): the estimate floor(s*mu / 2^64)
+ * undershoots floor(s / q) by at most one (s < 2^64, 2^64 mod q < q), so
+ * the remainder lands in [0, 2q) and one conditional subtract finishes
+ * the exact canonical residue. */
+static inline uint64_t fold_word(uint64_t s, uint64_t q, uint64_t mu) {
+    uint64_t qh = (uint64_t)(((unsigned __int128)s * mu) >> 64);
+    uint64_t r = s - qh * q;
+    return r >= q ? r - q : r;
+}
+
+EXPORT void lazy_fold_unsigned(const uint64_t *acc, const uint64_t *q,
+                               const uint64_t *mu, int64_t L, int64_t n,
+                               uint64_t *out) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l], mul = mu[l];
+        const uint64_t *accl = acc + l * n;
+        uint64_t *ol = out + l * n;
+        for (int64_t k = 0; k < n; ++k) ol[k] = fold_word(accl[k], ql, mul);
+    }
+}
+
+/* Floor-mod of the signed (SMR) accumulator, like numpy's int64 `%`:
+ * fold |v|, then mirror a nonzero remainder of a negative v. */
+EXPORT void lazy_fold_signed(const int64_t *acc, const uint64_t *q,
+                             const uint64_t *mu, int64_t L, int64_t n,
+                             uint64_t *out) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l], mul = mu[l];
+        const int64_t *accl = acc + l * n;
+        uint64_t *ol = out + l * n;
+        for (int64_t k = 0; k < n; ++k) {
+            int64_t v = accl[k];
+            uint64_t mag = v < 0 ? -(uint64_t)v : (uint64_t)v;
+            uint64_t r = fold_word(mag, ql, mul);
+            ol[k] = (v < 0 && r) ? ql - r : r;
+        }
+    }
+}
+
+/* -- ModDown combine ----------------------------------------------------
+ * out = (x - conv) * P^-1 mod q_l: the canonical difference, then one
+ * Shoup multiply by the cached P^-1 with its companion — the numpy
+ * chain's twelve passes as one loop, same uint64 wrapping steps. */
+
+EXPORT void moddown_combine(const uint64_t *x, const uint64_t *conv,
+                            const uint64_t *w, const uint64_t *wsh,
+                            const uint64_t *q, int64_t L, int64_t n,
+                            uint64_t *out) {
+    for (int64_t l = 0; l < L; ++l) {
+        uint64_t ql = q[l], wl = w[l], wshl = wsh[l];
+        const uint64_t *xl = x + l * n, *cl = conv + l * n;
+        uint64_t *ol = out + l * n;
+        for (int64_t k = 0; k < n; ++k) {
+            uint64_t s = ql - cl[k] + xl[k]; /* in (0, 2q) */
+            uint64_t t = s - ql;
+            s = s < t ? s : t; /* canonical difference */
+            uint64_t hi = (s * wshl) >> 32;
+            uint64_t r = (s * wl - hi * ql) & 0xffffffffu; /* [0, 2q) */
+            t = r - ql;
+            ol[k] = r < t ? r : t;
+        }
+    }
 }

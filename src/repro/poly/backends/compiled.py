@@ -1,10 +1,12 @@
-"""Compiled backend tier: ctypes-loaded C stage kernels and CRT pass.
+"""Compiled backend tier: ctypes-loaded C kernels.
 
 The C source (``_kernels.c``, shipped next to this module) implements
-the four Table-3 butterfly stage-kernel families and the basis-conversion
-CRT tensor pass over exactly the tables the numpy kernels use, so the
-outputs are bit-identical by the canonical-exactness argument in the
-package docstring.  The shared library is built lazily on first use with
+the four Table-3 butterfly stage-kernel families, the lazy
+product-accumulate and fold for all four reducers, the basis-conversion
+CRT tensor pass and ModDown's combine step over exactly the tables and
+reducer constants the numpy kernels use, so the outputs are
+bit-identical by the canonical-exactness argument in the package
+docstring.  The shared library is built lazily on first use with
 whatever C compiler is around (``$CC``, else ``cc``/``gcc``/``clang``)
 and cached by source hash under ``$REPRO_KERNEL_CACHE`` (default: a
 per-user directory in the system tempdir), so one build serves every
@@ -15,14 +17,15 @@ warns once per process with :class:`~repro.poly.backends.
 BackendFallbackWarning` and every subsequent call silently uses the
 numpy tier.  ``_reset()`` clears that latch for tests.
 
-Checked mode runs *inside* the C kernels: each (limb, stage) pass
+Checked mode runs *inside* the C NTT kernels: each (limb, stage) pass
 re-scans the live row against the certified stage bound (canonical
 ``q-1`` for the Shoup / Montgomery / SMR families, Harvey-lazy ``2q-1``
 for Barrett) and a violation surfaces as the same
 :class:`~repro.errors.SanitizerError` shape the numpy kernels raise.
-The converter is the one exception: under ``checked`` it falls through
-to the numpy path so the LazyAccumulator's fold-soundness
-instrumentation (not just the output bound) stays active.
+The accumulator, the converter and ModDown's combine are the
+exceptions: under ``checked`` they decline, so the numpy path runs with
+the LazyAccumulator's fold-soundness instrumentation (not just the
+output bound) engaged.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import shutil
 import subprocess
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +45,32 @@ import numpy as np
 from repro.errors import SanitizerError
 from repro.poly.backends import BackendFallbackWarning
 from repro.poly.ntt import _range_error
+from repro.rns.reduction import (
+    BarrettReducer,
+    MontgomeryReducer,
+    ShoupReducer,
+    SignedMontgomeryReducer,
+)
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
+
+#: lazy product kernel per reducer, and the per-limb reducer constant it
+#: takes (Shoup needs per-element companions instead)
+_LAZY_KERNELS = {
+    BarrettReducer: ("lazy_mac_barrett", "mu"),
+    MontgomeryReducer: ("lazy_mac_montgomery", "q_inv_neg"),
+    ShoupReducer: ("lazy_mac_shoup", None),
+    SignedMontgomeryReducer: ("lazy_mac_smr", "m"),
+}
+
+_VP, _I64 = ctypes.c_void_p, ctypes.c_int64
+#: argument types of the accumulator and combine kernels (all return void)
+_SIGNATURES = {
+    **{name: [_VP] * 7 + [_I64, _I64] for name, _ in _LAZY_KERNELS.values()},
+    "lazy_fold_unsigned": [_VP] * 3 + [_I64, _I64, _VP],
+    "lazy_fold_signed": [_VP] * 3 + [_I64, _I64, _VP],
+    "moddown_combine": [_VP] * 5 + [_I64, _I64, _VP],
+}
 
 _LIB: ctypes.CDLL | None = None
 _FAILED = False
@@ -114,7 +142,11 @@ def get_lib() -> ctypes.CDLL | None:
     if _FAILED:
         return None
     try:
-        _LIB = ctypes.CDLL(str(_build_lib()))
+        lib = ctypes.CDLL(str(_build_lib()))
+        for name, argtypes in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, None
+        _LIB = lib
     except Exception as exc:  # noqa: BLE001 - any build/load failure degrades
         _FAILED = True
         _LIB = None
@@ -136,6 +168,25 @@ def _c(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+def _ptr_or_null(a: np.ndarray | None) -> ctypes.c_void_p:
+    return ctypes.c_void_p(None) if a is None else _ptr(a)
+
+
+def _words(x, shape: tuple[int, ...]) -> bool:
+    """``x`` is a contiguous array of 64-bit integers shaped ``shape``.
+
+    Signed and unsigned words are equally good: the numpy reducers cast
+    either way with the same bits, and so do the C kernels.
+    """
+    return (
+        isinstance(x, np.ndarray)
+        and x.shape == shape
+        and x.dtype.kind in "iu"
+        and x.dtype.itemsize == 8
+        and x.flags.c_contiguous
+    )
+
+
 class CompiledNtt:
     """C-kernel implementation bound to one :class:`BatchNTT` engine.
 
@@ -154,6 +205,7 @@ class CompiledNtt:
         q64 = np.array(engine.primes, dtype=np.uint64)
         self._q_col = q64.reshape(-1, 1)
         self._err = np.zeros(4, dtype=np.uint64)
+        self._products = None  # pointwise accumulator, built on first use
         method = engine.method
         fwd, inv, ninv = engine._fwd, engine._inv, engine._n_inv
         if method == "barrett":
@@ -250,6 +302,26 @@ class CompiledNtt:
     def inverse(self, a_hat, out=None):
         return self._transform(a_hat, self._inv_call, "inverse", out)
 
+    def pointwise(self, a_hat, prepared):
+        """NTT-domain product through the lazy product kernel: one term
+        into a zeroed accumulator, then its fold (canonical residues)."""
+        from repro.poly.lazy import LazyAccumulator
+
+        a = np.asarray(a_hat, dtype=np.uint64)
+        if a.size and np.any(a >= self._q_col):
+            raise _range_error(a, self._q_col)
+        if self._products is None:
+            self._products = LazyAccumulator(
+                self.engine.backend.red, (self.num_limbs, self.n),
+                checked=self.engine.checked, backend="compiled",
+            )
+        acc = self._products
+        acc.reset()
+        acc.accumulate_product(
+            a, prepared[0], b_shoup=prepared[1] if len(prepared) > 1 else None
+        )
+        return acc.fold()
+
 
 class CompiledConvert:
     """C CRT tensor pass bound to one :class:`BasisConverter`.
@@ -325,6 +397,107 @@ class CompiledConvert:
         )
         return out
 
+    def combine_core(self, x_base, conv, w, w_sh, out):
+        """ModDown's combine ``out = (x_base - conv) * w mod p`` in one C
+        loop over the converter's target basis; ``w`` / ``w_sh`` are the
+        per-limb ``P^-1`` and its Shoup companion.  Declines like
+        :meth:`convert_core`."""
+        if self.converter.checked:
+            return None
+        shape = (len(self.converter.dst), self.converter.n)
+        if not all(
+            _words(x, shape) and x.dtype == np.uint64 for x in (x_base, conv, out)
+        ) or not all(_words(c, (shape[0], 1)) for c in (w, w_sh)):
+            return None
+        self.lib.moddown_combine(
+            _ptr(x_base),
+            _ptr(conv),
+            _ptr(w),
+            _ptr(w_sh),
+            _ptr(self._p),
+            ctypes.c_int64(shape[0]),
+            ctypes.c_int64(shape[1]),
+            _ptr(out),
+        )
+        return out
+
+
+class CompiledLazy:
+    """C product-accumulate and fold bound to one :class:`LazyAccumulator`.
+
+    :meth:`product` validates one ``accumulate_product`` call and returns
+    the ready C call (the accumulator charges its bound tracker before
+    running it, so an overflow raises before anything is written), or
+    ``None`` to decline; :meth:`fold` folds into ``out`` or declines.
+    Both decline under checked mode, for the ``raw`` strategy, and for
+    operands that are not contiguous ``(L, N)`` 64-bit words (scalars,
+    broadcast rows, strided views), non-``int64`` or out-of-range
+    permutations, and operands that overlap the accumulator.
+    """
+
+    def __init__(self, acc, lib: ctypes.CDLL) -> None:
+        self.acc = acc
+        red = acc.reducer
+        self.shape = acc.acc.shape
+        name, const = _LAZY_KERNELS[type(red)]
+        self._mac = getattr(lib, name)
+        self._fold = lib.lazy_fold_signed if acc.signed else lib.lazy_fold_unsigned
+        self._shoup = const is None
+        # The store and the constants live as long as this impl, so their
+        # addresses are taken once (a swapped-out store declines).
+        self._store = acc.acc
+        self._q = _c(np.array(red.q_ints, dtype=np.uint64))
+        self._mu = _c(np.array([(1 << 64) // q for q in red.q_ints], np.uint64))
+        self._const = (
+            None
+            if const is None
+            else _c(np.asarray(getattr(red, const)).reshape(-1)).view(np.uint64)
+        )
+        dims = (ctypes.c_int64(self.shape[0]), ctypes.c_int64(self.shape[1]))
+        self._store_ptr = _ptr(self._store)
+        self._fold_args = (self._store_ptr, _ptr(self._q), _ptr(self._mu), *dims)
+        self._mac_tail = (_ptr(self._q), _ptr_or_null(self._const), *dims)
+
+    def _declines(self) -> bool:
+        acc = self.acc
+        return acc.checked or acc.strategy != "reduced" or acc.acc is not self._store
+
+    def product(self, a, b, b_shoup, perm):
+        if self._declines():
+            return None
+        operands = (a, b) if not self._shoup else (a, b, b_shoup)
+        if not all(
+            _words(x, self.shape) and not np.may_share_memory(x, self._store)
+            for x in operands
+        ):
+            return None
+        if perm is not None:
+            n = self.shape[1]
+            if not (
+                isinstance(perm, np.ndarray)
+                and perm.shape == (n,)
+                and perm.dtype == np.int64
+                and perm.flags.c_contiguous
+                and int(perm.min()) >= 0
+                and int(perm.max()) < n
+            ):
+                return None
+        return partial(
+            self._mac,
+            self._store_ptr,
+            _ptr(a),
+            _ptr(b),
+            _ptr_or_null(b_shoup if self._shoup else None),
+            _ptr_or_null(perm),
+            *self._mac_tail,
+        )
+
+    def fold(self, out):
+        if self._declines() or not (_words(out, self.shape) and out.dtype == np.uint64):
+            return None
+        self._fold(*self._fold_args, _ptr(out))
+        return out
+
 
 def make_compiled_ntt(engine):
     lib = get_lib()
@@ -334,3 +507,19 @@ def make_compiled_ntt(engine):
 def make_compiled_convert(converter):
     lib = get_lib()
     return None if lib is None else CompiledConvert(converter, lib)
+
+
+def make_compiled_lazy(acc):
+    """A :class:`CompiledLazy` for ``acc``, or ``None`` when the library
+    is absent or ``acc`` is not one ``(L, N)`` limb matrix over a batched
+    reducer with one modulus per row (the shape every caller uses)."""
+    red = acc.reducer
+    if not (
+        acc.acc.ndim == 2
+        and getattr(red, "batched", False)
+        and len(red.q_ints) == acc.acc.shape[0]
+        and type(red) in _LAZY_KERNELS
+    ):
+        return None
+    lib = get_lib()
+    return None if lib is None else CompiledLazy(acc, lib)

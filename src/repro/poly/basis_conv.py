@@ -36,7 +36,9 @@ On top of the converter sit the key-switching kernels:
   NTT-domain operand adds one ``L``-row inverse unless it carries a
   cached coefficient twin.  The hoisted variant shares the front across
   rotations and the same finish.  All intermediates live in persistent
-  per-switcher scratch buffers.
+  per-switcher scratch buffers.  On the compiled tier the MAC (with a
+  rotation's slot gather fused into it), the fold and ModDown's combine
+  are one C call each.
 
 Domain/representative conventions: conversion acts on the *canonical*
 representative ``X in [0, Q)`` of the CRT reconstruction, and ModDown
@@ -154,7 +156,7 @@ class BasisConverter:
         self.reducer = ShoupReducer(self.dst)
         self._acc = LazyAccumulator(
             self.reducer, (l_out, self.n), strategy="reduced",
-            checked=self.checked,
+            checked=self.checked, backend=self.backend_tier,
         )
         #: worst-case |term| of one summed cross-product row (see fold)
         self._row_bound = l_in * (2 * max(self.dst) - 1)
@@ -352,7 +354,10 @@ class ModDown:
     convert the P-part residues back onto Q, subtract, and scale by the
     cached ``P^-1 mod q_i`` — the key-switching counterpart of
     ``exact_rescale`` (which divides by one limb; this divides by the
-    whole P-part in one pass).
+    whole P-part in one pass).  Both steps dispatch through the
+    converter's tier impl: the conversion, and :meth:`combine` as one C
+    loop on the compiled tier (declined under checked mode, like the
+    converter).
     """
 
     def __init__(
@@ -388,6 +393,25 @@ class ModDown:
         self, x_base: np.ndarray, conv: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         """``out = (x_base - conv) * P^-1 mod q`` on ``(L, N)`` rows."""
+        q = self._q
+        impl = self.converter._tier_impl()
+        res = (
+            None
+            if impl is None
+            else impl.combine_core(x_base, conv, self._pinv, self._pinv_sh, out)
+        )
+        if res is None:
+            self._combine_numpy(x_base, conv, out)
+        if self.checked:
+            assert_within(
+                out, q - np.uint64(1),
+                kernel="ModDown", stage="combine output",
+            )
+        return out
+
+    def _combine_numpy(
+        self, x_base: np.ndarray, conv: np.ndarray, out: np.ndarray
+    ) -> None:
         s1, s2 = self._s1, self._s2
         q = self._q
         np.subtract(q, conv, out=s1)  # q - conv in (0, q]
@@ -402,12 +426,6 @@ class ModDown:
         np.bitwise_and(s1, _U32, out=s1)  # in [0, 2q)
         np.subtract(s1, q, out=s2)
         np.minimum(s1, s2, out=out)
-        if self.checked:
-            assert_within(
-                out, q - np.uint64(1),
-                kernel="ModDown", stage="combine output",
-            )
-        return out
 
     def apply(self, x_ext: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Coefficient-domain ModDown of an ``(L+K, N)`` limb matrix."""
@@ -495,10 +513,11 @@ class KeySwitcher:
     :class:`ModUp` per digit, the :class:`ModDown`, the extended-basis
     batched NTT (twiddle tables shared with the base context via
     ``BatchNTT.extend``), two :class:`~repro.poly.lazy.LazyAccumulator`
-    halves, and all transform scratch — so every stage of a steady-state
-    switch writes into reusable buffers (the reducer-level temporaries
-    inside the MAC and the two output polynomials are the only fresh
-    arrays).
+    halves on the context's tier, and all transform scratch — so every
+    stage of a steady-state switch writes into reusable buffers (the
+    numpy tier's reducer-level temporaries inside the MAC and the two
+    output polynomials are the only fresh arrays).  On the compiled tier
+    the MAC, the fold and ModDown's combine are one C call each.
 
     :meth:`run` (one key switch) and :meth:`run_hoisted` (one key against
     a shared :meth:`hoist` front) differ only in where the NTT-domain
@@ -533,16 +552,17 @@ class KeySwitcher:
         self._ahat = np.empty(ext_shape, np.uint64)
         self._c = (np.empty(ext_shape, np.uint64),
                    np.empty(ext_shape, np.uint64))
-        self._signed = ctx.method == "smr"
-        self._lanes = (np.empty(ext_shape, np.int64) if self._signed else None)
 
     @cached_property
     def _accs(self) -> tuple[LazyAccumulator, LazyAccumulator]:
         red = self.ext_ctx.batch_ntt.backend.red
         shape = (self.num_ext, self.ctx.ring_degree)
-        return (
-            LazyAccumulator(red, shape, strategy="reduced", checked=self.checked),
-            LazyAccumulator(red, shape, strategy="reduced", checked=self.checked),
+        return tuple(
+            LazyAccumulator(
+                red, shape, strategy="reduced",
+                checked=self.checked, backend=self.backend,
+            )
+            for _ in range(2)
         )
 
     def run(self, poly, ksk: KeySwitchKey):
@@ -611,9 +631,11 @@ class KeySwitcher:
 
         ``perm``, when given, is an NTT-domain slot gather (e.g.
         ``automorphism_tables(N, k)[2]``) applied to every digit row
-        before the MAC — the only per-rotation work ahead of the output
-        transforms.  Returns the coefficient-domain ``(c0, c1)`` pair
-        (rotations are followed by adds/rescales, which want coeff).
+        inside the MAC (the product call gathers its operand; the
+        compiled tier fuses the gather into the product kernel) — the
+        only per-rotation work ahead of the output transforms.  Returns
+        the coefficient-domain ``(c0, c1)`` pair (rotations are followed
+        by adds/rescales, which want coeff).
 
         A single rotation *is* ``run_hoisted(hoist(c1), ksk, perm=...)``
         — the production rotate path executes exactly this — so hoisted
@@ -628,11 +650,7 @@ class KeySwitcher:
         for acc in self._accs:
             acc.reset()
         for d in range(self.dnum):
-            if perm is None:
-                a_hat = hoisted[d]
-            else:
-                a_hat = np.take(hoisted[d], perm, axis=1, out=self._ahat)
-            self._mac(a_hat, ksk, d)
+            self._mac(hoisted[d], ksk, d, perm)
         return self._finish()
 
     # -- the shared back half ----------------------------------------------
@@ -647,20 +665,21 @@ class KeySwitcher:
                 "(basis, dnum) configuration"
             )
 
-    def _mac(self, a_hat: np.ndarray, ksk: KeySwitchKey, d: int) -> None:
+    def _mac(
+        self,
+        a_hat: np.ndarray,
+        ksk: KeySwitchKey,
+        d: int,
+        perm: np.ndarray | None = None,
+    ) -> None:
         """Accumulate digit ``d``'s two products into the c0/c1 halves."""
         shoup = self.ctx.method == "shoup"
-        if self._signed:
-            np.copyto(self._lanes, a_hat)
-            lanes = self._lanes
-        else:
-            lanes = a_hat
         for acc, key in zip(self._accs, ksk.pairs[d]):
             parts = key.prepared_operand()
-            if shoup:
-                acc.accumulate_product(lanes, parts[0], b_shoup=parts[1])
-            else:
-                acc.accumulate_product(lanes, parts[0])
+            acc.accumulate_product(
+                a_hat, parts[0],
+                b_shoup=parts[1] if shoup else None, perm=perm,
+            )
 
     def _finish(self):
         """Fold both halves, inverse-transform them over ``Q ∪ P`` and

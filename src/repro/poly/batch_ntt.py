@@ -179,10 +179,15 @@ class BatchNTT:
         An unavailable compiled tier (no toolchain) resolves to the numpy
         stage kernels here, so callers never branch on tier.
         """
+        impl = self._tier_impl()
+        return self._kernel if impl is None else impl
+
+    def _tier_impl(self):
+        """The lazily built compiled impl, or ``None`` for numpy."""
         if not self._impl_ready:
             self._impl_ready = True
             self._impl = make_ntt_impl(self, self.backend_tier)
-        return self._kernel if self._impl is None else self._impl
+        return self._impl
 
     def take(self, num_limbs: int) -> BatchNTT:
         """A BatchNTT over the first ``num_limbs`` limbs, sharing tables.
@@ -300,8 +305,16 @@ class BatchNTT:
     def pointwise_prepared(
         self, a_hat: np.ndarray, prepared: tuple[np.ndarray, ...]
     ) -> np.ndarray:
-        """Element-wise limb-matrix product against a prepared operand."""
+        """Element-wise limb-matrix product against a prepared operand.
+
+        The compiled tier runs it as one lazy product-accumulate term and
+        its fold (the key-switch MAC kernels); both tiers return the
+        canonical product residues.
+        """
         self._check_shape(a_hat, "pointwise")
+        impl = self._tier_impl()
+        if impl is not None:
+            return impl.pointwise(a_hat, prepared)
         b = self.backend
         return b.exit(b.mul(b.enter(a_hat), prepared))
 

@@ -24,6 +24,14 @@ The accumulator carries an explicit worst-case bound tracker: every
 ``accumulate`` asserts the new bound still fits the strategy's domain and
 raises :class:`~repro.errors.AccumulatorOverflowError` before any wraparound
 can corrupt a result silently.
+
+On the compiled tier (:mod:`repro.poly.backends`) the ``reduced``
+product-accumulate and the fold of an ``(L, N)`` limb matrix run as one
+C call each, for all four reducers.  The tracker still runs here, in
+Python, before the kernel writes; the kernels form each term exactly as
+the numpy reducers do, so the per-term charges, the accumulator state
+and the folded residues are the same on both tiers.  Checked mode and
+the ``raw`` strategy stay on numpy.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import numpy as np
 
 from repro.analysis.sanitizer import assert_fold_sound, checked_mode
 from repro.errors import AccumulatorOverflowError, ParameterError
+from repro.poly.backends import make_lazy_impl, resolve_backend
 from repro.rns.reduction import SignedMontgomeryReducer, align_rows
 
 _INT64_MAX = 2**63 - 1
@@ -50,6 +59,10 @@ class LazyAccumulator:
             domain) and the fold reduces each row by its own modulus.
         shape: shape of the accumulated vector.
         strategy: ``"reduced"`` or ``"raw"`` (see module docstring).
+        checked: sanitizer override (see :attr:`checked`).
+        backend: dispatch tier for the product-accumulate and the fold
+            (same precedence as :class:`~repro.poly.batch_ntt.BatchNTT`'s
+            ``backend``).
 
     Montgomery-family reducers carry an implicit ``2^-32`` factor per
     multiply; callers follow the NTT convention of pre-scaling one operand
@@ -63,6 +76,7 @@ class LazyAccumulator:
         *,
         strategy: str = "reduced",
         checked: bool | None = None,
+        backend: str | None = None,
     ) -> None:
         if strategy not in ("reduced", "raw"):
             raise ParameterError(f"unknown lazy strategy {strategy!r}")
@@ -77,6 +91,9 @@ class LazyAccumulator:
         #: sanitizer mode: cross-check the tracked bound against the real
         #: data at every fold (REPRO_CHECKED=1, or an explicit override)
         self.checked = checked_mode(checked)
+        self.backend_tier = resolve_backend(backend)
+        self._impl = None
+        self._impl_ready = False
         qs = [int(v) for v in np.ravel(np.asarray(reducer.q))]
         #: worst-case limb modulus — per-term bound charges use it
         self.q = max(qs)
@@ -132,12 +149,20 @@ class LazyAccumulator:
             )
         self.bound += amount
 
+    def _tier_impl(self):
+        """The lazily built compiled impl, or ``None`` for numpy."""
+        if not self._impl_ready:
+            self._impl_ready = True
+            self._impl = make_lazy_impl(self, self.backend_tier)
+        return self._impl
+
     def accumulate_product(
         self,
         a: np.ndarray,
         b: np.ndarray | int,
         *,
         b_shoup: np.ndarray | int | None = None,
+        perm: np.ndarray | None = None,
     ) -> LazyAccumulator:
         """Add ``a * b`` (one modular product per lane) to the accumulator.
 
@@ -146,28 +171,40 @@ class LazyAccumulator:
         defers the reduction itself.  With a Shoup reducer, pass
         ``b_shoup = reducer.precompute(b)`` once and reuse it across terms
         (Shoup's whole premise); it is computed on the fly when omitted.
+        ``perm``, when given, gathers ``a`` along its last axis first
+        (``a[..., perm]``, the hoisted key switch's slot permutation); the
+        compiled tier fuses that gather into the product.
 
         The term is fully formed (including any on-the-fly Shoup
-        precompute, which can raise) *before* the bound is charged, so a
-        failed call leaves the tracker untouched.
+        precompute, which can raise) *before* the bound is charged, and
+        nothing is written until the charge succeeds, so a failed call
+        leaves both the tracker and the accumulator untouched.
         """
-        if self.strategy == "raw":
-            term = np.asarray(a).astype(np.int64) * (
-                b.astype(np.int64)
-                if isinstance(b, np.ndarray)
-                else np.int64(b)
-            )
-        elif hasattr(self.reducer, "mulmod"):
-            term = self.reducer.mulmod(np.asarray(a), b).astype(self.acc.dtype)
-        else:  # Shoup multiplies by constants only; needs the companion
-            w = int(b) if not isinstance(b, np.ndarray) else b
+        shoup = not hasattr(self.reducer, "mulmod")
+        if shoup:  # Shoup multiplies by constants only; needs the companion
+            if not isinstance(b, np.ndarray):
+                b = int(b)
             if b_shoup is None:
-                b_shoup = self.reducer.precompute(w)
-            term = self.reducer.mulmod_const(
-                np.asarray(a), w, b_shoup
-            ).astype(self.acc.dtype)
+                b_shoup = self.reducer.precompute(b)
+        impl = self._tier_impl()
+        run = None if impl is None else impl.product(a, b, b_shoup, perm)
+        if run is None:
+            a = np.asarray(a) if perm is None else np.take(a, perm, axis=-1)
+            if self.strategy == "raw":
+                term = a.astype(np.int64) * (
+                    b.astype(np.int64)
+                    if isinstance(b, np.ndarray)
+                    else np.int64(b)
+                )
+            elif shoup:
+                term = self.reducer.mulmod_const(a, b, b_shoup)
+            else:
+                term = self.reducer.mulmod(a, b)
         self._charge(self._per_term, "accumulating a product")
-        self.acc += term
+        if run is None:
+            self.acc += term.astype(self.acc.dtype, copy=False)
+        else:
+            run()
         self.terms += 1
         return self
 
@@ -213,6 +250,11 @@ class LazyAccumulator:
         separately by the cost model, executed once per output instead of
         once per term.
         """
+        impl = self._tier_impl()
+        if impl is not None:
+            out = impl.fold(np.empty(self.acc.shape, np.uint64))
+            if out is not None:
+                return out
         if self.checked:
             assert_fold_sound(
                 self.acc, self.bound,
@@ -233,10 +275,11 @@ class LazyAccumulator:
         """Destructive :meth:`fold` writing canonical residues into ``out``.
 
         The fused pipelines (basis conversion, key switching) fold into
-        persistent scratch so the hot path allocates nothing.  The terminal
-        remainder runs *in place on the accumulator*, so the accumulator
-        state is consumed: call :meth:`reset` before accumulating again.
-        ``out`` must be a uint64 array of the accumulator's shape.
+        persistent scratch so the hot path allocates nothing.  The numpy
+        tier's terminal remainder runs *in place on the accumulator*, so
+        the accumulator state is consumed: call :meth:`reset` before
+        accumulating again.  ``out`` must be a uint64 array of the
+        accumulator's shape.
 
         Raises:
             ParameterError: if ``out`` overlaps the accumulator storage.
@@ -258,6 +301,9 @@ class LazyAccumulator:
                 "before the copy-out, so an aliased buffer would read "
                 "partially-folded state; pass a distinct buffer"
             )
+        impl = self._tier_impl()
+        if impl is not None and impl.fold(out) is not None:
+            return out
         if self.checked:
             assert_fold_sound(
                 self.acc, self.bound,

@@ -746,7 +746,10 @@ class RnsPolynomial:
         ``acc`` lets a compiled caller hand in a persistent
         :class:`LazyAccumulator` (reset and reused here) so the per-call
         ``(L, N)`` accumulator allocation disappears; it must match this
-        context's reducer and full limb shape.
+        context's reducer and full limb shape, or
+        :class:`~repro.errors.ParameterError` is raised before any kernel
+        runs.  An accumulator built here takes the context's tier and
+        ``checked`` flag.
         """
         a_polys = list(a_polys)
         b_polys = list(b_polys)
@@ -766,26 +769,36 @@ class RnsPolynomial:
                 raise LayoutError(
                     "multiply_accumulate requires NTT-domain operands"
                 )
-        hooks.emit("rns_poly.mac")
         batch = ctx.batch_ntt
-        signed = ctx.method == "smr"
+        shape = (ctx.num_limbs, ctx.ring_degree)
+        if acc is not None and (
+            acc.acc.shape != shape
+            or type(acc.reducer) is not type(batch.backend.red)
+            or list(acc.reducer.q_ints) != ctx.primes
+        ):
+            raise ParameterError(
+                f"multiply_accumulate accumulator ({type(acc.reducer).__name__}"
+                f" over {len(acc.reducer.q_ints)} moduli, shape "
+                f"{acc.acc.shape}) does not match this context's "
+                f"{ctx.method} reducer over its {shape} limb matrix"
+            )
+        hooks.emit("rns_poly.mac")
         shoup = ctx.method == "shoup"
         if acc is None:
             acc = LazyAccumulator(
                 batch.backend.red,
-                (ctx.num_limbs, ctx.ring_degree),
+                shape,
                 strategy=strategy,
                 checked=ctx.checked,
+                backend=ctx.backend,
             )
         else:
             acc.reset()
         for a, b in zip(a_polys, b_polys):
             parts = b.prepared_operand()
-            lanes = a.limbs.astype(np.int64) if signed else a.limbs
-            if shoup:
-                acc.accumulate_product(lanes, parts[0], b_shoup=parts[1])
-            else:
-                acc.accumulate_product(lanes, parts[0])
+            acc.accumulate_product(
+                a.limbs, parts[0], b_shoup=parts[1] if shoup else None
+            )
         # Scale follows the product convention (pointwise_multiply /
         # multiply): terms of one inner product share a common scale, so
         # the first pair's product scale is the sum's.

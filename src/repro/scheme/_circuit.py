@@ -549,6 +549,8 @@ class CircuitPlan:
                 lvl_ctx.batch_ntt.backend.red,
                 (level, n_ring),
                 strategy="reduced",
+                checked=lvl_ctx.checked,
+                backend=lvl_ctx.backend,
             )
         # One hoist tensor per group, shaped by its switcher.
         self._hoist_bufs = [

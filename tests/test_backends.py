@@ -6,8 +6,14 @@ The PR 9 contract has three load-bearing claims, each tested here:
   children inherit their parent's tier, and unknown names fail loudly;
 * the compiled tier, when available, is bit-identical to the numpy
   reference on the full parity grid (four reducers x N in {1024, 4096}
-  x L in {4, 12}: NTT round-trip, multiply, ModUp, ModDown, hybrid key
-  switch);
+  x L in {4, 12}: NTT round-trip, pointwise product, multiply, ModUp,
+  ModDown and its combine step, hybrid key switch, hoisted key switch
+  under two Galois permutations, and a reused multiply-accumulate
+  accumulator — down to its unfolded state — with the C kernels shown
+  to have run);
+* the compiled accumulator keeps the numpy tier's guarantees: the bound
+  tracker raises before the kernel writes, and checked mode declines to
+  the instrumented numpy fold;
 * degradation is graceful and loud exactly once — a missing toolchain
   warns a single :class:`BackendFallbackWarning` (not per call) and
   runs on numpy.
@@ -18,7 +24,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError, SanitizerError
+from repro.errors import AccumulatorOverflowError, ParameterError, SanitizerError
 from repro.poly.backends import (
     BACKEND_TIERS,
     BackendFallbackWarning,
@@ -26,6 +32,8 @@ from repro.poly.backends import (
 )
 from repro.poly.backends import compiled
 from repro.poly.basis_conv import KeySwitchKey
+from repro.poly.lazy import LazyAccumulator
+from repro.poly.ntt import automorphism_tables
 from repro.poly.rns_poly import PolyContext, RnsPolynomial
 from repro.rns.primes import PrimePool
 
@@ -131,14 +139,34 @@ def parity_pools():
     return get
 
 
+@pytest.fixture
+def c_calls(monkeypatch):
+    """Count the compiled accumulator / combine calls that ran in C
+    (a declined call returns ``None`` and is not counted)."""
+    counts = {"product": 0, "fold": 0, "combine_core": 0}
+    for cls, name in (
+        (compiled.CompiledLazy, "product"),
+        (compiled.CompiledLazy, "fold"),
+        (compiled.CompiledConvert, "combine_core"),
+    ):
+        def wrapped(self, *args, _raw=getattr(cls, name), _name=name):
+            res = _raw(self, *args)
+            counts[_name] += res is not None
+            return res
+
+        monkeypatch.setattr(cls, name, wrapped)
+    return counts
+
+
 @pytest.mark.skipif(not TIERS, reason="no non-numpy tier available")
 @pytest.mark.parametrize("method", _METHODS)
 @pytest.mark.parametrize("n,num_limbs", _GRID)
-def test_tier_parity(parity_pools, method, n, num_limbs):
+def test_tier_parity(parity_pools, method, n, num_limbs, c_calls):
     """Every available tier bit-matches numpy on every kernel family."""
     pool = parity_pools(n, num_limbs)
     dnum = 2 if num_limbs <= 6 else 3
     aux = [int(p) for p in pool.extension_basis(1, num_limbs - 1, dnum=dnum)]
+    galois = (5, 2 * n - 1)  # a rotation and the conjugation
 
     def build(tier):
         rng = np.random.default_rng(0xBACE)
@@ -152,9 +180,41 @@ def test_tier_parity(parity_pools, method, n, num_limbs):
         a = ctx.random(rng)
         b = ctx.random(rng)
         ksk = KeySwitchKey.random(ctx, aux, dnum, rng)
-        return ctx, a, b, ksk
+        xs = [ctx.random(rng).to_ntt() for _ in range(3)]
+        ys = [ctx.random(rng).to_ntt() for _ in range(3)]
+        return ctx, a, b, ksk, xs, ys
 
-    ctx_n, a_n, b_n, ksk_n = build("numpy")
+    def mac_twice(ctx, tier, xs, ys):
+        """Two 3-term inner products through one reused accumulator."""
+        acc = LazyAccumulator(
+            ctx.batch_ntt.backend.red, (num_limbs, n),
+            checked=ctx.checked, backend=tier,
+        )
+        first = RnsPolynomial.multiply_accumulate(xs, ys, acc=acc)
+        second = RnsPolynomial.multiply_accumulate(ys[::-1], xs, acc=acc)
+        return first.limbs, second.limbs, acc.acc.copy()
+
+    def kernels(ctx, tier, a, b, ksk, xs, ys):
+        sw = ctx.key_switcher(aux, dnum)
+        hoisted = sw.hoist(a)
+        rotated = [
+            sw.run_hoisted(hoisted, ksk, perm=automorphism_tables(n, k)[2])
+            for k in galois
+        ]
+        combined = sw.moddown.combine(
+            a.limbs, b.limbs, np.empty((num_limbs, n), np.uint64)
+        )
+        pointwise = ctx.batch_ntt.pointwise_prepared(
+            xs[0].limbs, ys[0].prepared_operand()
+        )
+        return {
+            "multiply_accumulate": mac_twice(ctx, tier, xs, ys),
+            "run_hoisted": [h.limbs for pair in rotated for h in pair],
+            "ModDown.combine": [combined],
+            "pointwise_prepared": [pointwise],
+        }
+
+    ctx_n, a_n, b_n, ksk_n, xs_n, ys_n = build("numpy")
     hat_n = ctx_n.batch_ntt.forward(a_n.limbs)
     round_n = ctx_n.batch_ntt.inverse(hat_n)
     mul_n = RnsPolynomial(ctx_n, a_n.limbs).multiply(
@@ -163,9 +223,11 @@ def test_tier_parity(parity_pools, method, n, num_limbs):
     up_n = a_n.mod_up(aux)
     down_n = up_n.mod_down(len(aux))
     ks_n = a_n.key_switch(ksk_n)
+    more_n = kernels(ctx_n, "numpy", a_n, b_n, ksk_n, xs_n, ys_n)
+    assert not any(c_calls.values()), "the numpy tier ran a C kernel"
 
     for tier in TIERS:
-        ctx_t, a_t, b_t, ksk_t = build(tier)
+        ctx_t, a_t, b_t, ksk_t, xs_t, ys_t = build(tier)
         assert np.array_equal(a_n.limbs, a_t.limbs)
         hat_t = ctx_t.batch_ntt.forward(a_t.limbs)
         assert np.array_equal(hat_n, hat_t), f"{tier} forward diverges"
@@ -190,6 +252,69 @@ def test_tier_parity(parity_pools, method, n, num_limbs):
             assert np.array_equal(half_n.limbs, half_t.limbs), (
                 f"{tier} key_switch diverges"
             )
+        more_t = kernels(ctx_t, tier, a_t, b_t, ksk_t, xs_t, ys_t)
+        for name, arrays in more_n.items():
+            for ref, got in zip(arrays, more_t[name], strict=True):
+                assert np.array_equal(ref, got), f"{tier} {name} diverges"
+        if tier == "compiled" and not ctx_t.checked:
+            # products: key switch, two hoisted switches, MACs, pointwise
+            assert c_calls["product"] >= 2 * 3 * dnum + 6 + 1
+            assert c_calls["fold"] >= 2 * 3 + 2 + 1
+            assert c_calls["combine_core"] >= 2 * 3 + 1
+
+
+def _compiled_acc(pool64, method, checked):
+    ctx = PolyContext.from_pool(
+        pool64, num_terminal=1, num_main=2, method=method, backend="compiled"
+    )
+    rng = np.random.default_rng(0xACC)
+    a = ctx.random(rng).to_ntt().limbs
+    parts = ctx.random(rng).to_ntt().prepared_operand()
+    acc = LazyAccumulator(
+        ctx.batch_ntt.backend.red, a.shape, checked=checked, backend="compiled"
+    )
+    b_shoup = parts[1] if method == "shoup" else None
+    return acc, (a, parts[0]), b_shoup
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+@pytest.mark.parametrize("method", _METHODS)
+def test_compiled_overflow_raises_before_kernel_writes(pool64, method):
+    """The tracker charges in Python before the C product runs: an
+    overflowing term raises and leaves the accumulator untouched."""
+    acc, ops, b_shoup = _compiled_acc(pool64, method, checked=False)
+    assert acc._tier_impl().product(*ops, b_shoup, None) is not None
+    acc.accumulate_product(*ops, b_shoup=b_shoup)
+    before = acc.acc.copy()
+    assert before.any()
+    acc.bound = acc.limit - acc._per_term + 1  # one more term overflows
+    with pytest.raises(AccumulatorOverflowError, match="fold first"):
+        acc.accumulate_product(*ops, b_shoup=b_shoup)
+    assert np.array_equal(acc.acc, before)
+    assert acc.terms == 1
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+@pytest.mark.parametrize("method", _METHODS)
+def test_compiled_checked_accumulator_declines_to_numpy(pool64, method):
+    """Under ``checked=True`` the compiled accumulator declines, so the
+    numpy fold's soundness assert still sees a tampered bound; unchecked,
+    the C fold runs and the tampering goes unnoticed."""
+    for checked in (True, False):
+        acc, ops, b_shoup = _compiled_acc(pool64, method, checked)
+        impl = acc._tier_impl()
+        assert impl is not None
+        assert (impl.product(*ops, b_shoup, None) is None) == checked
+        acc.accumulate_product(*ops, b_shoup=b_shoup)
+        acc.bound = 0  # tamper behind the tracker
+        out = np.empty(acc.acc.shape, np.uint64)
+        if checked:
+            with pytest.raises(SanitizerError, match="static bound tracking"):
+                acc.fold()
+            with pytest.raises(SanitizerError, match="static bound tracking"):
+                acc.fold_into(out)
+        else:
+            assert np.array_equal(acc.fold(), acc.fold_into(out))
 
 
 @pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")

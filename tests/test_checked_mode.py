@@ -102,6 +102,30 @@ class TestContextPropagation:
             b.multiply(b).exact_rescale().limbs,
         )
 
+    @pytest.mark.parametrize("explicit,env", [(True, None), (False, "1")])
+    def test_compiled_plan_accumulators_follow_context(
+        self, monkeypatch, explicit, env
+    ):
+        """A compiled plan's MAC accumulators take the context's explicit
+        ``checked`` (and tier), not the ``REPRO_CHECKED`` default — an
+        explicitly checked context must never run unchecked kernels."""
+        from repro import CkksContext
+
+        if env is None:
+            monkeypatch.delenv("REPRO_CHECKED", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CHECKED", env)
+        cc = CkksContext(
+            ring_degree=64, num_main=3, num_aux=3, dnum=2, seed=5,
+            checked=explicit,
+        )
+        assert cc.checked is explicit
+        plan = cc.compile(lambda p, x: p.rescale(p.multiply(x, x)))
+        assert plan._accs
+        for acc in plan._accs.values():
+            assert acc.checked is explicit
+            assert acc.backend_tier == cc.backend
+
 
 class TestSanitizerTrips:
     def test_assert_within_names_the_violation(self):

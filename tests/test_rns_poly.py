@@ -280,6 +280,41 @@ def test_multiply_accumulate_validation(ctx, rng):
         RnsPolynomial.multiply_accumulate([a], [other.random(rng).to_ntt()])
 
 
+@pytest.mark.parametrize("backend", ("numpy", "compiled"))
+def test_multiply_accumulate_rejects_foreign_accumulator(ctx, rng, backend):
+    """A caller-supplied accumulator must span this context's limb matrix
+    over its own moduli: a wrong shape used to surface as a bare numpy
+    broadcast error (an out-of-bounds write for a C kernel), and a
+    same-shape accumulator over other primes silently folded wrong
+    residues."""
+    from repro.poly.lazy import LazyAccumulator
+    from repro.poly.rns_poly import RnsPolynomial
+    from repro.rns.reduction import make_reducer
+
+    a, b = ctx.random(rng).to_ntt(), ctx.random(rng).to_ntt()
+    red = ctx.batch_ntt.backend.red
+    shape = (ctx.num_limbs, ctx.ring_degree)
+    others = [p.value for p in ntt_friendly_primes(30, 6, N)]
+    others = [q for q in others if q not in ctx.primes][: ctx.num_limbs]
+    foreign = {
+        "short": LazyAccumulator(red, (ctx.num_limbs - 1, N), backend=backend),
+        "other primes": LazyAccumulator(
+            make_reducer(ctx.method, others), shape, backend=backend
+        ),
+        "other reducer": LazyAccumulator(
+            make_reducer("barrett", ctx.primes), shape, backend=backend
+        ),
+    }
+    for name, acc in foreign.items():
+        before = acc.acc.copy()
+        with pytest.raises(ParameterError, match="does not match"):
+            RnsPolynomial.multiply_accumulate([a], [b], acc=acc)
+        assert np.array_equal(acc.acc, before), name
+    own = LazyAccumulator(red, shape, backend=backend)
+    got = RnsPolynomial.multiply_accumulate([a], [b], acc=own)
+    assert np.array_equal(got.limbs, a.pointwise_multiply(b).limbs)
+
+
 # -- transform twin caching (PR 3 satellite) --------------------------------
 def test_to_ntt_caches_twin(ctx, rng):
     a = ctx.random(rng)
