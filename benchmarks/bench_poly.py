@@ -620,20 +620,29 @@ def _measure_copy_bandwidth() -> float:
 _ROOFLINE_OPS = ("ntt_forward", "multiply", "mod_up", "mod_down")
 
 
-def _roofline_s(op: str, n: int, L: int, K: int, method: str,
+def _storage_bytes(n: int, method: str, tier: str) -> tuple[int, int]:
+    """(limb word, twiddle entry) bytes a tier's transform moves: the
+    dtype its output limbs are stored in, and the forward twiddle table
+    parts (value plus any Shoup companion) in the dtypes its kernel
+    reads — 32-bit words on the compiled tier, up to 64 on numpy."""
+    batch = PolyContext(n, _limbs_for(n, 1), method, backend=tier).batch_ntt
+    word = batch.forward(np.zeros((1, n), np.uint64)).itemsize
+    return word, sum(p.itemsize for p in batch._transformer().fwd_n)
+
+
+def _roofline_s(op: str, n: int, L: int, K: int, word: int, tw: int,
                 copy_bw: float) -> float | None:
     """Optimistic bytes-moved lower bound for one kernel cell, in seconds.
 
     Counts only *compulsory* traffic — operands in, results out, twiddle
-    tables once — at the measured copy bandwidth; per-stage state
-    revisits are assumed cache-resident (a 4096-coefficient row is
-    16-32 KiB) and compute is assumed free.  ``measured / roofline``
-    therefore reads as "how far above the pure memory bound this tier
-    runs": large means compute-bound, near 1 means memory-bound.
+    tables once — at the measured copy bandwidth, with ``word`` bytes
+    per limb coefficient and ``tw`` per twiddle entry
+    (:func:`_storage_bytes`); per-stage state revisits are assumed
+    cache-resident (a 4096-coefficient row is 16-32 KiB) and compute is
+    assumed free.  ``measured / roofline`` therefore reads as "how far
+    above the pure memory bound this tier runs": large means
+    compute-bound, near 1 means memory-bound.
     """
-    word = 8
-    # twiddles: value + Shoup companion for shoup, one 64-bit word else
-    tw = 12 if method == "shoup" else 8
     ntt = L * n * (2 * word + tw)
     models = {
         "ntt_forward": ntt,
@@ -1150,8 +1159,10 @@ def main(argv: list[str] | None = None) -> int:
         if c.get("backend", "numpy") == "numpy"
     }
     aux_counts: dict[tuple, int] = {}
+    widths: dict[tuple, tuple[int, int]] = {}
     for c in results:
-        if c.get("backend", "numpy") != "numpy":
+        tier = c.get("backend", "numpy")
+        if tier != "numpy":
             base = numpy_meds.get((c["op"], c["n"], c["limbs"], c["method"]))
             if base is not None:
                 c["speedup_vs_numpy"] = round(base / c["batched_med_s"], 2)
@@ -1162,8 +1173,11 @@ def main(argv: list[str] | None = None) -> int:
                 aux_counts[gk] = len(
                     _aux_for(_limbs_for(*gk), c["n"], dnum)
                 )
+            wk = (c["n"], c["method"], tier)
+            if wk not in widths:
+                widths[wk] = _storage_bytes(*wk)
             rf = _roofline_s(
-                c["op"], c["n"], c["limbs"], aux_counts[gk], c["method"],
+                c["op"], c["n"], c["limbs"], aux_counts[gk], *widths[wk],
                 copy_bw,
             )
             if rf is not None:

@@ -15,13 +15,16 @@ and ModDown's combine).  This package routes those hot paths behind a
 
 ``compiled``
     ctypes-loaded C implementations of the four Table-3 butterfly
-    stage-kernel families, the lazy product-accumulate (one kernel per
-    reducer, with the hoisted slot gather fused into the operand load)
-    and its fold, the CRT tensor pass and ModDown's combine
-    (:mod:`repro.poly.backends.compiled`), built lazily with ``cc -O3``
-    and cached by source hash.  When no toolchain is present the tier
-    degrades to numpy with a single :class:`BackendFallbackWarning` per
-    process — never an error, never a per-call warning.
+    families (one call per transform, every stage on 32-bit vector
+    lanes), the lazy product-accumulate (one kernel per reducer, with
+    the hoisted slot gather fused into the operand load) and its fold,
+    the CRT tensor pass and ModDown's combine
+    (:mod:`repro.poly.backends.compiled`), built lazily for the host ISA
+    (``cc -O3 -march=native``, retried once with ``-O3``) and cached by
+    a digest of the source, the flags and the host's ISA features.  When
+    no toolchain is present the tier degrades to numpy with a single
+    :class:`BackendFallbackWarning` per process — never an error, never
+    a per-call warning.
 
 Tier selection follows the same precedence discipline as ``checked``
 (:func:`repro.analysis.sanitizer.checked_mode`): an explicit

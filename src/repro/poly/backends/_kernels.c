@@ -1,5 +1,5 @@
-/* Compiled backend tier: the four Table-3 butterfly stage-kernel
- * families (Barrett / Montgomery / Shoup / SMR), the lazy
+/* Compiled backend tier: the four Table-3 butterfly families (Barrett /
+ * Montgomery / Shoup / SMR) as whole transforms, the lazy
  * product-accumulate and fold of the key-switch inner product (one
  * kernel per reducer), the CRT tensor pass of fast basis conversion and
  * ModDown's combine step, as plain C over the same precomputed tables
@@ -12,8 +12,9 @@
  * construction, independent of how intermediates are scheduled.  The
  * stage invariants nevertheless mirror the numpy kernels exactly
  * (canonical [0, q) state for the Shoup / Montgomery / SMR families,
- * Harvey 2q-lazy [0, 2q) state for Barrett) so that checked mode
- * asserts the very same certified per-stage bounds.  The lazy
+ * Harvey 2q-lazy [0, 2q) state for Barrett, every intermediate the same
+ * integer) so that checked mode asserts the very same certified
+ * per-stage bounds and reports the very same values.  The lazy
  * product-accumulate and the ModDown combine go further: they replay
  * the numpy reducers' 64-bit wrapping arithmetic step for step, so even
  * the unfolded accumulator state matches the numpy tier bit for bit.
@@ -29,18 +30,26 @@
  * checks: under checked mode their Python wrappers decline and the
  * instrumented numpy path runs instead.
  *
- * Layout: data is one contiguous (L, n) row-major matrix; twiddle
- * tables are contiguous (L, n) in the backend-prepared dtype; per-limb
- * constants are length-L vectors.  Loops run limb-major (each limb
- * completes all stages before the next limb starts) — at n = 4096 a row
- * is 16-32 KiB, so the whole per-limb working set lives in L1/L2.
+ * Layout: data is one contiguous (L, n) row-major matrix of 64-bit words
+ * and per-limb constants are length-L vectors.  A transform is one call:
+ * it range-checks each input word against its limb's q while narrowing
+ * the matrix into a caller-owned uint32 state, runs every stage of one
+ * limb before the next limb starts (at n = 4096 a row is 16 KiB, so a
+ * limb's working set stays in L1), and widens the result into `out`,
+ * which may alias the input.  Every reducer requires q < 2^31, so
+ * twiddles, Shoup companions and n^-1 are 32-bit words too, and each
+ * product is a 32x32 -> 64-bit lane multiply.  Stages with t >= 16
+ * vectorize along each group's t butterflies; the four narrow stages
+ * (t = 8, 4, 2, 1) are unrolled at compile-time t so the compiler
+ * vectorizes across groups instead.  The library is built for the host
+ * ISA (-march=native) when the compiler accepts it.
  */
 
 #include <stdint.h>
 
 #define EXPORT __attribute__((visibility("default")))
 
-/* -- checked-mode row scans ---------------------------------------- */
+/* -- checked-mode row scan ----------------------------------------- */
 
 /* Saturate a 64-bit bound into the uint32 state domain: any bound at or
  * above 2^32 - 1 can never trip on uint32 state, which matches numpy's
@@ -63,339 +72,231 @@ static int scan32(const uint32_t *row, int64_t n, uint32_t bound,
     return 0;
 }
 
-static int scan64(const uint64_t *row, int64_t n, uint64_t bound,
-                  int64_t stage, int64_t limb, uint64_t *err) {
-    for (int64_t k = 0; k < n; ++k) {
-        if (row[k] > bound) {
-            err[0] = row[k];
-            err[1] = (uint64_t)stage;
-            err[2] = (uint64_t)limb;
-            err[3] = (uint64_t)k;
-            return 1;
-        }
-    }
-    return 0;
-}
+/* -- transform entry and exit ---------------------------------------- */
 
-/* -- Shoup family ---------------------------------------------------
- * Twiddles: w (uint32 canonical) with companion w' = floor(w<<32 / q)
- * (uint64 carrier).  One 64-bit high product per multiply; state stays
- * canonical uint32. */
-
-static inline uint32_t shoup_mul(uint32_t v, uint32_t w, uint64_t wsh,
-                                 uint32_t q) {
-    uint32_t hi = (uint32_t)(((uint64_t)v * wsh) >> 32);
-    uint32_t r = v * w - hi * q; /* (v*w - hi*q) mod 2^32, in [0, 2q) */
-    return r < q ? r : r - q;
-}
-
-EXPORT int ntt_fwd_shoup(uint32_t *x, const uint32_t *w, const uint64_t *wsh,
-                         const uint32_t *q, int64_t L, int64_t n, const uint64_t *bound,
-                         uint64_t *err) {
+/* Narrow the (L, n) uint64 input into the uint32 state, checking every
+ * word against its limb's q; nonzero when some word is out of range. */
+static int narrow(const uint64_t *restrict in, uint32_t *restrict state,
+                  const uint64_t *q, int64_t L, int64_t n) {
     for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l];
-        uint32_t *row = x + l * n;
-        const uint32_t *wl = w + l * n;
-        const uint64_t *wshl = wsh + l * n;
-        for (int64_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
-            for (int64_t g = 0; g < m; ++g) {
-                uint32_t tw = wl[m + g];
-                uint64_t twsh = wshl[m + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t r = shoup_mul(v[k], tw, twsh, ql);
-                    uint32_t uk = u[k];
-                    uint32_t s = uk + r;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - r;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = d;
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
+        const uint64_t ql = q[l];
+        const uint64_t *src = in + l * n;
+        uint32_t *dst = state + l * n;
+        uint32_t bad = 0;
+        for (int64_t k = 0; k < n; ++k) {
+            bad |= src[k] >= ql;
+            dst[k] = (uint32_t)src[k];
         }
+        if (bad) return 1;
     }
     return 0;
 }
 
-EXPORT int ntt_inv_shoup(uint32_t *x, const uint32_t *w, const uint64_t *wsh,
-                         const uint32_t *ninv, const uint64_t *ninvsh,
-                         const uint32_t *q, int64_t L, int64_t n, const uint64_t *bound,
-                         uint64_t *err) {
+/* Widen the state into `out`, folding Barrett's [0, 2q) state to
+ * canonical with min(s, s - q) (a no-op on canonical state). */
+static void widen(const uint32_t *restrict state, uint64_t *restrict out,
+                  const uint64_t *q, int64_t L, int64_t n) {
     for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l];
-        uint32_t *row = x + l * n;
-        const uint32_t *wl = w + l * n;
-        const uint64_t *wshl = wsh + l * n;
-        for (int64_t m = n, t = 1; m > 1; m >>= 1, t <<= 1) {
-            int64_t h = m >> 1;
-            for (int64_t g = 0; g < h; ++g) {
-                uint32_t tw = wl[h + g];
-                uint64_t twsh = wshl[h + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t uk = u[k], vk = v[k];
-                    uint32_t s = uk + vk;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - vk;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = shoup_mul(d, tw, twsh, ql);
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
-        }
-        uint32_t nv = ninv[l];
-        uint64_t nvsh = ninvsh[l];
-        for (int64_t k = 0; k < n; ++k) row[k] = shoup_mul(row[k], nv, nvsh, ql);
-        if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1;
-    }
-    return 0;
-}
-
-/* -- (unsigned) Montgomery family -----------------------------------
- * Twiddles in Montgomery form (w * 2^32 mod q, uint64 carrier); the
- * butterfly reduce cancels the 2^-32, keeping coefficients plain. */
-
-static inline uint32_t mont_mul(uint32_t v, uint64_t twf, uint32_t q,
-                                uint32_t qinv_neg) {
-    uint64_t p = (uint64_t)v * twf;                       /* < q^2 * 2 */
-    uint32_t m = (uint32_t)p * qinv_neg;                  /* mullo32 */
-    uint32_t t = (uint32_t)((p + (uint64_t)m * q) >> 32); /* < 2q */
-    return t < q ? t : t - q;
-}
-
-EXPORT int ntt_fwd_mont(uint32_t *x, const uint64_t *w, const uint32_t *q,
-                        const uint32_t *qinv, int64_t L, int64_t n,
-                        const uint64_t *bound, uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l], qi = qinv[l];
-        uint32_t *row = x + l * n;
-        const uint64_t *wl = w + l * n;
-        for (int64_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
-            for (int64_t g = 0; g < m; ++g) {
-                uint64_t tw = wl[m + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t r = mont_mul(v[k], tw, ql, qi);
-                    uint32_t uk = u[k];
-                    uint32_t s = uk + r;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - r;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = d;
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
+        const uint32_t ql = (uint32_t)q[l];
+        const uint32_t *src = state + l * n;
+        uint64_t *dst = out + l * n;
+        for (int64_t k = 0; k < n; ++k) {
+            uint32_t s = src[k], t = s - ql;
+            dst[k] = s < t ? s : t;
         }
     }
-    return 0;
 }
 
-EXPORT int ntt_inv_mont(uint32_t *x, const uint64_t *w, const uint64_t *ninv,
-                        const uint32_t *q, const uint32_t *qinv, int64_t L,
-                        int64_t n, const uint64_t *bound, uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l], qi = qinv[l];
-        uint32_t *row = x + l * n;
-        const uint64_t *wl = w + l * n;
-        for (int64_t m = n, t = 1; m > 1; m >>= 1, t <<= 1) {
-            int64_t h = m >> 1;
-            for (int64_t g = 0; g < h; ++g) {
-                uint64_t tw = wl[h + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t uk = u[k], vk = v[k];
-                    uint32_t s = uk + vk;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - vk;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = mont_mul(d, tw, ql, qi);
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), m, l, err)) return 1;
-        }
-        uint64_t nv = ninv[l];
-        for (int64_t k = 0; k < n; ++k) row[k] = mont_mul(row[k], nv, ql, qi);
-        if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1;
+/* -- twiddle products, one per family ---------------------------------
+ * Per-limb constants: q, 2q, and the reducer constant `c` as its 32-bit
+ * halves (Montgomery's -q^-1 mod 2^32 and SMR's m in c_lo; Barrett's
+ * mu = floor(2^64 / q) in c_hi:c_lo).  Each product takes the twiddle w
+ * and its Shoup companion ws (ignored by the other families). */
+
+typedef struct {
+    uint32_t q, q2, c_lo, c_hi;
+} limb_k;
+
+static inline limb_k limb_consts(uint64_t q, uint64_t c) {
+    limb_k k = {(uint32_t)q, (uint32_t)(2 * q), (uint32_t)c,
+                (uint32_t)(c >> 32)};
+    return k;
+}
+
+/* Shoup: w' = floor(w * 2^32 / q); one high product, state canonical. */
+static inline uint32_t mul_shoup(uint32_t v, uint32_t w, uint32_t ws,
+                                 limb_k k) {
+    uint32_t hi = (uint32_t)(((uint64_t)v * ws) >> 32);
+    uint32_t r = v * w - hi * k.q; /* (v*w - hi*q) mod 2^32, in [0, 2q) */
+    uint32_t t = r - k.q;
+    return r < t ? r : t;
+}
+
+/* Montgomery: w in Montgomery form (w * 2^32 mod q); the reduce cancels
+ * the 2^-32, keeping coefficients plain. */
+static inline uint32_t mul_mont(uint32_t v, uint32_t w, uint32_t ws,
+                                limb_k k) {
+    (void)ws;
+    uint64_t p = (uint64_t)v * w;                             /* < q^2 */
+    uint32_t m = (uint32_t)p * k.c_lo;                        /* mullo32 */
+    uint32_t r = (uint32_t)((p + (uint64_t)m * k.q) >> 32);  /* < 2q */
+    uint32_t t = r - k.q;
+    return r < t ? r : t;
+}
+
+/* SMR (Alg. 2): w in signed Montgomery form, (-q, q) as int32 bits;
+ * each output is canonicalized into [0, q), exactly like the numpy
+ * kernel. */
+static inline uint32_t mul_smr(uint32_t v, uint32_t w, uint32_t ws,
+                               limb_k k) {
+    (void)ws;
+    int64_t p = (int64_t)(int32_t)v * (int32_t)w; /* |p| < q * 2^31 */
+    int32_t z = (int32_t)((uint32_t)p * k.c_lo);  /* signed mullo32 */
+    int64_t hi = ((int64_t)z * (int32_t)k.q) >> 32;
+    uint32_t r = (uint32_t)((p >> 32) - hi); /* (-q, q) as uint32 bits */
+    uint32_t t = r + k.q;
+    return r < t ? r : t;
+}
+
+/* Barrett: the numpy kernel's mu-chain over 32-bit halves (same dropped
+ * carries, so even the lazy intermediates match).  v < 2q and w < q, so
+ * every partial product is 32x32 -> 64 and q_hat < 2q fits 32 bits;
+ * the result is folded once into [0, 2q). */
+static inline uint32_t mul_barrett(uint32_t v, uint32_t w, uint32_t ws,
+                                   limb_k k) {
+    (void)ws;
+    uint64_t x = (uint64_t)v * w; /* < 2q^2 < 2^63 */
+    uint32_t x_hi = (uint32_t)(x >> 32), x_lo = (uint32_t)x;
+    uint64_t mid = (uint64_t)x_lo * k.c_hi +
+                   (((uint64_t)x_lo * k.c_lo) >> 32) +
+                   (uint64_t)x_hi * k.c_lo;
+    uint32_t qhat = (uint32_t)((uint64_t)x_hi * k.c_hi + (mid >> 32));
+    uint64_t r = x - (uint64_t)qhat * k.q; /* in [0, 3q) */
+    return (uint32_t)(r < k.q2 ? r : r - k.q2);
+}
+
+/* -- butterfly combines -------------------------------------------------
+ * Canonical state: a + b < 2q < 2^32 never wraps, so each fold is one
+ * min(s, s - q).  Barrett's [0, 2q) state: 2q may exceed 2^31, so the
+ * sum could wrap; compare before adding instead (same values). */
+
+static inline uint32_t add_q(uint32_t a, uint32_t b, limb_k k) {
+    uint32_t s = a + b, t = s - k.q;
+    return s < t ? s : t;
+}
+
+static inline uint32_t sub_q(uint32_t a, uint32_t b, limb_k k) {
+    uint32_t d = a + k.q - b, t = d - k.q;
+    return d < t ? d : t;
+}
+
+static inline uint32_t add_2q(uint32_t a, uint32_t b, limb_k k) {
+    uint32_t t = k.q2 - b, s = a + b, d = a - t;
+    return a >= t ? d : s;
+}
+
+static inline uint32_t sub_2q(uint32_t a, uint32_t b, limb_k k) {
+    uint32_t d = a - b, s = d + k.q2;
+    return a >= b ? d : s;
+}
+
+/* -- stages and transforms ---------------------------------------------
+ * One stage over the G groups of a row, butterflies T apart, twiddle
+ * G + g for group g: Cooley-Tukey forward (u, v) -> (u + wv, u - wv),
+ * Gentleman-Sande inverse (u, v) -> (u + v, (u - v)w).  Both read
+ * `row`, `wl`, `sl` (the Shoup companions, else `wl` again) and `K`
+ * from the enclosing transform. */
+
+#define CT_STAGE(T, G, MUL, ADD, SUB)                                        \
+    for (int64_t g = 0; g < (G); ++g) {                                      \
+        uint32_t *u = row + 2 * (T) * g, *v = u + (T);                       \
+        const uint32_t w_ = wl[(G) + g], s_ = sl[(G) + g];                   \
+        for (int64_t k = 0; k < (T); ++k) {                                  \
+            uint32_t r = MUL(v[k], w_, s_, K), a = u[k];                     \
+            u[k] = ADD(a, r, K);                                             \
+            v[k] = SUB(a, r, K);                                             \
+        }                                                                    \
     }
-    return 0;
-}
 
-/* -- SMR (signed Montgomery, Alg. 2) family -------------------------
- * Twiddles in signed Montgomery form (int64 carrier, values in
- * (-q, q)); each Alg. 2 output is canonicalized into [0, q) so the
- * butterfly combines run in uint32, exactly like the numpy kernel. */
-
-static inline uint32_t smr_mul(uint32_t v, int64_t twf, uint32_t q,
-                               uint32_t m) {
-    int64_t p = (int64_t)v * twf; /* |p| < q * 2^31: Alg. 2's domain */
-    int64_t x_hi = p >> 32;
-    uint32_t x_lo = (uint32_t)p;
-    int32_t z = (int32_t)(x_lo * m); /* signed mullo32 wrap */
-    int64_t hi = ((int64_t)z * (int64_t)q) >> 32;
-    int64_t t = x_hi - hi; /* in (-q, q) */
-    return t < 0 ? (uint32_t)(t + q) : (uint32_t)t;
-}
-
-EXPORT int ntt_fwd_smr(uint32_t *x, const int64_t *w, const uint32_t *q,
-                       const uint32_t *m, int64_t L, int64_t n, const uint64_t *bound,
-                       uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l], ml = m[l];
-        uint32_t *row = x + l * n;
-        const int64_t *wl = w + l * n;
-        for (int64_t mm = 1, t = n >> 1; mm < n; mm <<= 1, t >>= 1) {
-            for (int64_t g = 0; g < mm; ++g) {
-                int64_t tw = wl[mm + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t r = smr_mul(v[k], tw, ql, ml);
-                    uint32_t uk = u[k];
-                    uint32_t s = uk + r;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - r;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = d;
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), mm, l, err)) return 1;
-        }
+#define GS_STAGE(T, G, MUL, ADD, SUB)                                        \
+    for (int64_t g = 0; g < (G); ++g) {                                      \
+        uint32_t *u = row + 2 * (T) * g, *v = u + (T);                       \
+        const uint32_t w_ = wl[(G) + g], s_ = sl[(G) + g];                   \
+        for (int64_t k = 0; k < (T); ++k) {                                  \
+            uint32_t a = u[k], b = v[k];                                     \
+            u[k] = ADD(a, b, K);                                             \
+            v[k] = MUL(SUB(a, b, K), w_, s_, K);                             \
+        }                                                                    \
     }
-    return 0;
-}
 
-EXPORT int ntt_inv_smr(uint32_t *x, const int64_t *w, const int64_t *ninv,
-                       const uint32_t *q, const uint32_t *m, int64_t L,
-                       int64_t n, const uint64_t *bound, uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint32_t ql = q[l], ml = m[l];
-        uint32_t *row = x + l * n;
-        const int64_t *wl = w + l * n;
-        for (int64_t mm = n, t = 1; mm > 1; mm >>= 1, t <<= 1) {
-            int64_t h = mm >> 1;
-            for (int64_t g = 0; g < h; ++g) {
-                int64_t tw = wl[h + g];
-                uint32_t *u = row + g * 2 * t;
-                uint32_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint32_t uk = u[k], vk = v[k];
-                    uint32_t s = uk + vk;
-                    s = s < ql ? s : s - ql;
-                    uint32_t d = uk + ql - vk;
-                    d = d < ql ? d : d - ql;
-                    u[k] = s;
-                    v[k] = smr_mul(d, tw, ql, ml);
-                }
-            }
-            if (bound && scan32(row, n, b32(bound[l]), mm, l, err)) return 1;
-        }
-        int64_t nv = ninv[l];
-        for (int64_t k = 0; k < n; ++k) row[k] = smr_mul(row[k], nv, ql, ml);
-        if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1;
+/* Dispatch one stage: compile-time t below 16, the runtime loop else. */
+#define STAGE(KIND, t, G, MUL, ADD, SUB)                                     \
+    switch (t) {                                                             \
+    case 1: KIND(1, G, MUL, ADD, SUB) break;                                 \
+    case 2: KIND(2, G, MUL, ADD, SUB) break;                                 \
+    case 4: KIND(4, G, MUL, ADD, SUB) break;                                 \
+    case 8: KIND(8, G, MUL, ADD, SUB) break;                                 \
+    default: KIND(t, G, MUL, ADD, SUB)                                       \
     }
-    return 0;
-}
 
-/* -- Barrett family --------------------------------------------------
- * Harvey-style 2q-lazy uint64 state, exactly the numpy kernel's
- * schedule: mu = floor(2^64 / q) split into 32-bit halves (same dropped
- * carries, so even the lazy intermediates match), one fold per
- * butterfly output into [0, 2q), exit fold to canonical. */
+/* Per-limb prologue shared by both directions. */
+#define LIMB_SETUP                                                           \
+    const limb_k K = limb_consts(q[l], c ? c[l] : 0);                        \
+    uint32_t *restrict row = state + l * n;                                  \
+    const uint32_t *wl = w + l * n, *sl = ws ? ws + l * n : wl
 
-static inline uint64_t barrett_mul(uint64_t v, uint64_t w, uint64_t q,
-                                   uint64_t q2, uint64_t mu_hi,
-                                   uint64_t mu_lo) {
-    uint64_t x = v * w; /* exact: v < 2q, w < q, so x < 2q^2 < 2^63 */
-    uint64_t x_hi = x >> 32;
-    uint64_t x_lo = x & 0xffffffffu;
-    uint64_t mid = x_lo * mu_hi + ((x_lo * mu_lo) >> 32) + x_hi * mu_lo;
-    uint64_t qhat = x_hi * mu_hi + (mid >> 32);
-    uint64_t r = x - qhat * q; /* in [0, 3q) */
-    return r < q2 ? r : r - q2;
-}
-
-EXPORT int ntt_fwd_barrett(uint64_t *x, const uint64_t *w, const uint64_t *q,
-                           const uint64_t *mu, int64_t L, int64_t n,
-                           const uint64_t *bound, uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint64_t ql = q[l], q2 = 2 * ql;
-        uint64_t mu_hi = mu[l] >> 32, mu_lo = mu[l] & 0xffffffffu;
-        uint64_t *row = x + l * n;
-        const uint64_t *wl = w + l * n;
-        for (int64_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
-            for (int64_t g = 0; g < m; ++g) {
-                uint64_t tw = wl[m + g];
-                uint64_t *u = row + g * 2 * t;
-                uint64_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint64_t r = barrett_mul(v[k], tw, ql, q2, mu_hi, mu_lo);
-                    uint64_t uk = u[k];
-                    uint64_t s = uk + r;
-                    s = s < q2 ? s : s - q2;
-                    uint64_t d = uk + q2 - r;
-                    d = d < q2 ? d : d - q2;
-                    u[k] = s;
-                    v[k] = d;
-                }
-            }
-            if (bound && scan64(row, n, bound[l], m, l, err)) return 1;
-        }
-        for (int64_t k = 0; k < n; ++k) { /* exit fold to canonical */
-            uint64_t s = row[k];
-            row[k] = s < ql ? s : s - ql;
-        }
+/* Return codes: 0 done, 1 checked-mode violation (err filled), 2 an
+ * input word out of range (nothing written to `out`). */
+#define NTT_FWD(NAME, MUL, ADD, SUB)                                         \
+    EXPORT int NAME(const uint64_t *in, uint64_t *out,                       \
+                    uint32_t *restrict state, const uint32_t *restrict w,    \
+                    const uint32_t *restrict ws, const uint64_t *q,          \
+                    const uint64_t *c, int64_t L, int64_t n,                 \
+                    const uint64_t *bound, uint64_t *err) {                  \
+        if (narrow(in, state, q, L, n)) return 2;                            \
+        for (int64_t l = 0; l < L; ++l) {                                    \
+            LIMB_SETUP;                                                      \
+            for (int64_t m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {       \
+                STAGE(CT_STAGE, t, m, MUL, ADD, SUB)                         \
+                if (bound && scan32(row, n, b32(bound[l]), m, l, err))       \
+                    return 1;                                                \
+            }                                                                \
+        }                                                                    \
+        widen(state, out, q, L, n);                                          \
+        return 0;                                                            \
     }
-    return 0;
-}
 
-EXPORT int ntt_inv_barrett(uint64_t *x, const uint64_t *w,
-                           const uint64_t *ninv, const uint64_t *q,
-                           const uint64_t *mu, int64_t L, int64_t n,
-                           const uint64_t *bound, uint64_t *err) {
-    for (int64_t l = 0; l < L; ++l) {
-        uint64_t ql = q[l], q2 = 2 * ql;
-        uint64_t mu_hi = mu[l] >> 32, mu_lo = mu[l] & 0xffffffffu;
-        uint64_t *row = x + l * n;
-        const uint64_t *wl = w + l * n;
-        for (int64_t m = n, t = 1; m > 1; m >>= 1, t <<= 1) {
-            int64_t h = m >> 1;
-            for (int64_t g = 0; g < h; ++g) {
-                uint64_t tw = wl[h + g];
-                uint64_t *u = row + g * 2 * t;
-                uint64_t *v = u + t;
-                for (int64_t k = 0; k < t; ++k) {
-                    uint64_t uk = u[k], vk = v[k];
-                    uint64_t s = uk + vk;
-                    s = s < q2 ? s : s - q2;
-                    uint64_t d = uk + q2 - vk;
-                    d = d < q2 ? d : d - q2;
-                    u[k] = s;
-                    v[k] = barrett_mul(d, tw, ql, q2, mu_hi, mu_lo);
-                }
-            }
-            if (bound && scan64(row, n, bound[l], m, l, err)) return 1;
-        }
-        uint64_t nv = ninv[l];
-        for (int64_t k = 0; k < n; ++k)
-            row[k] = barrett_mul(row[k], nv, ql, q2, mu_hi, mu_lo);
-        if (bound && scan64(row, n, bound[l], 0, l, err)) return 1;
-        for (int64_t k = 0; k < n; ++k) { /* exit fold to canonical */
-            uint64_t s = row[k];
-            row[k] = s < ql ? s : s - ql;
-        }
+#define NTT_INV(NAME, MUL, ADD, SUB)                                         \
+    EXPORT int NAME(const uint64_t *in, uint64_t *out,                       \
+                    uint32_t *restrict state, const uint32_t *restrict w,    \
+                    const uint32_t *restrict ws, const uint32_t *ninv,       \
+                    const uint32_t *ninvs, const uint64_t *q,                \
+                    const uint64_t *c, int64_t L, int64_t n,                 \
+                    const uint64_t *bound, uint64_t *err) {                  \
+        if (narrow(in, state, q, L, n)) return 2;                            \
+        for (int64_t l = 0; l < L; ++l) {                                    \
+            LIMB_SETUP;                                                      \
+            for (int64_t m = n, t = 1; m > 1; m >>= 1, t <<= 1) {            \
+                STAGE(GS_STAGE, t, m >> 1, MUL, ADD, SUB)                    \
+                if (bound && scan32(row, n, b32(bound[l]), m, l, err))       \
+                    return 1;                                                \
+            }                                                                \
+            const uint32_t nv = ninv[l], nvs = ninvs ? ninvs[l] : nv;        \
+            for (int64_t k = 0; k < n; ++k) row[k] = MUL(row[k], nv, nvs, K); \
+            if (bound && scan32(row, n, b32(bound[l]), 0, l, err)) return 1; \
+        }                                                                    \
+        widen(state, out, q, L, n);                                          \
+        return 0;                                                            \
     }
-    return 0;
-}
+
+NTT_FWD(ntt_fwd_shoup, mul_shoup, add_q, sub_q)
+NTT_FWD(ntt_fwd_montgomery, mul_mont, add_q, sub_q)
+NTT_FWD(ntt_fwd_smr, mul_smr, add_q, sub_q)
+NTT_FWD(ntt_fwd_barrett, mul_barrett, add_2q, sub_2q)
+NTT_INV(ntt_inv_shoup, mul_shoup, add_q, sub_q)
+NTT_INV(ntt_inv_montgomery, mul_mont, add_q, sub_q)
+NTT_INV(ntt_inv_smr, mul_smr, add_q, sub_q)
+NTT_INV(ntt_inv_barrett, mul_barrett, add_2q, sub_2q)
 
 /* -- CRT tensor pass --------------------------------------------------
  * out[j] = (sum_i x_hat[i] * M[j,i] + v * corr[j]) mod p_j, the
@@ -478,10 +379,16 @@ EXPORT int crt_scale(const uint64_t *x, const uint64_t *w,
  * 2^32, SMR's signed m (as its 64-bit pattern); Shoup takes the
  * per-element companions `bsh` instead. */
 
+/* Barrett over 64-bit words: mul_barrett's mu-chain without the 32-bit
+ * narrowing, so any operands wrap exactly like numpy's. */
 static inline uint64_t term_barrett(uint64_t a, uint64_t b, uint64_t bsh,
                                     uint64_t q, uint64_t mu) {
     (void)bsh;
-    return barrett_mul(a, b, q, 2 * q, mu >> 32, mu & 0xffffffffu);
+    uint64_t x = a * b, x_hi = x >> 32, x_lo = x & 0xffffffffu;
+    uint64_t mu_hi = mu >> 32, mu_lo = mu & 0xffffffffu;
+    uint64_t mid = x_lo * mu_hi + ((x_lo * mu_lo) >> 32) + x_hi * mu_lo;
+    uint64_t r = x - (x_hi * mu_hi + (mid >> 32)) * q;
+    return r < 2 * q ? r : r - 2 * q;
 }
 
 static inline uint64_t term_montgomery(uint64_t a, uint64_t b, uint64_t bsh,

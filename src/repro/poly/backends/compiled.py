@@ -1,16 +1,20 @@
 """Compiled backend tier: ctypes-loaded C kernels.
 
 The C source (``_kernels.c``, shipped next to this module) implements
-the four Table-3 butterfly stage-kernel families, the lazy
+the four Table-3 butterfly families as whole transforms, the lazy
 product-accumulate and fold for all four reducers, the basis-conversion
 CRT tensor pass and ModDown's combine step over exactly the tables and
 reducer constants the numpy kernels use, so the outputs are
 bit-identical by the canonical-exactness argument in the package
 docstring.  The shared library is built lazily on first use with
-whatever C compiler is around (``$CC``, else ``cc``/``gcc``/``clang``)
-and cached by source hash under ``$REPRO_KERNEL_CACHE`` (default: a
-per-user directory in the system tempdir), so one build serves every
-process and every test run.
+whatever C compiler is around (``$CC``, else ``cc``/``gcc``/``clang``),
+for the host's instruction set (``-O3 -march=native``), retrying once
+with the portable ``-O3`` when the compiler rejects that flag.  It is
+cached under ``$REPRO_KERNEL_CACHE`` (default: a per-user directory in
+the system tempdir) by a digest of the source, the flags used and the
+host's ISA features, so one build serves every process and every test
+run on this CPU, and a shared cache never hands one CPU a library built
+for another.
 
 No toolchain — or a failing build — is *not* an error: :func:`get_lib`
 warns once per process with :class:`~repro.poly.backends.
@@ -33,6 +37,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -54,32 +59,53 @@ from repro.rns.reduction import (
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 
-#: lazy product kernel per reducer, and the per-limb reducer constant it
-#: takes (Shoup needs per-element companions instead)
-_LAZY_KERNELS = {
-    BarrettReducer: ("lazy_mac_barrett", "mu"),
-    MontgomeryReducer: ("lazy_mac_montgomery", "q_inv_neg"),
-    ShoupReducer: ("lazy_mac_shoup", None),
-    SignedMontgomeryReducer: ("lazy_mac_smr", "m"),
+#: build flags: for the host's instruction set first, then the portable
+#: retry for a compiler that rejects ``-march=native``
+NATIVE_FLAGS = ("-O3", "-march=native")
+PORTABLE_FLAGS = ("-O3",)
+
+#: per reducer: the kernel-name suffix, and the per-limb reducer constant
+#: the NTT and lazy product kernels take (Shoup takes per-element
+#: companions instead)
+_FAMILIES = {
+    BarrettReducer: ("barrett", "mu"),
+    MontgomeryReducer: ("montgomery", "q_inv_neg"),
+    ShoupReducer: ("shoup", None),
+    SignedMontgomeryReducer: ("smr", "m"),
 }
 
 _VP, _I64 = ctypes.c_void_p, ctypes.c_int64
-#: argument types of the accumulator and combine kernels (all return void)
+#: (argument types, return type) of every kernel
 _SIGNATURES = {
-    **{name: [_VP] * 7 + [_I64, _I64] for name, _ in _LAZY_KERNELS.values()},
-    "lazy_fold_unsigned": [_VP] * 3 + [_I64, _I64, _VP],
-    "lazy_fold_signed": [_VP] * 3 + [_I64, _I64, _VP],
-    "moddown_combine": [_VP] * 5 + [_I64, _I64, _VP],
+    **{
+        f"ntt_fwd_{name}": ([_VP] * 7 + [_I64, _I64, _VP, _VP], ctypes.c_int)
+        for name, _ in _FAMILIES.values()
+    },
+    **{
+        f"ntt_inv_{name}": ([_VP] * 9 + [_I64, _I64, _VP, _VP], ctypes.c_int)
+        for name, _ in _FAMILIES.values()
+    },
+    **{
+        f"lazy_mac_{name}": ([_VP] * 7 + [_I64, _I64], None)
+        for name, _ in _FAMILIES.values()
+    },
+    "lazy_fold_unsigned": ([_VP] * 3 + [_I64, _I64, _VP], None),
+    "lazy_fold_signed": ([_VP] * 3 + [_I64, _I64, _VP], None),
+    "moddown_combine": ([_VP] * 5 + [_I64, _I64, _VP], None),
+    "crt_convert": ([_VP] * 8 + [_I64, _I64, _I64, _VP], ctypes.c_int),
+    "crt_scale": ([_VP] * 4 + [_I64, _I64, _VP], ctypes.c_int),
 }
 
 _LIB: ctypes.CDLL | None = None
+_LIB_FLAGS: tuple[str, ...] | None = None
 _FAILED = False
 
 
 def _reset() -> None:
     """Forget the loaded library and the warn-once latch (tests only)."""
-    global _LIB, _FAILED
+    global _LIB, _LIB_FLAGS, _FAILED
     _LIB = None
+    _LIB_FLAGS = None
     _FAILED = False
 
 
@@ -101,32 +127,75 @@ def _compiler() -> str | None:
     return None
 
 
-def _build_lib() -> Path:
-    """Compile (or reuse) the kernel shared library, returning its path.
+def _isa_fingerprint() -> str:
+    """The host CPU's instruction-set features, as one string.
 
-    The artifact name carries a source hash, so editing ``_kernels.c``
-    invalidates stale caches naturally; the build lands under a
-    temporary name and is published with an atomic ``os.replace`` so
-    concurrent processes never load a half-written library.
+    On Linux, the ``flags`` line of ``/proc/cpuinfo`` (``Features`` on
+    ARM); elsewhere the machine and processor names.
     """
-    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
-    cache = _cache_dir()
-    so = cache / f"repro_kernels_{digest}.so"
-    if so.exists():
-        return so
-    cc = _compiler()
-    if cc is None:
-        raise RuntimeError("no C compiler found ($CC unset, no cc/gcc/clang)")
-    cache.mkdir(parents=True, exist_ok=True)
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as f:
+            for line in f:
+                key, sep, value = line.partition(":")
+                if sep and key.strip() in ("flags", "Features"):
+                    return value.strip()
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}"
+
+
+def _artifact_name(flags: tuple[str, ...]) -> str:
+    """Library file name for a build with ``flags`` on this host: a digest
+    of the source, the flags and the ISA fingerprint, so editing
+    ``_kernels.c``, changing flags or moving a shared cache to another
+    CPU never loads a stale or foreign library."""
+    h = hashlib.sha256(_SOURCE.read_bytes())
+    h.update("\0".join(flags).encode())
+    h.update(b"\0" + _isa_fingerprint().encode())
+    return f"repro_kernels_{h.hexdigest()[:16]}.so"
+
+
+def _compile(cc: str, flags: tuple[str, ...], so: Path) -> str | None:
+    """Build ``so`` with ``flags``; the compiler's complaint on failure.
+
+    The build lands under a temporary name and is published with an
+    atomic ``os.replace`` so concurrent processes never load a
+    half-written library.
+    """
     tmp = so.with_name(f"{so.name}.tmp{os.getpid()}")
-    cmd = [cc, "-O3", "-fPIC", "-shared", "-o", str(tmp), str(_SOURCE)]
+    cmd = [cc, *flags, "-fPIC", "-shared", "-o", str(tmp), str(_SOURCE)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode:
         tmp.unlink(missing_ok=True)
         detail = (proc.stderr or proc.stdout).strip()[:400]
-        raise RuntimeError(f"{cc} failed (rc={proc.returncode}): {detail}")
+        return f"{cc} {' '.join(flags)} failed (rc={proc.returncode}): {detail}"
     os.replace(tmp, so)
-    return so
+    return None
+
+
+def _build_lib() -> tuple[Path, tuple[str, ...]]:
+    """Compile (or reuse) the kernel shared library: its path and flags.
+
+    Builds for the host ISA first; if the compiler rejects that, retries
+    once with the portable flags.  Raises when both fail.
+    """
+    cache = _cache_dir()
+    cc = None
+    failures = []
+    for flags in (NATIVE_FLAGS, PORTABLE_FLAGS):
+        so = cache / _artifact_name(flags)
+        if so.exists():
+            return so, flags
+        if cc is None:
+            cc = _compiler()
+            if cc is None:
+                raise RuntimeError("no C compiler found ($CC unset, no cc/gcc/clang)")
+            cache.mkdir(parents=True, exist_ok=True)
+        failure = _compile(cc, flags, so)
+        if failure is None:
+            return so, flags
+        failures.append(failure)
+    raise RuntimeError("; ".join(failures))
 
 
 def get_lib() -> ctypes.CDLL | None:
@@ -136,17 +205,18 @@ def get_lib() -> ctypes.CDLL | None:
     :class:`BackendFallbackWarning` naming the cause, then the failure
     is latched and later calls return ``None`` silently.
     """
-    global _LIB, _FAILED
+    global _LIB, _LIB_FLAGS, _FAILED
     if _LIB is not None:
         return _LIB
     if _FAILED:
         return None
     try:
-        lib = ctypes.CDLL(str(_build_lib()))
-        for name, argtypes in _SIGNATURES.items():
+        path, flags = _build_lib()
+        lib = ctypes.CDLL(str(path))
+        for name, (argtypes, restype) in _SIGNATURES.items():
             fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, None
-        _LIB = lib
+            fn.argtypes, fn.restype = argtypes, restype
+        _LIB, _LIB_FLAGS = lib, flags
     except Exception as exc:  # noqa: BLE001 - any build/load failure degrades
         _FAILED = True
         _LIB = None
@@ -158,6 +228,12 @@ def get_lib() -> ctypes.CDLL | None:
         )
         return None
     return _LIB
+
+
+def built_for_host() -> bool:
+    """Whether the loaded library was built for the host ISA rather than
+    by the portable retry (``False`` when none is loaded)."""
+    return _LIB is not None and _LIB_FLAGS == NATIVE_FLAGS
 
 
 def _ptr(a: np.ndarray) -> ctypes.c_void_p:
@@ -187,120 +263,95 @@ def _words(x, shape: tuple[int, ...]) -> bool:
     )
 
 
+def _limb_const(red, attr: str | None) -> np.ndarray | None:
+    """The reducer's per-limb constant ``attr`` as contiguous 64-bit
+    patterns (SMR's signed ``m`` keeps its bits), or ``None``."""
+    if attr is None:
+        return None
+    return _c(np.asarray(getattr(red, attr)).reshape(-1)).view(np.uint64)
+
+
+def _u32(a: np.ndarray) -> np.ndarray:
+    """A prepared table as contiguous 32-bit words (signed SMR forms keep
+    their two's-complement bits); every value fits, since q < 2^31."""
+    return _c(np.asarray(a).astype(np.uint32))
+
+
 class CompiledNtt:
     """C-kernel implementation bound to one :class:`BatchNTT` engine.
 
-    Holds contiguous casts of the engine's prepared twiddle tables in the
-    C ABI dtypes (built once per engine — ``take``/``extend`` clones
-    get their own impl) plus one persistent state buffer, so a transform
-    is: range-check, one copy in, one C call, one copy out.
+    Holds the engine's prepared twiddle tables and ``n^-1`` as 32-bit
+    words (built once per engine — ``take``/``extend`` clones get their
+    own impl) plus one persistent uint32 state buffer, so a transform is
+    one C call: range-check and narrow, every stage, widen into ``out``.
     """
 
     def __init__(self, engine, lib: ctypes.CDLL) -> None:
         self.engine = engine
-        self.lib = lib
         self.n = engine.n
         self.num_limbs = len(engine.primes)
+        shape = (self.num_limbs, self.n)
         red = engine.backend.red
-        q64 = np.array(engine.primes, dtype=np.uint64)
-        self._q_col = q64.reshape(-1, 1)
+        name, const = _FAMILIES[type(red)]
+        self._q = _c(np.array(engine.primes, dtype=np.uint64))
+        self._q_col = self._q.reshape(-1, 1)
+        self._const = _limb_const(red, const)
+        self._state = np.empty(shape, np.uint32)
         self._err = np.zeros(4, dtype=np.uint64)
         self._products = None  # pointwise accumulator, built on first use
-        method = engine.method
-        fwd, inv, ninv = engine._fwd, engine._inv, engine._n_inv
-        if method == "barrett":
-            self._state = np.empty((self.num_limbs, self.n), np.uint64)
-            q = _c(q64)
-            mu = _c(np.asarray(red.mu, dtype=np.uint64).reshape(-1))
-            self._fwd_call = (lib.ntt_fwd_barrett, (_c(fwd[0]), q, mu))
-            self._inv_call = (
-                lib.ntt_inv_barrett,
-                (_c(inv[0]), _c(ninv[0].reshape(-1)), q, mu),
-            )
-        else:
-            self._state = np.empty((self.num_limbs, self.n), np.uint32)
-            q32 = _c(q64.astype(np.uint32))
-            if method == "shoup":
-                nv = _c(ninv[0].reshape(-1).astype(np.uint32))
-                nvsh = _c(ninv[1].reshape(-1))
-                self._fwd_call = (
-                    lib.ntt_fwd_shoup,
-                    (_c(fwd[0].astype(np.uint32)), _c(fwd[1]), q32),
-                )
-                self._inv_call = (
-                    lib.ntt_inv_shoup,
-                    (_c(inv[0].astype(np.uint32)), _c(inv[1]), nv, nvsh, q32),
-                )
-            elif method == "montgomery":
-                qi = _c(np.asarray(red.q_inv_neg).reshape(-1).astype(np.uint32))
-                self._fwd_call = (lib.ntt_fwd_mont, (_c(fwd[0]), q32, qi))
-                self._inv_call = (
-                    lib.ntt_inv_mont,
-                    (_c(inv[0]), _c(ninv[0].reshape(-1)), q32, qi),
-                )
-            elif method == "smr":
-                m32 = _c(
-                    np.bitwise_and(
-                        np.asarray(red.m, dtype=np.int64).reshape(-1),
-                        np.int64(0xFFFFFFFF),
-                    ).astype(np.uint32)
-                )
-                self._fwd_call = (lib.ntt_fwd_smr, (_c(fwd[0]), q32, m32))
-                self._inv_call = (
-                    lib.ntt_inv_smr,
-                    (_c(inv[0]), _c(ninv[0].reshape(-1)), q32, m32),
-                )
-            else:  # pragma: no cover - BatchNTT validates the method first
-                raise ValueError(f"no compiled kernel for method {method!r}")
+        # (twiddles[, Shoup companions]) as 32-bit words, named like the
+        # numpy kernel's tables and kept alive for the pointers below
+        self.fwd_n, self.inv_n, self.n_inv = (
+            tuple(_u32(p) for p in parts)
+            for parts in (engine._fwd, engine._inv, engine._n_inv)
+        )
+        fwd, inv, ninv = (
+            (_ptr(parts[0]), _ptr_or_null(parts[1] if len(parts) > 1 else None))
+            for parts in (self.fwd_n, self.inv_n, self.n_inv)
+        )
+        state, tail = _ptr(self._state), (_ptr(self._q), _ptr_or_null(self._const))
+        self._fwd = (getattr(lib, f"ntt_fwd_{name}"), (state, *fwd, *tail, *shape))
+        self._inv = (
+            getattr(lib, f"ntt_inv_{name}"),
+            (state, *inv, *ninv, *tail, *shape),
+        )
 
-    def _run(self, call, direction: str) -> None:
-        fn, tables = call
-        err = self._err
-        err[:] = 0
-        kernel = self.engine._kernel
+    def _transform(self, call, a, out, direction):
+        fn, args = call
+        shape = self._state.shape
+        a = np.ascontiguousarray(a, dtype=np.uint64)
+        writable = _words(out, shape) and out.dtype == np.uint64
+        res = out if writable else np.empty(shape, np.uint64)
         # Read the *live* bound column each call: it is the same certified
         # per-stage bound the numpy kernel asserts, and tests tighten it
         # in place to prove the asserts run inside the hot loop.
+        kernel = self.engine._kernel
         bound_col = None
         if kernel.checked:
-            bound_col = np.ascontiguousarray(
-                np.asarray(kernel._bound_col, dtype=np.uint64).reshape(-1)
-            )
-        rc = fn(
-            _ptr(self._state),
-            *(_ptr(t) for t in tables),
-            ctypes.c_int64(self.num_limbs),
-            ctypes.c_int64(self.n),
-            ctypes.c_void_p(None) if bound_col is None else _ptr(bound_col),
-            _ptr(err),
-        )
+            bound_col = _c(np.asarray(kernel._bound_col, dtype=np.uint64).reshape(-1))
+        err = self._err
+        rc = fn(_ptr(a), _ptr(res), *args, _ptr_or_null(bound_col), _ptr(err))
+        if rc == 2:  # an input word out of range; nothing was written
+            raise _range_error(a, self._q_col)
         if rc:
             limb = int(err[2])
-            bound = int(bound_col[limb])
             m = int(err[1])
             stage = f"{direction} stage m={m}" if m else "n^-1 scale"
             raise SanitizerError(
                 f"checked mode: {self.engine.method} NTT {stage} produced "
-                f"{int(err[0])} outside [0, {bound}] at row {limb}, "
-                f"coefficient index {int(err[3])}"
+                f"{int(err[0])} outside [0, {int(bound_col[limb])}] at row "
+                f"{limb}, coefficient index {int(err[3])}"
             )
-
-    def _transform(self, a, call, direction, out):
-        a = np.asarray(a, dtype=np.uint64)
-        if a.size and np.any(a >= self._q_col):
-            raise _range_error(a, self._q_col)
-        np.copyto(self._state, a, casting="unsafe")
-        self._run(call, direction)
-        if out is None:
-            return self._state.astype(np.uint64)
-        np.copyto(out, self._state, casting="unsafe")
+        if out is None or res is out:
+            return res
+        np.copyto(out, res, casting="unsafe")
         return out
 
     def forward(self, a, out=None):
-        return self._transform(a, self._fwd_call, "forward", out)
+        return self._transform(self._fwd, a, out, "forward")
 
     def inverse(self, a_hat, out=None):
-        return self._transform(a_hat, self._inv_call, "inverse", out)
+        return self._transform(self._inv, a_hat, out, "inverse")
 
     def pointwise(self, a_hat, prepared):
         """NTT-domain product through the lazy product kernel: one term
@@ -439,8 +490,8 @@ class CompiledLazy:
         self.acc = acc
         red = acc.reducer
         self.shape = acc.acc.shape
-        name, const = _LAZY_KERNELS[type(red)]
-        self._mac = getattr(lib, name)
+        name, const = _FAMILIES[type(red)]
+        self._mac = getattr(lib, f"lazy_mac_{name}")
         self._fold = lib.lazy_fold_signed if acc.signed else lib.lazy_fold_unsigned
         self._shoup = const is None
         # The store and the constants live as long as this impl, so their
@@ -448,11 +499,7 @@ class CompiledLazy:
         self._store = acc.acc
         self._q = _c(np.array(red.q_ints, dtype=np.uint64))
         self._mu = _c(np.array([(1 << 64) // q for q in red.q_ints], np.uint64))
-        self._const = (
-            None
-            if const is None
-            else _c(np.asarray(getattr(red, const)).reshape(-1)).view(np.uint64)
-        )
+        self._const = _limb_const(red, const)
         dims = (ctypes.c_int64(self.shape[0]), ctypes.c_int64(self.shape[1]))
         self._store_ptr = _ptr(self._store)
         self._fold_args = (self._store_ptr, _ptr(self._q), _ptr(self._mu), *dims)
@@ -518,7 +565,7 @@ def make_compiled_lazy(acc):
         acc.acc.ndim == 2
         and getattr(red, "batched", False)
         and len(red.q_ints) == acc.acc.shape[0]
-        and type(red) in _LAZY_KERNELS
+        and type(red) in _FAMILIES
     ):
         return None
     lib = get_lib()

@@ -24,6 +24,7 @@ key-switching inner product through a
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -94,10 +95,11 @@ class LimbState:
             prime); the scheme layer enforces its semantics.
         prepared: cached backend-prepared operand handle (or ``None``).
         twin: the cached transform twin polynomial (or ``None``); the
-            link is bidirectional, ``twin.state.twin`` points back.
+            link is bidirectional, ``twin.state.twin`` points back
+            (weakly from the NTT side).
     """
 
-    __slots__ = ("domain", "level", "scale", "prepared", "twin")
+    __slots__ = ("domain", "level", "scale", "prepared", "_twin")
 
     def __init__(self, domain: str, level: int, scale: float = 1.0) -> None:
         if domain not in (COEFF, NTT):
@@ -108,7 +110,28 @@ class LimbState:
         self.level = int(level)
         self.scale = float(scale)
         self.prepared: tuple[np.ndarray, ...] | None = None
-        self.twin = None  # the twin RnsPolynomial, when cached
+        self._twin = None  # the twin, or a weakref to it (NTT side)
+
+    @property
+    def twin(self):
+        """The cached transform twin :class:`RnsPolynomial`, or ``None``.
+
+        The one accessor for both directions of a pair joined by
+        :meth:`link`: the coefficient side holds its NTT twin strongly,
+        the NTT side points back through a weakref, so a pair is never a
+        reference cycle and reference counting alone frees it.  The NTT
+        side therefore loses its coefficient twin once nothing else holds
+        that element.
+        """
+        link = self._twin
+        return link() if isinstance(link, weakref.ref) else link
+
+    @staticmethod
+    def link(coeff, ntt) -> None:
+        """Cache two :class:`RnsPolynomial` as each other's transform
+        twin: strongly from the coefficient side, weakly back."""
+        coeff.state._twin = ntt
+        ntt.state._twin = weakref.ref(coeff)
 
     def invalidate(self) -> None:
         """The one invalidation path: drop caches derived from limb values.
@@ -120,9 +143,9 @@ class LimbState:
         """
         self.prepared = None
         twin = self.twin
-        self.twin = None
+        self._twin = None
         if twin is not None:
-            twin.state.twin = None
+            twin.state._twin = None
 
 
 class PolyContext:
@@ -478,7 +501,7 @@ class RnsPolynomial:
     property.
     """
 
-    __slots__ = ("ctx", "limbs", "state")
+    __slots__ = ("ctx", "limbs", "state", "__weakref__")
 
     def __init__(
         self,
@@ -634,23 +657,23 @@ class RnsPolynomial:
         """
         if self.domain == NTT:
             return self
-        if self.state.twin is None:
+        twin = self.state.twin
+        if twin is None:
             out = self.ctx.batch_ntt.forward(self.limbs)
             twin = RnsPolynomial(self.ctx, out, NTT, scale=self.state.scale)
-            twin.state.twin = self
-            self.state.twin = twin
-        return self.state.twin
+            LimbState.link(self, twin)
+        return twin
 
     def to_coeff(self) -> RnsPolynomial:
         """Inverse of :meth:`to_ntt`, with the same twin caching."""
         if self.domain == COEFF:
             return self
-        if self.state.twin is None:
+        twin = self.state.twin
+        if twin is None:
             out = self.ctx.batch_ntt.inverse(self.limbs)
             twin = RnsPolynomial(self.ctx, out, COEFF, scale=self.state.scale)
-            twin.state.twin = self
-            self.state.twin = twin
-        return self.state.twin
+            LimbState.link(twin, self)
+        return twin
 
     # -- Galois automorphisms ----------------------------------------------
     def automorphism(self, k: int) -> RnsPolynomial:

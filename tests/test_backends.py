@@ -10,15 +10,22 @@ The PR 9 contract has three load-bearing claims, each tested here:
   ModDown and its combine step, hybrid key switch, hoisted key switch
   under two Galois permutations, and a reused multiply-accumulate
   accumulator — down to its unfolded state — with the C kernels shown
-  to have run);
+  to have run), and its transforms on every ring from N = 2 to 4096;
+* checked mode reports a violation in a narrow (t < 16) stage exactly
+  as the numpy kernels do;
 * the compiled accumulator keeps the numpy tier's guarantees: the bound
   tracker raises before the kernel writes, and checked mode declines to
   the instrumented numpy fold;
+* the library is built for the host ISA, under a name that changes with
+  the flags and the ISA fingerprint, and a compiler that rejects
+  ``-march=native`` gets the portable retry without a warning;
 * degradation is graceful and loud exactly once — a missing toolchain
   warns a single :class:`BackendFallbackWarning` (not per call) and
   runs on numpy.
 """
 
+import os
+import shutil
 import warnings
 
 import numpy as np
@@ -32,10 +39,11 @@ from repro.poly.backends import (
 )
 from repro.poly.backends import compiled
 from repro.poly.basis_conv import KeySwitchKey
+from repro.poly.batch_ntt import BatchNTT
 from repro.poly.lazy import LazyAccumulator
 from repro.poly.ntt import automorphism_tables
 from repro.poly.rns_poly import PolyContext, RnsPolynomial
-from repro.rns.primes import PrimePool
+from repro.rns.primes import PrimePool, is_prime
 
 
 def _available_tiers() -> list[str]:
@@ -334,6 +342,124 @@ def test_compiled_checked_mode_trips_like_numpy(pool64):
     )
     with pytest.raises(SanitizerError, match="forward stage"):
         ctx.batch_ntt.forward(a)
+
+
+def _sweep_primes() -> list[int]:
+    """Three limbs, each 1 mod 8192 so every ring up to N = 4096 takes
+    them: the largest below 2^31 (Barrett's lazy 2q state then crosses
+    2^31), the largest below 2^30 and the largest below 2^25."""
+    primes = []
+    for bits in (31, 30, 25):
+        q = ((1 << bits) - 1) // 8192 * 8192 + 1
+        while not is_prime(q):
+            q -= 8192
+        primes.append(q)
+    return primes
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+@pytest.mark.parametrize("method", _METHODS)
+def test_transform_parity_sweep(method):
+    """Every power-of-two ring from N = 2 to 4096, both directions, out
+    aliasing the input too: the compiled transforms — every narrow
+    stage included — bit-match numpy."""
+    primes = _sweep_primes()
+    rng = np.random.default_rng(0x5EEB)
+    for log_n in range(1, 13):
+        n = 1 << log_n
+        ref = BatchNTT(primes, n, method, backend="numpy")
+        got = BatchNTT(primes, n, method, backend="compiled")
+        assert got._tier_impl() is not None
+        a = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
+        hat = ref.forward(a)
+        assert np.array_equal(hat, got.forward(a)), f"N={n} forward"
+        assert np.array_equal(ref.inverse(a), got.inverse(a)), f"N={n} inverse"
+        x = a.copy()
+        got.inverse(got.forward(x, out=x), out=x)
+        assert np.array_equal(x, a), f"N={n} in-place round trip"
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+@pytest.mark.parametrize("method", _METHODS)
+def test_checked_violation_in_narrow_stage(pool64, method):
+    """A first violation inside a t < 16 stage is reported with the same
+    value, stage, limb and index on both tiers.  With the bound column
+    tightened to 1, a unit at coefficient 8 of N = 64 keeps every value
+    in {0, 1} until stage m=4 (t=8) multiplies it by a twiddle; the
+    inverse trips in its first stage, t=1."""
+    messages = {}
+    for tier in ("numpy", "compiled"):
+        ctx = PolyContext.from_pool(
+            pool64, num_terminal=1, num_main=2, method=method, checked=True,
+            backend=tier,
+        )
+        kernel = ctx.batch_ntt._kernel
+        kernel._bound_col = np.ones_like(kernel._bound_col)
+        unit = np.zeros((ctx.num_limbs, 64), np.uint64)
+        unit[:, 8] = 1
+        with pytest.raises(SanitizerError, match="forward stage m=4 ") as fwd:
+            ctx.batch_ntt.forward(unit)
+        rng = np.random.default_rng(5)
+        a = np.stack([rng.integers(2, q, 64, dtype=np.uint64) for q in ctx.primes])
+        with pytest.raises(SanitizerError, match="inverse stage m=64 ") as inv:
+            ctx.batch_ntt.inverse(a)
+        messages[tier] = (str(fwd.value), str(inv.value))
+    assert messages["compiled"] == messages["numpy"]
+
+
+# -- build ------------------------------------------------------------------
+class TestCompiledBuild:
+    def test_artifact_name_tracks_flags_and_isa(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_isa_fingerprint", lambda: "sse2 avx2")
+        name = compiled._artifact_name(compiled.NATIVE_FLAGS)
+        assert name == compiled._artifact_name(compiled.NATIVE_FLAGS)
+        assert name != compiled._artifact_name(compiled.PORTABLE_FLAGS)
+        monkeypatch.setattr(
+            compiled, "_isa_fingerprint", lambda: "sse2 avx2 avx512f"
+        )
+        assert name != compiled._artifact_name(compiled.NATIVE_FLAGS)
+
+    @pytest.mark.skipif(
+        "compiled" not in TIERS or os.name != "posix",
+        reason="needs a C toolchain and a POSIX shell",
+    )
+    def test_compiler_rejecting_native_gets_portable_retry(
+        self, pool64, rng, monkeypatch, tmp_path
+    ):
+        real_cc = shutil.which(compiled._compiler())
+        wrapper = tmp_path / "cc-no-native"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            'for arg in "$@"; do\n'
+            '  if [ "$arg" = "-march=native" ]; then\n'
+            '    echo "unsupported option $arg" >&2; exit 1\n'
+            "  fi\n"
+            "done\n"
+            f'exec "{real_cc}" "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CC", str(wrapper))
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+        compiled._reset()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", BackendFallbackWarning)
+                assert compiled.get_lib() is not None
+            assert not compiled.built_for_host()
+            a = PolyContext.from_pool(
+                pool64, num_terminal=1, num_main=2, backend="numpy"
+            ).random(rng)
+            for method in _METHODS:
+                hats = [
+                    PolyContext.from_pool(
+                        pool64, num_terminal=1, num_main=2, method=method,
+                        backend=tier,
+                    ).batch_ntt.forward(a.limbs)
+                    for tier in ("numpy", "compiled")
+                ]
+                assert np.array_equal(*hats), f"{method} portable build"
+        finally:
+            compiled._reset()
 
 
 # -- graceful degradation -------------------------------------------------

@@ -161,3 +161,19 @@ def test_full_recording_grid_includes_the_smoke_cells():
     # main() composes the recording grid as SMOKE + FULL; pin the shape
     # here so a refactor cannot quietly drop the smoke cells again.
     assert bench_poly.SMOKE_GRID[0] == (256, 4)
+
+
+def test_roofline_widths_follow_tier_storage():
+    """The roofline counts the bytes each tier really stores: uint64
+    limbs on both, twiddles at numpy's kernel widths (Shoup's uint32
+    value + uint64 companion, one 64-bit word else) and as 32-bit words
+    on the compiled tier."""
+    numpy_tw = {"barrett": 8, "montgomery": 8, "shoup": 12, "smr": 8}
+    for method, tw in numpy_tw.items():
+        assert bench_poly._storage_bytes(64, method, "numpy") == (8, tw)
+    if bench_poly._tier_available("compiled"):
+        for method in numpy_tw:
+            expect = (8, 8 if method == "shoup" else 4)
+            assert bench_poly._storage_bytes(64, method, "compiled") == expect
+    ntt = bench_poly._roofline_s("ntt_forward", 64, 2, 1, 8, 4, copy_bw=1.0)
+    assert ntt == 2 * 64 * (2 * 8 + 4)

@@ -5,6 +5,9 @@ results to Python integers mod Q = prod q_i — slow but exact, which is the
 point: the (num_limbs, N) limb layout must be *algebraically invisible*.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -452,6 +455,31 @@ def test_invalidate_is_the_single_cache_drop_path(ctx, rng):
     a_hat.state.invalidate()
     assert a_hat.state.prepared is None
     assert a_hat.state.twin is None and a.state.twin is None
+
+
+def test_dropped_twin_pair_is_freed_without_cyclic_gc(ctx, rng):
+    """A transform pair is no reference cycle: reference counting alone
+    frees both limb matrices once the caller drops the pair, whichever
+    direction linked it, and the cache still hits while both live."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        a = ctx.random(rng)
+        a_hat = a.to_ntt()
+        assert a.to_ntt() is a_hat and a_hat.to_coeff() is a
+        freed = [weakref.ref(a.limbs), weakref.ref(a_hat.limbs)]
+        del a, a_hat
+        assert all(ref() is None for ref in freed)
+
+        b_hat = ctx.random(rng).to_ntt()  # its coefficient twin is gone
+        b = b_hat.to_coeff()
+        assert b.to_ntt() is b_hat and b_hat.to_coeff() is b
+        freed = [weakref.ref(b.limbs), weakref.ref(b_hat.limbs)]
+        del b, b_hat
+        assert all(ref() is None for ref in freed)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_mismatch_reason_is_none_for_compatible(ctx):
