@@ -8,7 +8,10 @@ Two abstract-interpretation levels plus a runtime sanitizer:
   :class:`~repro.analysis.ranges.KernelCertificate` (cached on
   :class:`~repro.poly.rns_poly.PolyContext` via ``range_certificate()``)
   that proves uint32/uint64 non-overflow and the 2q-lazy invariant for a
-  parameter family — or pinpoints the first violating op.
+  parameter family — or pinpoints the first violating op — and records
+  the lazy-accumulation headroom by the reducer contract's rule
+  (:meth:`~repro.rns.reduction.ReducerContract.lazy_bounds`), the one
+  :class:`~repro.poly.lazy.LazyAccumulator` and the plan checker read.
 * **Level 2 — plan checking** (:mod:`repro.analysis.plan_check`):
   a static pass over traced :class:`~repro.scheme._circuit.CircuitPlan`
   DAGs propagating level/scale/noise-budget lattices per node; flags
@@ -29,14 +32,7 @@ module.
 from __future__ import annotations
 
 from repro.analysis.intervals import Diagnostic, Interval, Obligation
-from repro.analysis.ranges import (
-    KernelCertificate,
-    analyze_accumulation,
-    analyze_conversion,
-    analyze_shoup_precompute,
-    certify_kernels,
-    safe_headroom,
-)
+from repro.analysis.ranges import KernelCertificate, certify_kernels
 from repro.analysis.sanitizer import checked_mode
 
 __all__ = [
@@ -45,13 +41,9 @@ __all__ = [
     "KernelCertificate",
     "Obligation",
     "PlanReport",
-    "analyze_accumulation",
-    "analyze_conversion",
-    "analyze_shoup_precompute",
     "certify_kernels",
     "check_plan",
     "checked_mode",
-    "safe_headroom",
 ]
 
 

@@ -1,22 +1,22 @@
 """Analyzer CLI: ``python -m repro.analysis``.
 
 Runs the two static layers over the acceptance surface and exits
-non-zero on any gated violation:
+non-zero on any violation:
 
 1. **Parameter families** — Level-1 kernel range certificates
    (:func:`repro.analysis.certify_kernels`) for every
-   ``(N, L, method)`` cell of the acceptance grid.  Gated: a single
-   failed proof obligation fails the run.
+   ``(N, L, method)`` cell of the acceptance grid.  A single failed
+   proof obligation fails the run.
 2. **Bench circuits** — the benchmark harness's compiled workloads
    (BSGS matvec, BSGS polynomial evaluation, hoisted rotations, and the
    matvec -> poly_eval -> rescale composite) are re-traced, compiled and
    passed through the Level-2 plan checker
-   (:func:`repro.analysis.check_plan`).  Gated: any error-severity
-   diagnostic fails the run.
-3. **Seeded random DAGs** — the test suite's program generator
-   (``tests/test_circuit.py``) replayed through the checker.  These
-   programs deliberately abuse scales, so they are report-only by
-   default; ``--strict-dags`` promotes their errors into the gate.
+   (:func:`repro.analysis.check_plan`).  Any error-severity diagnostic
+   fails the run.
+
+The seeded random programs of ``tests/test_circuit.py`` go through the
+same checker in the test suite
+(``tests/test_plan_check.py::test_random_dag_plans_are_error_free``).
 
 Usage::
 
@@ -28,9 +28,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import sys
-from pathlib import Path
 
 from repro.analysis.ranges import certify_kernels
 
@@ -146,55 +143,6 @@ def run_circuits(n: int, methods, verbose=False) -> int:
     return failures
 
 
-def _load_test_circuit():
-    # src/repro/analysis/__main__.py -> repo root is parents[3]
-    path = Path(__file__).resolve().parents[3] / "tests" / "test_circuit.py"
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_tc_dags", path)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules["_tc_dags"] = mod
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def run_dags(seeds, method: str, strict: bool, verbose=False) -> int:
-    tc = _load_test_circuit()
-    if tc is None:
-        print("[dags] tests/test_circuit.py not found; skipping")
-        return 0
-    failures = 0
-    n = 1024
-    ctx, _, ev = tc._setup(n, method)
-    pts = tc._plaintexts(n, method)
-    for seed in seeds:
-        ops, (o1, o2) = tc._gen_ops(seed, ctx, len(pts))
-        tracer = tc.CircuitTracer(ev)
-        traced = tc._interpret(
-            tracer,
-            ops,
-            tracer.input("x", scale=tc.SCALE),
-            tracer.input("y", scale=tc.SCALE),
-            pts,
-        )
-        plan = tracer.compile({"a": traced[o1], "b": traced[o2]})
-        report = plan.analyze()
-        print(
-            f"[dags]    N={n} {method} seed={seed}: "
-            f"{len(report.errors)} error(s), "
-            f"{len(report.warnings)} warning(s), "
-            f"{report.num_steps} step(s)"
-        )
-        for d in report.errors:
-            print(f"    {d}")
-        if verbose:
-            for d in report.warnings:
-                print(f"    {d}")
-        if strict and not report.ok:
-            failures += 1
-    return failures
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -205,18 +153,7 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--levels", type=int, nargs="+", default=[4, 12])
     ap.add_argument("--methods", nargs="+", default=list(METHODS))
-    ap.add_argument(
-        "--seeds", type=int, nargs="+", default=[0, 1, 2, 4, 7, 9]
-    )
     ap.add_argument("--families-only", action="store_true")
-    ap.add_argument("--skip-circuits", action="store_true")
-    ap.add_argument("--skip-dags", action="store_true")
-    ap.add_argument(
-        "--strict-dags",
-        action="store_true",
-        help="gate on random-DAG errors too (they abuse scales on "
-        "purpose, so this is off by default)",
-    )
     ap.add_argument("-v", "--verbose", action="store_true")
     args = ap.parse_args(argv)
 
@@ -224,12 +161,7 @@ def main(argv=None) -> int:
         args.ring_degrees, args.levels, args.methods, args.verbose
     )
     if not args.families_only:
-        if not args.skip_circuits:
-            failures += run_circuits(1024, args.methods, args.verbose)
-        if not args.skip_dags:
-            failures += run_dags(
-                args.seeds, "smr", args.strict_dags, args.verbose
-            )
+        failures += run_circuits(1024, args.methods, args.verbose)
     if failures:
         print(f"analysis gate: {failures} failing item(s)")
         return 1

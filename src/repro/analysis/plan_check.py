@@ -27,8 +27,9 @@ Errors (``report.ok`` is False; the plan should not be run):
 * ``key-level-mismatch`` — a multiply/galois step whose switching key
   was generated for a different limb basis than the step's level; the
   executor would raise mid-run, the checker names it up front.
-* ``mac-overflow`` — a fused MAC with more terms than the reduced-
-  strategy accumulator headroom at that level.
+* ``mac-overflow`` — a fused MAC with more terms than the lazy
+  accumulator admits at that level (the reducer contract's rule,
+  :meth:`~repro.rns.reduction.ReducerContract.lazy_headroom`).
 * ``invalid-step`` / ``level-mismatch`` — malformed register references
   or operand levels; robustness against hand-assembled plans.
 
@@ -61,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.intervals import UINT64_MAX, Diagnostic
+from repro.analysis.intervals import Diagnostic
 from repro.errors import (
     KeyError_,
     LevelError,
@@ -69,6 +70,7 @@ from repro.errors import (
     ScaleMismatchError,
     StaticAnalysisError,
 )
+from repro.rns.reduction import REDUCER_CONTRACTS
 from repro.scheme.ops import MAC, OPS, RESCALE, NoiseModel, check_key_level
 
 #: diagnostic code for each operand-check failure the table raises
@@ -379,12 +381,13 @@ class _Checker:
         )
 
     def _check_mac_headroom(self, i, step, terms) -> None:
-        qmax = max(self.chain[step.level].primes)
-        capacity = UINT64_MAX // (2 * qmax - 1)
+        ctx = self.chain[step.level]
+        qmax = max(ctx.primes)
+        capacity = REDUCER_CONTRACTS[ctx.method].lazy_headroom(qmax)
         if terms > capacity:
             self.error(
                 "mac-overflow", i, step,
-                f"{terms} MAC terms exceed the reduced-strategy "
+                f"{terms} MAC terms exceed the {ctx.method} lazy "
                 f"accumulator headroom of {capacity} at level "
                 f"{step.level} (q_max={qmax})",
             )

@@ -4,11 +4,15 @@ For a parameter family ``(primes, N, backend)`` this pass symbolically
 propagates worst-case coefficient ranges through the batched NTT stage
 kernels (:mod:`repro.poly.batch_ntt`), the reducer primitives
 (``mullo32`` / ``mulhi32`` / ``mulmod`` / ``mulmod_cross``), the
-branch-free ``min(s, s - q)`` folds, the ``exact_rescale`` constant
-chain, and the :class:`~repro.poly.lazy.LazyAccumulator` accumulate/fold
-discipline — and either *proves* uint32/uint64 non-overflow plus the
-2q-lazy invariant, or reports the first violating op with the offending
-range.
+branch-free ``min(s, s - q)`` folds and the ``exact_rescale`` constant
+chain, records the lazy-accumulation headroom a fresh
+:class:`~repro.poly.lazy.LazyAccumulator` admits (the reducer contract's
+:meth:`~repro.rns.reduction.ReducerContract.lazy_bounds` rule, the one
+the accumulator enforces) — and either *proves* uint32/uint64
+non-overflow plus the 2q-lazy invariant, or reports the first violating
+op with the offending range.  :func:`certify_kernels` is the entry
+point; :meth:`~repro.poly.rns_poly.PolyContext.range_certificate`
+caches its result per context.
 
 The proof structure is induction on a per-limb *stage invariant* rather
 than fixpoint iteration: the analyzer establishes the entry base case
@@ -30,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.intervals import (
-    INT64_MAX,
     UINT32_MAX,
     UINT64_MAX,
     Diagnostic,
@@ -40,11 +43,6 @@ from repro.analysis.intervals import (
 )
 from repro.errors import ParameterError, StaticAnalysisError
 from repro.rns.reduction import REDUCER_CONTRACTS
-
-
-def safe_headroom(limit: int, bound: int, per_term: int) -> int:
-    """Worst-case terms that still fit before ``bound`` exceeds ``limit``."""
-    return max(0, limit - bound) // per_term
 
 
 class _Prover:
@@ -296,7 +294,6 @@ class KernelCertificate:
     method: str
     stage_bounds: tuple[int, ...]
     reduced_headroom: int
-    raw_headroom: int | None
     obligations: tuple[Obligation, ...]
     diagnostics: tuple[Diagnostic, ...]
 
@@ -325,12 +322,8 @@ class KernelCertificate:
             f"{status} ({sum(o.proved for o in self.obligations)}/"
             f"{len(self.obligations)} obligations)",
             f"  stage bounds: {list(self.stage_bounds)}",
-            f"  reduced-strategy headroom: {self.reduced_headroom} terms",
+            f"  lazy-accumulation headroom: {self.reduced_headroom} terms",
         ]
-        if self.raw_headroom is not None:
-            lines.append(
-                f"  raw-strategy headroom: {self.raw_headroom} terms"
-            )
         lines.extend(f"  {d}" for d in self.diagnostics)
         return "\n".join(lines)
 
@@ -368,27 +361,14 @@ def certify_kernels(
             diagnostics.extend(p.diagnostics)
     # Lazy-accumulation headroom (§4.2): how many worst-case terms a fresh
     # accumulator admits before AccumulatorOverflowError must fire.
-    contract = REDUCER_CONTRACTS[method]
     q_max = max(qs)
-    if contract.signed:
-        limit, per_term = INT64_MAX, q_max - 1
-    else:
-        limit, per_term = UINT64_MAX, 2 * q_max - 1
-    reduced_headroom = limit // per_term
+    reduced_headroom = REDUCER_CONTRACTS[method].lazy_headroom(q_max)
     p = _Prover(f"{method} lazy accumulation (q_max={q_max})")
     p.check(
         "reduced-headroom-exceeds-2^32",
         reduced_headroom >= 2**32,
         f"{reduced_headroom} worst-case terms fit a fresh accumulator",
     )
-    raw_headroom = None
-    if method == "smr":
-        raw_headroom = (q_max * 2**31 - 1) // ((q_max - 1) ** 2)
-        p.check(
-            "raw-headroom-at-least-one-term",
-            raw_headroom >= 1,
-            f"binding limb q={q_max} admits {raw_headroom} raw products",
-        )
     obligations.extend(p.obligations)
     diagnostics.extend(p.diagnostics)
     return KernelCertificate(
@@ -397,180 +377,6 @@ def certify_kernels(
         method=method,
         stage_bounds=tuple(stage_bounds),
         reduced_headroom=reduced_headroom,
-        raw_headroom=raw_headroom,
         obligations=tuple(obligations),
         diagnostics=tuple(diagnostics),
     )
-
-
-# -- fixture entry points (the historical-bug shapes as analyzer inputs) ----
-
-
-def analyze_shoup_precompute(q: int, w) -> list[Diagnostic]:
-    """Check Shoup companion precomputation for constant(s) ``w`` mod ``q``.
-
-    The PR-1 bug shape: a ``w >= q`` precompute yields a companion wider
-    than 32 bits that ``mulmod_const`` silently truncates, producing
-    wrong residues with no error.  Detected here as
-    ``shoup-companion-overflow`` before any companion is built.
-    """
-    q = int(q)
-    diags: list[Diagnostic] = []
-    if not 2 < q < 2**31:
-        diags.append(
-            Diagnostic(
-                "error", "modulus-out-of-range", f"q={q}",
-                "Shoup modulus must lie in (2, 2^31)",
-            )
-        )
-        return diags
-    ws = w if isinstance(w, (list, tuple)) else [w]
-    for i, wi in enumerate(ws):
-        wi = int(wi)
-        if 0 <= wi < q:
-            continue
-        companion = (wi << 32) // q if wi >= 0 else -((-wi << 32) // q)
-        diags.append(
-            Diagnostic(
-                "error",
-                "shoup-companion-overflow",
-                f"w[{i}]={wi} (q={q})",
-                f"w' = floor(w*2^32/q) = {companion} needs "
-                f"{abs(companion).bit_length()} bits > 32; mulmod_const "
-                "would truncate it and return wrong residues silently "
-                f"(w must lie in [0, {q}))",
-            )
-        )
-    return diags
-
-
-def analyze_accumulation(
-    moduli,
-    *,
-    strategy: str = "reduced",
-    signed: bool | None = None,
-    terms=(),
-) -> list[Diagnostic]:
-    """Abstractly replay a LazyAccumulator accumulate/fold chain.
-
-    ``terms`` is a sequence of ``("product",)`` entries (one worst-case
-    reduced/raw product) and ``("value", lo, hi)`` entries (pre-reduced
-    values with a declared range).  Detects the PR-1/2 bug shapes:
-
-    * ``unsigned-wrap`` — a possibly-negative value entering an unsigned
-      accumulator, where the uint64 cast would wrap silently;
-    * ``raw-bound-divergence`` — a raw-strategy term count that fits the
-      most permissive (smallest-q) limb row's own bound but overflows
-      the binding (largest-q) row, the per-row vs worst-case-limb trap;
-    * ``accumulator-overflow`` — a genuine overflow of every row, with
-      the statically safe headroom in the diagnostic.
-    """
-    if strategy not in ("reduced", "raw"):
-        raise ParameterError(f"unknown lazy strategy {strategy!r}")
-    qs = sorted(
-        int(q) for q in (moduli if isinstance(moduli, (list, tuple)) else [moduli])
-    )
-    if not qs:
-        raise ParameterError("accumulation analysis needs >= 1 modulus")
-    q_min, q_max = qs[0], qs[-1]
-    if signed is None:
-        signed = strategy == "raw"
-    if strategy == "raw":
-        limit, per_term = q_max * 2**31 - 1, (q_max - 1) ** 2
-        permissive_limit = q_min * 2**31 - 1
-        permissive_per_term = (q_min - 1) ** 2
-    elif signed:
-        limit, per_term = INT64_MAX, q_max - 1
-        permissive_limit, permissive_per_term = limit, per_term
-    else:
-        limit, per_term = UINT64_MAX, 2 * q_max - 1
-        permissive_limit, permissive_per_term = limit, per_term
-    diags: list[Diagnostic] = []
-    bound = permissive_bound = 0
-    for k, term in enumerate(terms):
-        kind = term[0]
-        if kind == "value":
-            if strategy == "raw":
-                diags.append(
-                    Diagnostic(
-                        "error", "raw-value-term", f"term {k}",
-                        "raw accumulators take products only; pre-reduced "
-                        "values belong to the 'reduced' strategy",
-                    )
-                )
-                break
-            lo, hi = int(term[1]), int(term[2])
-            if lo < 0 and not signed:
-                diags.append(
-                    Diagnostic(
-                        "error", "unsigned-wrap", f"term {k}",
-                        f"value range [{lo}, {hi}] admits negatives but the "
-                        "accumulator is unsigned: the uint64 cast would "
-                        "wrap them into huge residues silently",
-                    )
-                )
-                break
-            amount = p_amount = max(abs(lo), abs(hi))
-        else:
-            amount, p_amount = per_term, permissive_per_term
-        if bound + amount > limit:
-            headroom = safe_headroom(limit, bound, per_term)
-            if (
-                strategy == "raw"
-                and permissive_bound + p_amount <= permissive_limit
-            ):
-                diags.append(
-                    Diagnostic(
-                        "error", "raw-bound-divergence", f"term {k}",
-                        f"term {k} fits the most permissive row "
-                        f"(q={q_min}: bound {permissive_bound + p_amount} <= "
-                        f"{permissive_limit}) but overflows the binding "
-                        f"largest-q row (q={q_max}: bound {bound + amount} > "
-                        f"{limit}); per-row tracking would miss this — "
-                        f"safe headroom was {headroom} term(s)",
-                    )
-                )
-            else:
-                diags.append(
-                    Diagnostic(
-                        "error", "accumulator-overflow", f"term {k}",
-                        f"bound {bound + amount} > {limit} (q={q_max}, "
-                        f"strategy {strategy!r}); statically safe headroom "
-                        f"at the prior bound was {headroom} term(s)",
-                    )
-                )
-            break
-        bound += amount
-        permissive_bound += p_amount
-    return diags
-
-
-def analyze_conversion(src_primes, dst_primes) -> list[Diagnostic]:
-    """Range obligations of one fast-basis-conversion pass.
-
-    Checks the ``mulmod_cross`` product tensor fits uint64 per output
-    row, and that the deferred row-sum accumulation (``L_in`` lazy terms
-    per lane plus the v-correction term) stays below the uint64 fold
-    bound :class:`~repro.poly.basis_conv.BasisConverter` charges.
-    """
-    src = [int(q) for q in src_primes]
-    dst = [int(q) for q in dst_primes]
-    if not src or not dst:
-        raise ParameterError("conversion analysis needs non-empty bases")
-    diags: list[Diagnostic] = []
-    x_max = max(src) - 1  # scale step outputs canonical source residues
-    for j, q in enumerate(dst):
-        p = _Prover(f"mulmod_cross row {j} (p={q})")
-        _shoup_mul(q, p, Interval(0, x_max))
-        diags.extend(p.diagnostics)
-    row_bound = len(src) * (2 * max(dst) - 1)
-    total = row_bound + (2 * max(dst) - 1)  # + the v-correction term
-    if total > UINT64_MAX:
-        diags.append(
-            Diagnostic(
-                "error", "accumulator-overflow", "conversion row sum",
-                f"L_in={len(src)} cross terms plus the v term bound the "
-                f"lane sum by {total} > {UINT64_MAX}",
-            )
-        )
-    return diags

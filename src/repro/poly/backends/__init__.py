@@ -136,9 +136,8 @@ def make_lazy_impl(acc, tier: str):
     The impl exposes ``product(a, b, b_shoup, perm)`` — the validated
     product-accumulate as a ready call, run only after the accumulator
     has charged its bound tracker — and ``fold(out)``.  Each returns
-    ``None`` to decline a call (checked mode, the ``raw`` strategy,
-    operands that are non-contiguous or do not match), and numpy runs
-    it instead.
+    ``None`` to decline a call (checked mode, operands that are
+    non-contiguous or do not match), and numpy runs it instead.
     """
     if tier != "compiled":
         return None

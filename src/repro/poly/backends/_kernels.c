@@ -20,11 +20,12 @@
  * the unfolded accumulator state matches the numpy tier bit for bit.
  *
  * Checked mode: with `bound` non-NULL, each (limb, stage) pass scans
- * the live row against bound[limb] — the caller passes the engine's
- * live certified bound column, so tightened bounds (tests) and the
- * PR 7 certificates apply to this tier exactly as to numpy.  The first
- * violation stops the transform and reports {value, stage m (0 = the
- * n^-1 scale), limb, coefficient} through `err`, and the function
+ * the live row against bound[limb] in one branch-free OR pass, walking
+ * the row again only when it holds a violation.  The caller passes the
+ * engine's live certified bound column, so tightened bounds (tests) and
+ * the Level-1 certificates apply to this tier exactly as to numpy.  The
+ * first violation stops the transform and reports {value, stage m (0 =
+ * the n^-1 scale), limb, coefficient} through `err`, and the function
  * returns 1.  The Python wrapper raises SanitizerError from that
  * tuple.  The accumulator, converter and combine kernels carry no
  * checks: under checked mode their Python wrappers decline and the
@@ -58,18 +59,20 @@ static inline uint32_t b32(uint64_t b) {
     return b > 0xffffffffu ? 0xffffffffu : (uint32_t)b;
 }
 
+/* One branch-free OR pass over the row (it vectorizes); only a row that
+ * holds an offender is walked again to report the first one. */
 static int scan32(const uint32_t *row, int64_t n, uint32_t bound,
                   int64_t stage, int64_t limb, uint64_t *err) {
-    for (int64_t k = 0; k < n; ++k) {
-        if (row[k] > bound) {
-            err[0] = row[k];
-            err[1] = (uint64_t)stage;
-            err[2] = (uint64_t)limb;
-            err[3] = (uint64_t)k;
-            return 1;
-        }
-    }
-    return 0;
+    uint32_t bad = 0;
+    for (int64_t k = 0; k < n; ++k) bad |= row[k] > bound;
+    if (!bad) return 0;
+    int64_t k = 0;
+    while (row[k] <= bound) ++k;
+    err[0] = row[k];
+    err[1] = (uint64_t)stage;
+    err[2] = (uint64_t)limb;
+    err[3] = (uint64_t)k;
+    return 1;
 }
 
 /* -- transform entry and exit ---------------------------------------- */

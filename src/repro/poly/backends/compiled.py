@@ -24,7 +24,8 @@ numpy tier.  ``_reset()`` clears that latch for tests.
 Checked mode runs *inside* the C NTT kernels: each (limb, stage) pass
 re-scans the live row against the certified stage bound (canonical
 ``q-1`` for the Shoup / Montgomery / SMR families, Harvey-lazy ``2q-1``
-for Barrett) and a violation surfaces as the same
+for Barrett) in one vectorizable OR pass, walking the row again only
+to locate a violation, and a violation surfaces as the same
 :class:`~repro.errors.SanitizerError` shape the numpy kernels raise.
 The accumulator, the converter and ModDown's combine are the
 exceptions: under ``checked`` they decline, so the numpy path runs with
@@ -480,10 +481,10 @@ class CompiledLazy:
     the ready C call (the accumulator charges its bound tracker before
     running it, so an overflow raises before anything is written), or
     ``None`` to decline; :meth:`fold` folds into ``out`` or declines.
-    Both decline under checked mode, for the ``raw`` strategy, and for
-    operands that are not contiguous ``(L, N)`` 64-bit words (scalars,
-    broadcast rows, strided views), non-``int64`` or out-of-range
-    permutations, and operands that overlap the accumulator.
+    Both decline under checked mode and for operands that are not
+    contiguous ``(L, N)`` 64-bit words (scalars, broadcast rows, strided
+    views), non-``int64`` or out-of-range permutations, and operands that
+    overlap the accumulator.
     """
 
     def __init__(self, acc, lib: ctypes.CDLL) -> None:
@@ -507,7 +508,7 @@ class CompiledLazy:
 
     def _declines(self) -> bool:
         acc = self.acc
-        return acc.checked or acc.strategy != "reduced" or acc.acc is not self._store
+        return acc.checked or acc.acc is not self._store
 
     def product(self, a, b, b_shoup, perm):
         if self._declines():

@@ -155,11 +155,13 @@ class BasisConverter:
         #: mulmod_cross and the accumulator's per-row moduli
         self.reducer = ShoupReducer(self.dst)
         self._acc = LazyAccumulator(
-            self.reducer, (l_out, self.n), strategy="reduced",
+            self.reducer, (l_out, self.n),
             checked=self.checked, backend=self.backend_tier,
         )
-        #: worst-case |term| of one summed cross-product row (see fold)
-        self._row_bound = l_in * (2 * max(self.dst) - 1)
+        #: worst-case |term| of one lazy product in the target basis, and
+        #: of one summed cross-product row (see ``_convert_core``)
+        self._term_bound = self.reducer.contract.lazy_bounds(max(self.dst))[1]
+        self._row_bound = l_in * self._term_bound
         self._space: tuple | None = None
 
     def _workspace(self) -> tuple:
@@ -269,7 +271,7 @@ class BasisConverter:
         np.multiply(v_row, self._corr, out=sums)
         np.subtract(sums, t, out=sums)
         np.bitwise_and(sums, _U32, out=sums)  # in [0, 2q)
-        acc.accumulate_value(sums, 2 * max(self.dst) - 1)
+        acc.accumulate_value(sums, self._term_bound)
         acc.fold_into(out)
         return out
 
@@ -534,8 +536,8 @@ class KeySwitcher:
         self.dnum = dnum
         n = ctx.ring_degree
         ext_primes = self.ext_ctx.primes
-        self.checked = bool(getattr(ctx, "checked", False))
-        self.backend = getattr(ctx, "backend", None)
+        self.checked = ctx.checked
+        self.backend = ctx.backend
         self.modups = [
             ModUp(
                 ext_primes, lo, hi, n,
@@ -559,8 +561,7 @@ class KeySwitcher:
         shape = (self.num_ext, self.ctx.ring_degree)
         return tuple(
             LazyAccumulator(
-                red, shape, strategy="reduced",
-                checked=self.checked, backend=self.backend,
+                red, shape, checked=self.checked, backend=self.backend,
             )
             for _ in range(2)
         )

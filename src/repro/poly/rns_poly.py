@@ -33,7 +33,6 @@ import numpy as np
 from repro import hooks
 from repro.analysis.sanitizer import assert_within, checked_mode
 from repro.errors import LayoutError, LevelError, ParameterError
-from repro.poly.backends import resolve_backend
 from repro.poly.batch_ntt import BatchNTT
 from repro.poly.lazy import LazyAccumulator
 from repro.rns.primes import Prime, PrimePool
@@ -173,33 +172,21 @@ class PolyContext:
         if len(set(self.primes)) != len(self.primes):
             raise ParameterError("limb primes must be pairwise distinct")
         self.method = method
-        if _batch is not None:
-            # Internal reuse hook (drop_last, extend): twiddle tables are
-            # immutable, so a derived context shares the donor's rows.
-            if (
-                _batch.primes != self.primes
-                or _batch.n != ring_degree
-                or _batch.method != method
-            ):
-                raise ParameterError("batch engine does not match limb primes")
-            self.batch_ntt = _batch
-            # Child contexts inherit the donor engine's tier rather than
-            # re-reading the environment (an explicit override still wins
-            # and retargets the shared engine's dispatch).
-            if backend is not None:
-                tier = resolve_backend(backend)
-                if tier != _batch.backend_tier:
-                    _batch.backend_tier = tier
-                    _batch._impl = None
-                    _batch._impl_ready = False
-            #: execution tier for this context's hot kernels
-            #: (:mod:`repro.poly.backends`)
-            self.backend = _batch.backend_tier
-        else:
-            self.backend = resolve_backend(backend)
-            self.batch_ntt = BatchNTT(
-                self.primes, ring_degree, method, backend=self.backend
-            )
+        if _batch is None:
+            _batch = BatchNTT(self.primes, ring_degree, method, backend=backend)
+        elif (
+            _batch.primes != self.primes
+            or _batch.n != ring_degree
+            or _batch.method != method
+        ):
+            raise ParameterError("batch engine does not match limb primes")
+        # Internal reuse hook (drop_last, extend, base_of_extension):
+        # twiddle tables are immutable, so a derived context shares the
+        # donor's engine, and with it the donor's tier.
+        self.batch_ntt = _batch
+        #: execution tier for this context's hot kernels
+        #: (:mod:`repro.poly.backends`)
+        self.backend = _batch.backend_tier
         #: sanitizer mode (REPRO_CHECKED=1 or an explicit override): real
         #: kernels assert the statically certified bounds at runtime, and
         #: the Level-1 certificate is validated eagerly below
@@ -532,16 +519,6 @@ class RnsPolynomial:
     def scale(self) -> float:
         return self.state.scale
 
-    # Back-compat views of the cache handles (read paths only; writes go
-    # through ``self.state``).
-    @property
-    def _prepared(self) -> tuple[np.ndarray, ...] | None:
-        return self.state.prepared
-
-    @property
-    def _twin(self) -> RnsPolynomial | None:
-        return self.state.twin
-
     @property
     def num_limbs(self) -> int:
         return self.ctx.num_limbs
@@ -749,7 +726,6 @@ class RnsPolynomial:
         a_polys: Sequence[RnsPolynomial],
         b_polys: Sequence[RnsPolynomial],
         *,
-        strategy: str = "reduced",
         acc: LazyAccumulator | None = None,
     ) -> RnsPolynomial:
         """Fused inner product ``sum_i a_i * b_i`` in the NTT domain (§4.2).
@@ -759,12 +735,8 @@ class RnsPolynomial:
         :meth:`prepared_operand`, every product lands in one
         :class:`~repro.poly.lazy.LazyAccumulator` spanning the whole
         ``(L, N)`` limb matrix, and a single fold at the end replaces the
-        per-term folds a naive multiply-then-add chain would pay.
-
-        ``strategy`` follows :class:`LazyAccumulator`: ``"reduced"``
-        (default, any backend, ~2^32 terms of headroom) reduces each
-        product and defers the folds; ``"raw"`` (SMR only) defers the
-        reductions themselves, bounded by Alg. 2's ``|sum| < q * 2^31``.
+        per-term folds a naive multiply-then-add chain would pay (~2^32
+        terms of headroom with every reducer).
 
         ``acc`` lets a compiled caller hand in a persistent
         :class:`LazyAccumulator` (reset and reused here) so the per-call
@@ -811,7 +783,6 @@ class RnsPolynomial:
             acc = LazyAccumulator(
                 batch.backend.red,
                 shape,
-                strategy=strategy,
                 checked=ctx.checked,
                 backend=ctx.backend,
             )

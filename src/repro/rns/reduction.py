@@ -114,10 +114,15 @@ class ReducerContract:
     domain from these contracts instead of re-deriving the output ranges
     from the implementations: ``output_lo_q``/``output_hi_q`` give the
     reducer's *lazy* output range as exclusive multiples of the modulus
-    (``(-1, 1)`` means ``(-q, q)``, ``(0, 2)`` means ``[0, 2q)``), and
-    ``precondition`` states the input domain under which that range — the
-    reducer's axiom — holds.  The analyzer discharges the precondition
-    with exact per-limb arithmetic and only then assumes the output range.
+    (``(-1, 1)`` means ``(-q, q)``; the unsigned reducers' ``(-1, 2)`` is
+    ``[0, 2q)`` in their unsigned carrier), and ``precondition`` states
+    the input domain under which that range — the reducer's axiom —
+    holds.  The analyzer discharges the precondition with exact per-limb
+    arithmetic and only then assumes the output range.
+
+    The same fields fix §4.2's lazy-accumulation rule
+    (:meth:`lazy_bounds`), which the accumulator, the kernel
+    certificate, the plan checker and basis conversion all read.
     """
 
     name: str
@@ -127,6 +132,23 @@ class ReducerContract:
     output_hi_q: int  # exclusive upper bound, as a multiple of q
     precondition: str
     axiom: str
+
+    def lazy_bounds(self, q: int) -> tuple[int, int]:
+        """(carrier maximum, per-term bound) of lazy accumulation mod ``q``.
+
+        Reduced products ride unfolded in the ``carrier`` word, so its
+        largest value caps the worst-case magnitude of the sum, and each
+        product adds at most ``max(-output_lo_q, output_hi_q) * q - 1``:
+        ``q - 1`` for SMR's ``(-q, q)``, ``2q - 1`` for ``[0, 2q)``.
+        Batched callers pass their largest limb modulus, the binding row.
+        """
+        per_term = max(-self.output_lo_q, self.output_hi_q) * int(q) - 1
+        return int(np.iinfo(self.carrier).max), per_term
+
+    def lazy_headroom(self, q: int, bound: int = 0) -> int:
+        """Worst-case products that still fit a carrier already at ``bound``."""
+        carrier_max, per_term = self.lazy_bounds(q)
+        return (carrier_max - bound) // per_term
 
 
 #: Range contracts the static analyzer discharges, one per Table-3 method.
@@ -184,6 +206,8 @@ class BarrettReducer:
     limb-matrix data (one row per limb).
     """
 
+    contract = REDUCER_CONTRACTS["barrett"]
+
     def __init__(self, q) -> None:
         qs, self.batched = _parse_moduli(q, "Barrett")
         for qi in qs:
@@ -233,6 +257,8 @@ class MontgomeryReducer:
     reduce(x) returns x * 2^-32 mod q in [0, 2q).  to_form / from_form
     convert into and out of the Montgomery representation x*2^32 mod q.
     """
+
+    contract = REDUCER_CONTRACTS["montgomery"]
 
     def __init__(self, q) -> None:
         qs, self.batched = _parse_moduli(q, "Montgomery")
@@ -289,6 +315,8 @@ class ShoupReducer:
     the "many constants" drawback of Table 3: each unique multiplicand
     needs its own precomputed companion (extra memory traffic).
     """
+
+    contract = REDUCER_CONTRACTS["shoup"]
 
     def __init__(self, q) -> None:
         qs, self.batched = _parse_moduli(q, "Shoup")
@@ -437,6 +465,8 @@ class SignedMontgomeryReducer:
     *signed* 32-bit value, matching Alg. 2's requirement m in [-2^31, 2^31).
     """
 
+    contract = REDUCER_CONTRACTS["smr"]
+
     def __init__(self, q) -> None:
         qs, self.batched = _parse_moduli(q, "SMR")
         for qi in qs:
@@ -479,9 +509,10 @@ class SignedMontgomeryReducer:
 
         Valid input range: signed representatives with ``|a| < 2^31`` and
         ``|b| < q``  (so ``|a*b| < q*2^31``, Alg. 2's precondition).  The
-        usual case is both in ``(-q, q)``; the slack on ``a`` is what §4.2's
-        lazy accumulation spends.  Like Montgomery, the result carries a
-        ``2^-32`` factor — pre-scale one operand with :meth:`to_form`.
+        usual case is both in ``(-q, q)``; the slack on ``a`` admits
+        operands not yet folded back into that range.  Like Montgomery,
+        the result carries a ``2^-32`` factor — pre-scale one operand
+        with :meth:`to_form`.
         """
         prod = a.astype(np.int64) * (
             b.astype(np.int64) if isinstance(b, np.ndarray) else np.int64(b)

@@ -548,7 +548,6 @@ class CircuitPlan:
             self._accs[level] = LazyAccumulator(
                 lvl_ctx.batch_ntt.backend.red,
                 (level, n_ring),
-                strategy="reduced",
                 checked=lvl_ctx.checked,
                 backend=lvl_ctx.backend,
             )

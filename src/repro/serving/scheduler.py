@@ -88,6 +88,7 @@ from repro.errors import (
     SanitizerError,
     ServingError,
 )
+from repro.poly.rns_poly import data_fingerprint
 from repro.serving.breaker import CircuitBreaker
 
 __all__ = ["BatchRecord", "CkksServer", "Request", "ServingConfig"]
@@ -160,25 +161,9 @@ class Request:
         self.deadline = float(deadline)
         self.submitted_at = time.monotonic()
         self.future = future
-        self.payload_fp = _payload_fp(self.value)
-
-
-def _payload_fp(value) -> int:
-    """Bit-exact checksum of a request payload (detects queue corruption).
-
-    Scalars keep the original single-float64 bit view; vector payloads
-    fold every element's bit pattern through an FNV-style hash so any
-    single-bit flip anywhere in the vector changes the checksum.
-    """
-    if np.ndim(value) == 0:
-        return int(np.float64(value).view(np.uint64))
-    bits = np.asarray(value, dtype=np.float64).ravel().view(np.uint64)
-    fp = np.uint64(bits.size)
-    prime = np.uint64(0x100000001B3)
-    with np.errstate(over="ignore"):
-        for b in bits:
-            fp = (fp * prime) ^ b
-    return int(fp)
+        #: checksum of the payload's float64 words, re-checked at batching
+        #: so corruption in the queue is caught
+        self.payload_fp = data_fingerprint(np.asarray(self.value))
 
 
 @dataclass
@@ -517,7 +502,7 @@ class CkksServer:
                 ))
                 self.metrics["expired"] += 1
                 continue
-            if _payload_fp(req.value) != req.payload_fp:
+            if data_fingerprint(np.asarray(req.value)) != req.payload_fp:
                 self.faults_detected["corrupted-payload"] += 1
                 self._reject(req, ServingError(
                     f"request {req.id} payload failed its integrity check "

@@ -1,28 +1,25 @@
-"""Level-1 static range analysis: family certificates + bug fixtures.
+"""Level-1 static range analysis: family certificates.
 
 The acceptance grid — all four reducer backends at ``N in {1024, 4096} x
-L in {4, 12}`` — must come back fully proved, and the historical bug
-shapes from the early PRs (Shoup ``w >= q`` precompute, negative values
-entering an unsigned accumulator, per-row vs worst-case-limb raw-bound
-divergence) must each be detected with their own diagnostic when
-replayed as analyzer inputs.
+L in {4, 12}`` — must come back fully proved, and the certificate's
+lazy-accumulation headroom must be the number the accumulator and the
+plan checker enforce.
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import (
-    Interval,
-    analyze_accumulation,
-    analyze_conversion,
-    analyze_shoup_precompute,
-    certify_kernels,
-    safe_headroom,
-)
-from repro.analysis.intervals import UINT64_MAX, lazy_fold
+from repro.analysis import Interval, certify_kernels
+from repro.analysis.intervals import lazy_fold
+from repro.analysis.plan_check import _Checker
 from repro.errors import ParameterError, StaticAnalysisError
+from repro.poly.lazy import LazyAccumulator
+from repro.poly.rns_poly import PolyContext
 from repro.rns.primes import PrimePool
+from repro.rns.reduction import make_reducer
+from repro.scheme._circuit import _Step
 
 METHODS = ("barrett", "montgomery", "shoup", "smr")
 GRID = [(1024, 4), (1024, 12), (4096, 4), (4096, 12)]
@@ -56,15 +53,27 @@ class TestFamilyCertificates:
     @pytest.mark.parametrize("method", METHODS)
     def test_accumulation_headroom_facts(self, method):
         cert = certify_kernels(1024, _family(1024, 4), method)
-        # §4.2: the reduced strategy defers ~2^32 folds on every backend.
+        # §4.2: lazy accumulation defers ~2^32 folds on every backend.
         assert cert.reduced_headroom >= 2**32
-        if method == "smr":
-            # Raw deferral is SMR-only and its binding largest-q row
-            # still admits at least one unreduced product.
-            assert cert.raw_headroom is not None
-            assert cert.raw_headroom >= 1
-        else:
-            assert cert.raw_headroom is None
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_headroom_agrees_with_accumulator_and_plan_checker(self, method):
+        # One §4.2 rule, three readers on one limb basis: a fresh
+        # accumulator, the kernel certificate, and the plan checker's
+        # mac-overflow boundary (fires at headroom + 1 terms, not before).
+        primes = _family(1024, 4)
+        acc = LazyAccumulator(make_reducer(method, primes), (len(primes), 1))
+        headroom = acc.headroom
+        assert certify_kernels(1024, primes, method).reduced_headroom == headroom
+        plan = SimpleNamespace(
+            ctx=PolyContext(1024, primes, method), _sigma=3.2, _n_slots=1,
+            _inputs=[], _steps=[], _outputs={},
+        )
+        step = _Step("mac", dst=0, level=len(primes))
+        for terms, codes in ((headroom, []), (headroom + 1, ["mac-overflow"])):
+            checker = _Checker(plan, drift_warn_bits=2.0)
+            checker._check_mac_headroom(0, step, terms)
+            assert [d.code for d in checker.errors] == codes, terms
 
     def test_oversized_modulus_refuted(self):
         cert = certify_kernels(1024, [2**33 - 9], "shoup")
@@ -81,109 +90,6 @@ class TestFamilyCertificates:
     def test_empty_primes_rejected(self):
         with pytest.raises(ParameterError, match="at least one limb"):
             certify_kernels(1024, [], "smr")
-
-
-class TestHistoricalBugFixtures:
-    """The PR-1/2 bug shapes, re-introduced as analyzer inputs."""
-
-    def test_shoup_companion_overflow(self):
-        # PR-1 shape: precomputing a companion for w >= q silently
-        # truncates w' past 32 bits inside mulmod_const.
-        q = _family(1024, 4)[0]
-        diags = analyze_shoup_precompute(q, [1, q - 1, q, q + 5])
-        assert [d.code for d in diags] == ["shoup-companion-overflow"] * 2
-        assert "bits > 32" in diags[0].detail
-        assert f"w must lie in [0, {q})" in diags[0].detail
-        assert analyze_shoup_precompute(q, q - 1) == []
-
-    def test_shoup_modulus_out_of_range(self):
-        diags = analyze_shoup_precompute(2**31 + 11, 5)
-        assert diags[0].code == "modulus-out-of-range"
-
-    def test_negative_value_into_unsigned_accumulator(self):
-        # PR-2 shape: a signed correction term accumulated into a
-        # uint64 accumulator wraps into a huge residue with no error.
-        q = _family(1024, 4)[0]
-        diags = analyze_accumulation(
-            [q],
-            strategy="reduced",
-            signed=False,
-            terms=[("product",), ("value", -3, 5)],
-        )
-        assert [d.code for d in diags] == ["unsigned-wrap"]
-        assert "wrap" in diags[0].detail
-        # The same range is fine once the accumulator is signed.
-        assert (
-            analyze_accumulation(
-                [q],
-                strategy="reduced",
-                signed=True,
-                terms=[("product",), ("value", -3, 5)],
-            )
-            == []
-        )
-
-    def test_raw_bound_divergence_across_limb_rows(self):
-        # PR-2 shape: raw-strategy headroom differs per limb row
-        # (~q*2^31/(q-1)^2 terms, decreasing in q).  A term count that
-        # fits the small terminal prime's own bound but overflows the
-        # binding 30-bit main row must be flagged as divergence, not as
-        # a plain overflow.
-        primes = _family(1024, 4)
-        q_term, q_main = min(primes), max(primes)
-        fits_small = (q_term * 2**31 - 1) // ((q_term - 1) ** 2)
-        fits_big = (q_main * 2**31 - 1) // ((q_main - 1) ** 2)
-        assert fits_big < fits_small  # the trap exists for this family
-        diags = analyze_accumulation(
-            [q_term, q_main],
-            strategy="raw",
-            terms=[("product",)] * (fits_big + 1),
-        )
-        assert [d.code for d in diags] == ["raw-bound-divergence"]
-        assert f"q={q_term}" in diags[0].detail
-        assert f"q={q_main}" in diags[0].detail
-        assert "per-row tracking would miss this" in diags[0].detail
-        # One term fewer is sound on every row.
-        assert (
-            analyze_accumulation(
-                [q_term, q_main],
-                strategy="raw",
-                terms=[("product",)] * fits_big,
-            )
-            == []
-        )
-
-    def test_plain_overflow_reports_safe_headroom(self):
-        q = _family(1024, 4)[0]
-        # Fill the accumulator to within one fold of uint64, then one
-        # more worst-case product overflows it.
-        diags = analyze_accumulation(
-            [q],
-            strategy="reduced",
-            terms=[("value", 0, UINT64_MAX - q), ("product",)],
-        )
-        assert [d.code for d in diags] == ["accumulator-overflow"]
-        assert "safe headroom" in diags[0].detail
-
-    def test_raw_strategy_rejects_value_terms(self):
-        q = _family(1024, 4)[0]
-        diags = analyze_accumulation(
-            [q], strategy="raw", terms=[("value", 0, 5)]
-        )
-        assert [d.code for d in diags] == ["raw-value-term"]
-
-    def test_conversion_pass_is_clean_for_real_bases(self):
-        pool = PrimePool.generate(
-            1024, num_main=3, num_terminal=1, num_aux=4
-        )
-        base = [p.value for p in pool.limb_primes(1, 3)]
-        aux = [p.value for p in pool.extension_basis(1, 3, dnum=2)]
-        assert analyze_conversion(base, aux) == []
-        assert analyze_conversion(aux, base) == []
-
-    def test_conversion_rejects_empty_basis(self):
-        with pytest.raises(ParameterError, match="non-empty"):
-            analyze_conversion([], [97])
 
 
 class TestIntervalDomain:
@@ -206,8 +112,3 @@ class TestIntervalDomain:
         assert lazy_fold(Interval(0, 300), 97) == Interval(0, 203)
         with pytest.raises(ValueError):
             lazy_fold(Interval(-1, 5), 97)
-
-    def test_safe_headroom(self):
-        assert safe_headroom(100, 40, 30) == 2
-        assert safe_headroom(100, 100, 30) == 0
-        assert safe_headroom(100, 120, 30) == 0

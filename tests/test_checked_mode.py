@@ -197,22 +197,27 @@ class TestSanitizerTrips:
 
 
 class TestOverflowHeadroomMessage:
-    def test_raw_overflow_reports_safe_headroom(self, pool):
-        # Satellite: the overflow error must carry the statically
-        # computed safe headroom and the offending magnitude/limb.
+    def test_overflow_reports_safe_headroom(self, pool):
+        # The overflow error must carry the statically computed safe
+        # headroom and the offending magnitude/limb.
         qs = [p.value for p in pool.limb_primes(1, 2)]
-        acc = LazyAccumulator(
-            SignedMontgomeryReducer(qs), (len(qs), N), strategy="raw"
-        )
+        acc = LazyAccumulator(SignedMontgomeryReducer(qs), (len(qs), N))
         r = np.random.default_rng(11)
         a = np.stack([r.integers(0, q, N, dtype=np.uint64) for q in qs])
+        acc.accumulate_product(a, a)
+        # The tracked bound sits two worst-case terms below the limit.
+        acc.bound = acc.limit - 2 * (max(qs) - 1)
         with pytest.raises(AccumulatorOverflowError) as e:
             for _ in range(acc.headroom + 1):
                 acc.accumulate_product(a, a)
+        assert acc.terms == 3 and acc.headroom == 0
         msg = str(e.value)
-        assert "statically safe headroom" in msg
+        assert "statically safe headroom at the current bound is 0" in msg
         assert "fold first" in msg
-        assert "limb" in msg  # names the offending limb/coefficient
+        i, k = np.unravel_index(
+            int(np.argmax(np.abs(acc.acc))), acc.acc.shape
+        )
+        assert f"limb {i}, coefficient {k}" in msg  # the offending lane
 
     def test_negative_value_into_unsigned_is_refused_up_front(self, pool):
         from repro.errors import ParameterError

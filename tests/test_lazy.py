@@ -1,7 +1,7 @@
 """Lazy-reduction accumulation (§4.2): exactness and range discipline.
 
 The bound tracker is the safety property: it must refuse the accumulation
-*before* any 64-bit wraparound, for both deferral strategies.
+*before* any 64-bit wraparound.
 """
 
 import numpy as np
@@ -11,8 +11,8 @@ from repro.errors import AccumulatorOverflowError, ParameterError
 from repro.poly.lazy import LazyAccumulator
 from repro.rns.reduction import make_reducer
 
-Q_TERMINAL = 33554467  # ~2^25: raw strategy has ~64 terms of headroom
-Q_MAIN = 1073741969  # ~2^30: raw strategy has only ~2
+Q_TERMINAL = 33554467  # ~2^25 terminal prime
+Q_MAIN = 1073741969  # ~2^30 main prime
 LANES = 64
 
 
@@ -23,14 +23,13 @@ def _dot_reference(av, bv, q):
     return expect.astype(np.uint64)
 
 
-@pytest.mark.parametrize("strategy", ("reduced", "raw"))
-def test_smr_lazy_dot_is_exact(strategy, rng):
+def test_smr_lazy_dot_is_exact(rng):
     q = Q_TERMINAL
     red = make_reducer("smr", q)
     k = 32
     av = rng.integers(0, q, (k, LANES), dtype=np.uint64)
     bv = rng.integers(0, q, (k, LANES), dtype=np.uint64)
-    acc = LazyAccumulator(red, LANES, strategy=strategy)
+    acc = LazyAccumulator(red, LANES)
     for a, b in zip(av, bv):
         # Montgomery-form operand cancels Alg. 2's 2^-32, as in the NTT.
         acc.accumulate_product(a.astype(np.int64), red.to_form(b))
@@ -64,31 +63,29 @@ def test_shoup_lazy_uses_precomputed_companions(rng):
     assert np.array_equal(acc.fold(), expect.astype(np.uint64))
 
 
-def test_raw_headroom_matches_alg2_precondition():
-    """floor(2^31 / q)-ish terms for raw; ~2^32 folds for reduced."""
-    red = make_reducer("smr", Q_TERMINAL)
-    raw = LazyAccumulator(red, 4, strategy="raw")
-    assert raw.headroom == (Q_TERMINAL * 2**31 - 1) // (Q_TERMINAL - 1) ** 2
-    assert 60 <= raw.headroom <= 70  # ~64 for a Pr~25 prime
-    main = LazyAccumulator(make_reducer("smr", Q_MAIN), 4, strategy="raw")
-    assert main.headroom in (1, 2)  # ...but only ~2^31/q for a Pr~30 prime
-    reduced = LazyAccumulator(red, 4, strategy="reduced")
-    assert reduced.headroom > 2**31
-
-
 def test_overflow_raises_before_wraparound(rng):
     q = Q_MAIN
     red = make_reducer("smr", q)
     a = rng.integers(0, q, 4, dtype=np.uint64).astype(np.int64)
     b = red.to_form(rng.integers(0, q, 4, dtype=np.uint64))
-    acc = LazyAccumulator(red, 4, strategy="raw")
+    acc = LazyAccumulator(red, 4)
+    # Preload the tracked bound to three worst-case terms below the int64
+    # carrier's limit, as if ~2^33 products had already been summed.
+    acc.bound = acc.limit - 3 * (q - 1)
+    assert acc.headroom == 3
     for _ in range(acc.headroom):
         acc.accumulate_product(a, b)
-    snapshot_bound = acc.bound
+    assert acc.headroom == 0
+    # one more worst-case term could wrap the int64 carrier
+    assert acc.bound + (q - 1) > np.iinfo(acc.acc.dtype).max
+    snapshot_bound, snapshot_acc = acc.bound, acc.acc.copy()
     with pytest.raises(AccumulatorOverflowError):
         acc.accumulate_product(a, b)
     assert acc.bound == snapshot_bound, "failed accumulation must not charge"
-    # After the refusal the accumulator still folds correctly.
+    assert np.array_equal(acc.acc, snapshot_acc)
+    assert acc.terms == 3
+    # The tracker refused while the live sum is still far from a wrap, so
+    # after the refusal the accumulator still folds correctly.
     expect = (
         a.astype(object) * red.canonical(red.reduce(b)).astype(object)
     ) * acc.terms % q
@@ -163,25 +160,12 @@ def test_batched_reducer_accumulator(rng):
     assert acc.q == max(qs)
 
 
-def test_strategy_validation():
-    red = make_reducer("barrett", Q_TERMINAL)
-    with pytest.raises(ParameterError):
-        LazyAccumulator(red, 4, strategy="raw")  # raw needs SMR
-    with pytest.raises(ParameterError):
-        LazyAccumulator(red, 4, strategy="eager")
-    smr = make_reducer("smr", Q_TERMINAL)
-    raw = LazyAccumulator(smr, 4, strategy="raw")
-    with pytest.raises(ParameterError):
-        raw.accumulate_value(np.zeros(4, dtype=np.int64), max_abs=1)
-
-
 # -- fold_into: scratch-buffered terminal fold (PR 3) -----------------------
-@pytest.mark.parametrize("strategy", ["reduced", "raw"])
-def test_fold_into_matches_fold(strategy, rng):
+def test_fold_into_matches_fold(rng):
     smr = make_reducer("smr", Q_TERMINAL)
     lanes = rng.integers(0, Q_TERMINAL, 8, dtype=np.uint64).astype(np.int64)
     build = lambda: (  # noqa: E731
-        LazyAccumulator(smr, 8, strategy=strategy)
+        LazyAccumulator(smr, 8)
         .accumulate_product(lanes, np.int64(12345))
     )
     expect = build().fold()

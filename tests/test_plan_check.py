@@ -64,7 +64,7 @@ class _HandPlan:
 
 
 class TestAcceptsCompiledPlans:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 4, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4, 7, 9])
     def test_random_dag_plans_are_error_free(self, seed):
         report = _dag_plan(seed).analyze()
         assert report.ok, report.describe()

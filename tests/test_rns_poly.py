@@ -251,23 +251,6 @@ def test_multiply_accumulate_matches_naive_chain(ctx, method, rng):
     assert np.array_equal(got.limbs, ref.limbs)
 
 
-def test_multiply_accumulate_raw_strategy(rng):
-    """SMR's deferred-reduction strategy on terminal-sized limbs."""
-    from repro.poly.rns_poly import RnsPolynomial
-    from repro.rns.primes import ntt_friendly_primes as gen
-
-    primes = [p.value for p in gen(25, 3, N)]
-    sctx = PolyContext(N, primes, "smr")
-    k = 8
-    a = [sctx.random(rng).to_ntt() for _ in range(k)]
-    b = [sctx.random(rng).to_ntt() for _ in range(k)]
-    ref = a[0].pointwise_multiply(b[0])
-    for i in range(1, k):
-        ref = ref + a[i].pointwise_multiply(b[i])
-    got = RnsPolynomial.multiply_accumulate(a, b, strategy="raw")
-    assert np.array_equal(got.limbs, ref.limbs)
-
-
 def test_multiply_accumulate_validation(ctx, rng):
     from repro.poly.rns_poly import RnsPolynomial
 
@@ -367,10 +350,10 @@ def test_inplace_mutation_drops_prepared_handle(ctx, rng):
     """
     a_hat = ctx.random(rng).to_ntt()
     b_hat = ctx.random(rng).to_ntt()
-    _ = a_hat.pointwise_multiply(b_hat)  # fills b_hat._prepared
-    assert b_hat._prepared is not None
+    _ = a_hat.pointwise_multiply(b_hat)  # fills b_hat.state.prepared
+    assert b_hat.state.prepared is not None
     b_hat.negate_()
-    assert b_hat._prepared is None
+    assert b_hat.state.prepared is None
     got = a_hat.pointwise_multiply(b_hat)
     from repro.poly.rns_poly import RnsPolynomial
 
@@ -383,7 +366,7 @@ def test_inplace_mutation_severs_twin_link(ctx, rng):
     a_hat = a.to_ntt()
     a.add_(ctx.random(rng))
     # Neither side may keep serving the stale transform.
-    assert a._twin is None and a_hat._twin is None
+    assert a.state.twin is None and a_hat.state.twin is None
     new_hat = a.to_ntt()
     assert new_hat is not a_hat
     assert np.array_equal(new_hat.limbs, ctx.batch_ntt.forward(a.limbs))
@@ -393,7 +376,7 @@ def test_inplace_on_twin_invalidates_both_sides(ctx, rng):
     a = ctx.random(rng)
     a_hat = a.to_ntt()
     a_hat.negate_()  # mutate the cached twin, not the original
-    assert a._twin is None
+    assert a.state.twin is None
     assert np.array_equal(a.to_ntt().limbs, ctx.batch_ntt.forward(a.limbs))
 
 
@@ -402,9 +385,9 @@ def test_multiply_result_carries_no_twin(ctx, rng):
     every intermediate through the twin link (memory, ref cycles)."""
     a, b = ctx.random(rng), ctx.random(rng)
     prod = a * b
-    assert prod._twin is None
+    assert prod.state.twin is None
     # The operands keep their twins — repeat products stay cheap.
-    assert a._twin is not None and b._twin is not None
+    assert a.state.twin is not None and b.state.twin is not None
     assert np.array_equal(
         prod.limbs,
         ctx.batch_ntt.inverse(a.to_ntt().pointwise_multiply(b.to_ntt()).limbs),
