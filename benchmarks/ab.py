@@ -1,0 +1,130 @@
+"""Order-alternating A/B runs of the end-to-end benchmark on two checkouts.
+
+Runs ``perfbench/run.py --trace 0`` from a parent and a change checkout,
+one pair at a time, alternating which side goes first (pair 0 runs the
+parent first, pair 1 the change, and so on) so slow phases of a shared
+host land on both sides alike.  Each run's last JSON line is its result.
+The output is one JSON document: every pair, and per end-to-end metric
+the parent's and the change's medians, the parent's quartiles, the
+change's win count (``better`` from ``BENCHMARK.json``) and whether the
+change's median stays within the metric's bound.
+
+Usage::
+
+    python benchmarks/ab.py --parent DIR --change DIR --workload W \\
+        --pairs N --seed S [--out FILE]
+
+Every run lasts ``BENCHMARK.json``'s ``run_seconds``; that file and its
+metric declarations are read from the change checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run of ``checkout``'s benchmark: its result line."""
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
+    if not lines:
+        raise RuntimeError(
+            f"{checkout}: no result line (exit {proc.returncode}):\n"
+            + proc.stderr[-2000:]
+        )
+    return json.loads(lines[-1])
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per-metric medians, parent quartiles, wins and bound checks.
+
+    ``pairs`` holds ``{"parent": result, "change": result}`` dicts (the
+    benchmark's result lines); ``metrics`` is ``BENCHMARK.json``'s
+    ``end_to_end`` list.
+    """
+    out = {}
+    for spec in metrics:
+        name, lower = spec["name"], spec["better"] == "lower"
+        both = [
+            (p["parent"]["metrics"][name]["value"],
+             p["change"]["metrics"][name]["value"])
+            for p in pairs
+            if name in p["parent"]["metrics"] and name in p["change"]["metrics"]
+        ]
+        if not both:
+            continue
+        parent = [a for a, _ in both]
+        change = [b for _, b in both]
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        limit = p_med * (1 + spec["bound"] if lower else 1 - spec["bound"])
+        out[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "bound": spec["bound"],
+            "parent_median": p_med,
+            "change_median": c_med,
+            "parent_quartiles": list(_quartiles(parent)),
+            "change_over_parent": c_med / p_med if p_med else None,
+            "change_wins": sum((b < a) if lower else (b > a) for a, b in both),
+            "pairs": len(both),
+            "within_bound": c_med <= limit if lower else c_med >= limit,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args(argv)
+    decl = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = decl["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    pairs = []
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run_once(sides[side], args.workload, args.seed, seconds)
+        pairs.append(pair)
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    doc = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": seconds,
+        "parent": str(sides["parent"]),
+        "change": str(sides["change"]),
+        "summary": summarize(pairs, decl["end_to_end"]),
+        "pairs": pairs,
+    }
+    text = json.dumps(doc, indent=1)
+    if args.out:
+        args.out.write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

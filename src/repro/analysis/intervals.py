@@ -14,16 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-UINT32_MAX = 2**32 - 1
-UINT64_MAX = 2**64 - 1
-INT64_MIN = -(2**63)
-INT64_MAX = 2**63 - 1
-
-#: Carrier ranges the fit-checks prove values stay inside.
+#: Carrier ranges the fit-checks prove values stay inside, by register
+#: type (a numpy dtype name).
 CARRIERS = {
-    "uint32": (0, UINT32_MAX),
-    "uint64": (0, UINT64_MAX),
-    "int64": (INT64_MIN, INT64_MAX),
+    "uint32": (0, 2**32 - 1),
+    "int32": (-(2**31), 2**31 - 1),
+    "uint64": (0, 2**64 - 1),
+    "int64": (-(2**63), 2**63 - 1),
 }
 
 

@@ -1,48 +1,57 @@
-"""Level-1 kernel range analysis: interval dataflow over the reducer algebra.
+"""Level-1 kernel range analysis: the reducer definitions, run on intervals.
 
-For a parameter family ``(primes, N, backend)`` this pass symbolically
-propagates worst-case coefficient ranges through the batched NTT stage
-kernels (:mod:`repro.poly.batch_ntt`), the reducer primitives
-(``mullo32`` / ``mulhi32`` / ``mulmod`` / ``mulmod_cross``), the
-branch-free ``min(s, s - q)`` folds and the ``exact_rescale`` constant
-chain, records the lazy-accumulation headroom a fresh
+For a parameter family ``(primes, N, backend)`` this pass interprets the
+very functions the numpy kernels execute — the Table-3 multiplies, the
+Cooley-Tukey and Gentleman-Sande butterfly bodies of the family's stage
+kind and ``exact_rescale``'s constant chain, all in
+:mod:`repro.rns.reduction` — with an interval primitive set in place of
+numpy's, records the lazy-accumulation headroom a fresh
 :class:`~repro.poly.lazy.LazyAccumulator` admits (the reducer contract's
 :meth:`~repro.rns.reduction.ReducerContract.lazy_bounds` rule, the one
-the accumulator enforces) — and either *proves* uint32/uint64
-non-overflow plus the 2q-lazy invariant, or reports the first violating
-op with the offending range.  :func:`certify_kernels` is the entry
-point; :meth:`~repro.poly.rns_poly.PolyContext.range_certificate`
-caches its result per context.
+the accumulator enforces) — and either *proves* that every register stays
+inside its type plus the stage invariant, or reports the first violating
+step (definition, primitive and register) with the offending range.
+:func:`certify_kernels` is the entry point;
+:meth:`~repro.poly.rns_poly.PolyContext.range_certificate` caches its
+result per context.
 
 The proof structure is induction on a per-limb *stage invariant* rather
 than fixpoint iteration: the analyzer establishes the entry base case
 (inputs are range-checked canonical residues), then shows one
 Cooley-Tukey stage body and one Gentleman-Sande stage body each map the
-invariant to itself using the limb's *exact* precomputed constants
-(Barrett's ``mu`` halves, Shoup companions, Montgomery ``-q^-1``).  The
-transposed tail phase reuses the same per-limb constants as repeated
-rows (:class:`~repro.poly.batch_ntt._KernelBase` builds ``cT`` via
-``np.repeat``), so per-limb soundness covers both layouts.  Reducer
-output ranges that interval arithmetic alone cannot reproduce (Barrett's
-``[0, 3q)`` residual, Alg. 2's ``(-q, q)``) enter as named *axioms*
-whose preconditions the analyzer discharges exactly — they are the
-:data:`~repro.rns.reduction.REDUCER_CONTRACTS`.
+invariant to itself using the limb's *exact* constants (the reducer's
+``stage_constants``: Barrett's ``mu`` halves, Montgomery's ``-q^-1``,
+SMR's ``m``).  The transposed tail phase reuses the same per-limb
+constants as repeated rows, so per-limb soundness covers both layouts.
+Reducer output ranges that interval arithmetic alone cannot reproduce
+(Barrett's ``[0, 3q)`` residual, Shoup's wrapped difference, Alg. 2's
+``(-q, q)``) enter where each definition names its *axiom*; the
+interpreter discharges the axiom's precondition
+(:attr:`~repro.rns.reduction.ReducerContract.admits`) exactly first.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.analysis.intervals import (
-    UINT32_MAX,
-    UINT64_MAX,
+    CARRIERS,
     Diagnostic,
     Interval,
     Obligation,
     lazy_fold,
 )
 from repro.errors import ParameterError, StaticAnalysisError
-from repro.rns.reduction import REDUCER_CONTRACTS
+from repro.rns.reduction import (
+    REDUCER_CONTRACTS,
+    STAGE_KINDS,
+    ct_butterfly,
+    gs_butterfly,
+    make_reducer,
+    rescale_constants,
+    rescale_limb,
+)
 
 
 class _Prover:
@@ -62,219 +71,182 @@ class _Prover:
             )
         return ok
 
-    def fold(self, name: str, x: Interval, sub: int, carrier_hi: int) -> Interval:
-        """Abstract ``min(s, s - sub)`` with its soundness obligation: the
-        pre-fold value is non-negative and fits the carrier (the unsigned
-        wrap-select is then exact for any such input).  Whether the folded
-        range actually reaches its target is a separate, explicit
-        ``within`` obligation at each use site — ``exact_rescale``'s
-        32-bit Barrett residual legitimately needs two folds."""
-        self.check(
-            f"{name}-fits-carrier",
-            0 <= x.lo and x.hi <= carrier_hi,
-            f"pre-fold value in {x}, carrier max {carrier_hi}",
+
+class Reg:
+    """An interval register: its type (a numpy dtype name) and its range."""
+
+    __slots__ = ("kind", "val")
+
+    def __init__(self, kind: str, lo: int | None = None, hi: int | None = None):
+        self.kind = kind
+        full = Interval(*CARRIERS[kind])
+        self.val = full if lo is None else Interval(lo, lo if hi is None else hi)
+
+    @property
+    def lo(self) -> int:
+        return self.val.lo
+
+    @property
+    def hi(self) -> int:
+        return self.val.hi
+
+
+def _word_range(signed: bool) -> tuple[int, int]:
+    return (-(2**31), 2**31 - 1) if signed else (0, 2**32 - 1)
+
+
+class IntervalOps:
+    """The interval primitive set of :mod:`repro.rns.reduction`.
+
+    Each primitive writes its destination's exact range.  A step that must
+    not wrap (a wide product, a high word, an add, a fold's input) records
+    an obligation named after the definition, the primitive and the
+    destination register; the wrapping steps (``mullo``, ``lo``, ``sub``)
+    widen to the whole type instead, until an axiom narrows it.
+    """
+
+    def __init__(self, prover: _Prover) -> None:
+        self.p = prover
+
+    @staticmethod
+    def _site(op: str, d: Reg) -> str:
+        frame = sys._getframe(2)  # the definition that ran the primitive
+        name = next((k for k, v in frame.f_locals.items() if v is d), "?")
+        return f"{frame.f_code.co_name}: {op} -> {name}"
+
+    def _write(self, site: str, d: Reg, val: Interval, wraps=False) -> None:
+        lo, hi = CARRIERS[d.kind]
+        fits = val.within(lo, hi)
+        if not wraps:
+            self.p.check(f"{site} fits {d.kind}", fits, f"value in {val}")
+        d.val = val if fits else Interval(lo, hi)
+
+    def _words(self, site: str, d: Reg, *ops: Reg) -> None:
+        lo, hi = _word_range(d.kind.startswith("int"))
+        self.p.check(
+            f"{site} reads words",
+            all(o.val.within(lo, hi) for o in ops),
+            ", ".join(str(o.val) for o in ops),
         )
-        return lazy_fold(x, sub)
+
+    def mulwide(self, d, a, b):
+        site = self._site("mulwide", d)
+        self._words(site, d, a, b)
+        self._write(site, d, a.val * b.val)
+
+    def mullo(self, d, a, b):
+        self._write(self._site("mullo", d), d, a.val * b.val, wraps=True)
+
+    def mulhi(self, d, a, b):
+        site = self._site("mulhi", d)
+        self._words(site, d, a, b)
+        self._write(site, d, (a.val * b.val) >> 32)
+
+    def hi(self, d, x):
+        self._write(self._site("hi", d), d, x.val >> 32)
+
+    def lo(self, d, x):
+        lo, hi = _word_range(d.kind == "int32")
+        val = x.val if x.val.within(lo, hi) else Interval(lo, hi)
+        self._write(self._site("lo", d), d, val, wraps=True)
+
+    def add(self, d, a, b):
+        self._write(self._site("add", d), d, a.val + b.val)
+
+    def sub(self, d, a, b):
+        self._write(self._site("sub", d), d, a.val - b.val, wraps=True)
+
+    def fold(self, d, s, m, t):
+        site = self._site("fold", d)
+        ok = self.p.check(
+            f"{site} input unsigned",
+            s.kind.startswith("uint") and s.lo >= 0,
+            f"{s.kind} in {s.val}",
+        )
+        self._write(site, d, lazy_fold(s.val, m.lo) if ok else s.val)
+
+    def sign_fold(self, d, s, q, t):
+        site = self._site("sign_fold", d)
+        self.p.check(
+            f"{site} input in [-q, q)", s.lo >= -q.lo and s.hi < q.lo,
+            f"{s.val} vs q = {q.lo}",
+        )
+        parts = []
+        if s.lo < 0:
+            parts.append(Interval(s.lo + q.lo, min(s.hi, -1) + q.lo))
+        if s.hi >= 0:
+            parts.append(Interval(max(s.lo, 0), s.hi))
+        val = parts[0] if len(parts) == 1 else parts[0].union(parts[1])
+        self._write(site, d, val)
+
+    def axiom(self, d, contract, q, v, w):
+        site = self._site(f"{contract.name} axiom", d)
+        self.p.check(
+            f"{site} precondition", contract.admits(q.lo, v, w),
+            f"{contract.name} operands: v in {v.val}, w in {w.val}",
+        )
+        lo, hi = contract.axiom_range(q.lo)
+        if d.val.lo <= hi and lo <= d.val.hi:
+            d.val = Interval(max(lo, d.val.lo), min(hi, d.val.hi))
+        else:
+            d.val = Interval(lo, hi)
 
 
-# -- per-backend stage-kernel transfer functions ----------------------------
-#
-# Each function takes one limb modulus q and a prover, walks the kernel's
-# _mul / _bfly / _gs op sequences on intervals, discharges every carrier
-# and axiom obligation, and returns the inclusive per-limb stage-state
-# bound it proved invariant (q - 1 canonical, 2q - 1 Barrett-lazy).
+def _point(c) -> Reg:
+    """A constant register from a 0-d array of the reducer's constants."""
+    return Reg(str(c.dtype), int(c))
 
 
-def _shoup_mul(q: int, p: _Prover, v: Interval) -> Interval:
-    w = Interval(0, q - 1)  # canonical twiddles; precompute() enforced w < q
-    w_sh = Interval(0, ((q - 1) << 32) // q)  # exact companion maximum
-    prod = v * w_sh
-    p.check("mul-v*w'-fits-uint64", prod.fits("uint64"), f"v*w' in {prod}")
-    hi = prod >> 32
-    p.check("mul-hi-fits-uint32", hi.fits("uint32"), f"mulhi32 in {hi}")
-    # Shoup's lemma: a < 2^32 and w in [0, q) => (a*w - hi*q) mod 2^32
-    # lands in [0, 2q); the wrapping uint32 subtraction is exact mod 2^32.
-    p.check(
-        "mul-lemma-precondition",
-        v.hi <= UINT32_MAX and w.hi <= q - 1,
-        f"a in {v}, w in {w}",
-    )
-    r = Interval(0, 2 * q - 2)
-    return p.fold("mul", r, q, UINT32_MAX)
-
-
-def _montgomery_mul(q: int, p: _Prover, v: Interval) -> Interval:
-    tw = Interval(0, q - 1)  # Montgomery-form twiddles, strict-reduced
-    prod = v * tw
-    p.check("mul-product-fits-uint64", prod.fits("uint64"), f"v*tw in {prod}")
-    m = Interval(0, UINT32_MAX)  # mullo32 wraps by construction
-    mq = m * Interval.point(q)
-    total = prod + mq
-    p.check(
-        "mul-p-plus-mq-fits-uint64",
-        total.fits("uint64"),
-        f"p + m*q in {total}",
-    )
-    # No axiom needed: the exact interval already bounds t below 2q.
-    t = total >> 32
-    p.check("mul-t-below-2q", t.hi <= 2 * q - 1, f"t in {t}")
-    p.check("mul-t-fits-uint32", t.fits("uint32"), f"t in {t}")
-    return p.fold("mul", t, q, UINT32_MAX)
-
-
-def _smr_mul(q: int, p: _Prover, v: Interval) -> Interval:
-    tw = Interval(-(q - 1), q - 1)  # signed Montgomery-form twiddles
-    prod = v * tw
-    p.check("mul-product-fits-int64", prod.fits("int64"), f"v*tw in {prod}")
-    # Alg. 2's precondition |x| < q * 2^31, discharged exactly.
-    p.check(
-        "mul-alg2-precondition",
-        prod.abs_max() <= q * 2**31 - 1,
-        f"|v*tw| <= {prod.abs_max()} vs q*2^31 = {q * 2**31}",
-    )
-    z = Interval(-(2**31), 2**31 - 1)  # signed mullo32 wraps by construction
-    zq = z * Interval.point(q)
-    p.check("mul-z*q-fits-int64", zq.fits("int64"), f"z*q in {zq}")
-    # Alg. 2's axiom: t = x_hi - mulhi32(z, q) lands in (-q, q).
-    t = Interval(-(q - 1), q - 1)
-    folded = t + Interval(0, q)  # branch-free sign mask adds q when t < 0
-    canon = Interval(0, q - 1)
-    p.check(
-        "mul-canonicalized",
-        canon.hi <= UINT32_MAX and t.lo + q >= 0 and t.hi <= q - 1,
-        f"t in {t} folds into {canon}",
-    )
-    del folded
-    return canon
-
-
-def _barrett_mul(q: int, p: _Prover, v: Interval) -> Interval:
-    tw = Interval(0, q - 1)
-    x = v * tw
-    p.check("mul-product-fits-uint64", x.fits("uint64"), f"v*tw in {x}")
-    mu = (1 << 64) // q  # the limb's exact Barrett constant
-    mu_hi, mu_lo = mu >> 32, mu & UINT32_MAX
-    x_hi = x >> 32
-    x_lo = Interval(0, min(x.hi, UINT32_MAX))
-    t1 = x_lo * Interval.point(mu_hi)
-    p.check("mul-xlo*muhi-fits-uint64", t1.fits("uint64"), f"in {t1}")
-    t2 = x_lo * Interval.point(mu_lo)
-    p.check("mul-xlo*mulo-fits-uint64", t2.fits("uint64"), f"in {t2}")
-    t3 = x_hi * Interval.point(mu_lo)
-    p.check("mul-xhi*mulo-fits-uint64", t3.fits("uint64"), f"in {t3}")
-    mid = t1 + (t2 >> 32) + t3
-    p.check("mul-mid-fits-uint64", mid.fits("uint64"), f"mid in {mid}")
-    t4 = x_hi * Interval.point(mu_hi)
-    q_hat = t4 + (mid >> 32)
-    p.check("mul-qhat-fits-uint64", q_hat.fits("uint64"), f"q_hat in {q_hat}")
-    qq = q_hat * Interval.point(q)
-    p.check("mul-qhat*q-fits-uint64", qq.fits("uint64"), f"q_hat*q in {qq}")
-    # Barrett's axiom (REDUCER_CONTRACTS["barrett"]): for any x < 2^64 the
-    # residual r = x - q_hat*q of this exact half-word chain lies in
-    # [0, 3q).  Precondition x < 2^64 was discharged above.
-    r = Interval(0, 3 * q - 1)
-    return p.fold("mul", r, 2 * q, UINT64_MAX)
-
-
-def _canon32_stage(q: int, p: _Prover, mul) -> int:
-    state = Interval(0, q - 1)  # entry base case: range-checked canonical
-    p.check("state-fits-uint32", state.fits("uint32"), f"state in {state}")
-    # CT butterfly: (u, t) -> (u + t, u + q - t), both folded once.
-    t = mul(q, p, state)
-    p.check("ct-twiddle-product-canonical", t.within(0, q - 1), f"t in {t}")
-    yu = p.fold("ct-sum", state + t, q, UINT32_MAX)
-    yv = p.fold("ct-diff", state + Interval.point(q) - t, q, UINT32_MAX)
-    new_state = yu.union(yv)
-    p.check(
-        "ct-invariant-preserved",
-        new_state.within(0, q - 1),
-        f"stage output in {new_state}",
-    )
-    # GS butterfly: (u, v) -> (u + v, (u - v) * w), folds then a multiply.
-    gu = p.fold("gs-sum", state + state, q, UINT32_MAX)
-    diff = p.fold("gs-diff", state + Interval.point(q) - state, q, UINT32_MAX)
-    gv = mul(q, p, diff)
-    gs_state = gu.union(gv)
-    p.check(
-        "gs-invariant-preserved",
-        gs_state.within(0, q - 1),
-        f"stage output in {gs_state}",
-    )
-    # Final n^-1 scale is one more _mul over invariant state: covered by
-    # the CT twiddle-product obligation above.  Exit is a plain copy.
-    return q - 1
-
-
-def _barrett_stage(q: int, p: _Prover) -> int:
-    inv = 2 * q - 1  # the 2q-lazy Harvey invariant, inclusive
-    state = Interval(0, inv)
-    p.check(
-        "enter-below-invariant",
-        Interval(0, q - 1).within(0, inv),
-        "entry residues are canonical",
-    )
-    t = _barrett_mul(q, p, state)
-    p.check("ct-twiddle-product-lazy", t.within(0, inv), f"t in {t}")
-    yu = p.fold("ct-sum", state + t, 2 * q, UINT64_MAX)
-    yv = p.fold("ct-diff", state + Interval.point(2 * q) - t, 2 * q, UINT64_MAX)
-    new_state = yu.union(yv)
-    p.check(
-        "ct-invariant-preserved",
-        new_state.within(0, inv),
-        f"stage output in {new_state}",
-    )
-    gu = p.fold("gs-sum", state + state, 2 * q, UINT64_MAX)
-    diff = p.fold(
-        "gs-diff", state + Interval.point(2 * q) - state, 2 * q, UINT64_MAX
-    )
-    gv = _barrett_mul(q, p, diff)
-    gs_state = gu.union(gv)
-    p.check(
-        "gs-invariant-preserved",
-        gs_state.within(0, inv),
-        f"stage output in {gs_state}",
-    )
-    # Exit folds [0, 2q) -> [0, q) with one subtract of q.
-    exit_out = p.fold("exit", state, q, UINT64_MAX)
-    p.check("exit-canonical", exit_out.within(0, q - 1), f"exit in {exit_out}")
-    return inv
+def _tables(method: str, q: int) -> tuple[Reg, ...]:
+    """The twiddle tables' ranges, as ``prepare_twiddles`` builds them:
+    canonical residues (Montgomery's strict-reduced forms too), Shoup's
+    companions of canonical constants, SMR's signed forms in (-q, q)."""
+    if method == "smr":
+        return (Reg("int64", -(q - 1), q - 1),)
+    if method == "shoup":
+        return (Reg("uint32", 0, q - 1), Reg("uint64", 0, ((q - 1) << 32) // q))
+    return (Reg("uint64", 0, q - 1),)
 
 
 def _analyze_limb(method: str, q: int, p: _Prover) -> int:
-    p.check("modulus-within-31-bits", 2 < q < 2**31, f"q = {q}")
-    if method == "barrett":
-        return _barrett_stage(q, p)
-    mul = {
-        "shoup": _shoup_mul,
-        "montgomery": _montgomery_mul,
-        "smr": _smr_mul,
-    }[method]
-    return _canon32_stage(q, p, mul)
+    kind = STAGE_KINDS[method]
+    inv = kind.lazy * q - 1  # the stage invariant, inclusive
+    if not p.check("modulus-within-31-bits", 2 < q < 2**31, f"q = {q}"):
+        return inv
+    ops = IntervalOps(p)
+    k = tuple(_point(c) for c in make_reducer(method, q).stage_constants())
+    tw = _tables(method, q)
+    for name, body in (("ct", ct_butterfly), ("gs", gs_butterfly)):
+        yu, yv = Reg(kind.state), Reg(kind.state)
+        u, v = Reg(kind.state, 0, inv), Reg(kind.state, 0, inv)
+        scratch = tuple(Reg(t) for t in kind.scratch)
+        body(ops, kind.twiddle, yu, yv, u, v, tw, k, scratch)
+        out = yu.val.union(yv.val)
+        p.check(f"{name}-invariant-preserved", out.within(0, inv), f"stage output in {out}")
+    # The final n^-1 scale is one more twiddle product over invariant
+    # state, covered above.  Exit copies canonical state, or folds
+    # Barrett's [0, 2q) once.
+    if kind.lazy > 1:
+        out = Reg("uint64")
+        ops.fold(out, Reg(kind.state, 0, inv), Reg("uint64", q), Reg(kind.state))
+        p.check("exit-canonical", out.val.within(0, q - 1), f"exit in {out.val}")
+    return inv
 
 
-def _analyze_rescale_limb(q: int, q_last: int, p: _Prover) -> None:
-    """The ``exact_rescale`` constant chain for one surviving limb."""
-    # Centered lift of the dropped limb: (-(q_last - q_last//2 - 1), q_last//2].
-    centered = Interval(q_last // 2 - q_last + 1, q_last // 2)
-    t0 = Interval.point(q_last) - centered
-    p.check("lift-fits-uint32", t0.fits("uint32"), f"q_last - centered in {t0}")
-    mu32 = (1 << 32) // q  # the limb's exact 32-bit Barrett constant
-    prod = t0 * Interval.point(mu32)
-    p.check("lift*mu32-fits-uint64", prod.fits("uint64"), f"in {prod}")
-    hi_q = (prod >> 32) * Interval.point(q)
-    p.check("hi*q-fits-uint64", hi_q.fits("uint64"), f"in {hi_q}")
-    # 32-bit Barrett axiom: for t0 < 2^32 the residual lies in [0, 3q).
-    r = Interval(0, 3 * q - 1)
-    r = p.fold("barrett32-first", r, q, UINT64_MAX)
-    r = p.fold("barrett32-second", r, q, UINT64_MAX)
-    p.check("barrett32-canonical", r.within(0, q - 1), f"in {r}")
-    # + corr (= -q_last mod q), one fold; + the surviving limb, one fold.
-    r = p.fold("corr-sum", r + Interval(0, q - 1), q, UINT64_MAX)
-    r = p.fold("limb-sum", r + Interval(0, q - 1), q, UINT64_MAX)
-    p.check("diff-canonical", r.within(0, q - 1), f"in {r}")
-    # Shoup multiply by the cached q_last^-1 (a constant < q).
-    out = _shoup_mul(q, p, r)
-    p.check("rescale-output-canonical", out.within(0, q - 1), f"in {out}")
+def _interpret_rescale_limb(q: int, q_last: int, p: _Prover) -> None:
+    """``exact_rescale``'s chain for one surviving limb."""
+    # lift = q_last - centered, the centered lift in (-q_last/2, q_last/2].
+    lift = Interval(q_last - q_last // 2, 2 * q_last - q_last // 2 - 1)
+    p.check("lift-fits-uint32", lift.fits("uint32"), f"lift in {lift}")
+    inv, inv_sh, mu32, corr = (c[0] for c in rescale_constants(q_last, [q]))
+    out = Reg("uint64")
+    rescale_limb(
+        IntervalOps(p), out, Reg("uint32", lift.lo, lift.hi),
+        Reg("uint32", 0, q - 1), Reg("uint32", q), Reg("uint32", 1),
+        Reg("uint32", mu32), Reg("uint32", corr), Reg("uint32", inv),
+        Reg("uint32", inv_sh), Reg("uint64"), *(Reg("uint32") for _ in range(3)),
+    )
+    p.check("rescale-output-canonical", out.val.within(0, q - 1), f"in {out.val}")
 
 
 @dataclass(frozen=True)
@@ -333,9 +305,9 @@ def certify_kernels(
 ) -> KernelCertificate:
     """Prove (or refute) non-overflow for one ``(N, primes, backend)``.
 
-    Walks every limb through the backend's stage-kernel op sequence on
-    exact intervals, the ``exact_rescale`` chain for every surviving
-    limb, and the lazy-accumulation headroom bounds.  Never raises on an
+    Runs every limb through the backend's butterfly definitions on exact
+    intervals, the ``exact_rescale`` chain for every surviving limb, and
+    the lazy-accumulation headroom bounds.  Never raises on an
     unprovable family — the failures come back as the certificate's
     ``diagnostics`` (``raise_if_failed`` converts them).
     """
@@ -356,7 +328,7 @@ def certify_kernels(
         q_last = qs[-1]
         for i, q in enumerate(qs[:-1]):
             p = _Prover(f"exact_rescale limb {i} (q={q}, q_last={q_last})")
-            _analyze_rescale_limb(q, q_last, p)
+            _interpret_rescale_limb(q, q_last, p)
             obligations.extend(p.obligations)
             diagnostics.extend(p.diagnostics)
     # Lazy-accumulation headroom (§4.2): how many worst-case terms a fresh

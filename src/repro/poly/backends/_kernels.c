@@ -312,15 +312,15 @@ NTT_INV(ntt_inv_barrett, mul_barrett, add_2q, sub_2q)
  * approximation error.  x_hat and v are canonical (computed by the
  * main-process scale step / exact v guard). */
 
-EXPORT int crt_convert(const uint64_t *x_hat, const uint64_t *m,
+EXPORT int crt_convert(const uint64_t *x_hat, const uint32_t *m,
                        const uint64_t *msh, const uint64_t *v,
-                       const uint64_t *corr, const uint64_t *corrsh,
+                       const uint32_t *corr, const uint64_t *corrsh,
                        const uint64_t *p, const uint64_t *mu, int64_t L_in,
                        int64_t L_out, int64_t n, uint64_t *out) {
     for (int64_t j = 0; j < L_out; ++j) {
         uint64_t pj = p[j];
         uint64_t *oj = out + j * n;
-        const uint64_t *mj = m + j * L_in;
+        const uint32_t *mj = m + j * L_in;
         const uint64_t *mshj = msh + j * L_in;
         for (int64_t k = 0; k < n; ++k) oj[k] = 0;
         for (int64_t i = 0; i < L_in; ++i) {
@@ -350,8 +350,8 @@ EXPORT int crt_convert(const uint64_t *x_hat, const uint64_t *m,
  * scalar Shoup multiply per row.  Same 32-bit wrap + canonical fold the
  * numpy chain performs, so the output bits match exactly. */
 
-EXPORT int crt_scale(const uint64_t *x, const uint64_t *w,
-                     const uint64_t *wsh, const uint64_t *q, int64_t L,
+EXPORT int crt_scale(const uint64_t *x, const uint32_t *w,
+                     const uint64_t *wsh, const uint32_t *q, int64_t L,
                      int64_t n, uint64_t *out) {
     for (int64_t i = 0; i < L; ++i) {
         uint64_t wi = w[i], wshi = wsh[i], qi = q[i];
@@ -487,7 +487,7 @@ EXPORT void lazy_fold_signed(const int64_t *acc, const uint64_t *q,
  * chain's twelve passes as one loop, same uint64 wrapping steps. */
 
 EXPORT void moddown_combine(const uint64_t *x, const uint64_t *conv,
-                            const uint64_t *w, const uint64_t *wsh,
+                            const uint32_t *w, const uint64_t *wsh,
                             const uint64_t *q, int64_t L, int64_t n,
                             uint64_t *out) {
     for (int64_t l = 0; l < L; ++l) {

@@ -241,16 +241,16 @@ def _ptr(a: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(a.ctypes.data)
 
 
-def _c(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a)
+def _c(a: np.ndarray, dtype=None) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=dtype)
 
 
 def _ptr_or_null(a: np.ndarray | None) -> ctypes.c_void_p:
     return ctypes.c_void_p(None) if a is None else _ptr(a)
 
 
-def _words(x, shape: tuple[int, ...]) -> bool:
-    """``x`` is a contiguous array of 64-bit integers shaped ``shape``.
+def _words(x, shape: tuple[int, ...], size: int = 8) -> bool:
+    """``x`` is a contiguous array of ``size``-byte integers shaped ``shape``.
 
     Signed and unsigned words are equally good: the numpy reducers cast
     either way with the same bits, and so do the C kernels.
@@ -259,7 +259,7 @@ def _words(x, shape: tuple[int, ...]) -> bool:
         isinstance(x, np.ndarray)
         and x.shape == shape
         and x.dtype.kind in "iu"
-        and x.dtype.itemsize == 8
+        and x.dtype.itemsize == size
         and x.flags.c_contiguous
     )
 
@@ -388,17 +388,18 @@ class CompiledConvert:
     def __init__(self, converter, lib: ctypes.CDLL) -> None:
         self.converter = converter
         self.lib = lib
-        self._m = _c(converter._m)
+        # the kernels read the word constants as uint32_t
+        self._m = _c(converter._m, np.uint32)
         self._msh = _c(converter._m_sh)
-        self._corr = _c(converter._corr.reshape(-1))
+        self._corr = _c(converter._corr.reshape(-1), np.uint32)
         self._corrsh = _c(converter._corr_sh.reshape(-1))
         self._p = _c(np.array(converter.dst, dtype=np.uint64))
         self._mu = _c(
             np.array([(1 << 64) // p for p in converter.dst], dtype=np.uint64)
         )
-        self._w = _c(converter._w.reshape(-1))
+        self._w = _c(converter._w.reshape(-1), np.uint32)
         self._wsh = _c(converter._w_sh.reshape(-1))
-        self._q_src = _c(converter._q_src.reshape(-1))
+        self._q_src = _c(converter._q_src.reshape(-1), np.uint32)
 
     def scale_core(self, x, out):
         """The per-row Shoup scale in C; caller has already range-checked."""
@@ -459,7 +460,7 @@ class CompiledConvert:
         shape = (len(self.converter.dst), self.converter.n)
         if not all(
             _words(x, shape) and x.dtype == np.uint64 for x in (x_base, conv, out)
-        ) or not all(_words(c, (shape[0], 1)) for c in (w, w_sh)):
+        ) or not (_words(w, (shape[0], 1), 4) and _words(w_sh, (shape[0], 1))):
             return None
         self.lib.moddown_combine(
             _ptr(x_base),

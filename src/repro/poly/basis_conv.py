@@ -11,7 +11,7 @@ ever reconstructing the big integer.  Writing ``Q = prod q_i`` and
     v = round-down of sum_i x_hat_i / q_i               (the correction)
 
 :class:`BasisConverter` runs this entirely on ``(L, N)`` limb matrices:
-the scale step is one vectorized per-row Shoup chain, the CRT matrix
+the scale step is one vectorized per-row Shoup multiply, the CRT matrix
 product is one ``(L_out, L_in, N)`` pass through
 :meth:`~repro.rns.reduction.ShoupReducer.mulmod_cross` summed through a
 batched :class:`~repro.poly.lazy.LazyAccumulator` (deferred folds, one
@@ -60,10 +60,7 @@ from repro.poly.backends import make_convert_impl, resolve_backend
 from repro.poly.lazy import LazyAccumulator
 from repro.poly.ntt import _range_error
 from repro.rns.primes import digit_ranges
-from repro.rns.reduction import ShoupReducer
-
-_U32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+from repro.rns.reduction import NUMPY, ShoupReducer, shoup_mul
 
 #: coefficients whose fractional CRT weight lies this close to an integer
 #: are resolved with exact big-int arithmetic instead of trusting the
@@ -85,14 +82,17 @@ class BasisConverter:
     CRT weights ``q_i_hat^-1 mod q_i`` with Shoup companions (scale
     step), the ``(L_out, L_in)`` CRT matrix ``[q_i_hat]_{p_j}`` with
     per-row companions, and the v-correction constants ``[-Q]_{p_j}``.
-    The converter's arithmetic is method-independent — canonical uint64
-    residues through Shoup chains — so one converter serves every NTT
-    backend, and its output bit-matches the big-int CRT reference by
-    construction (see the module docstring's exactness guard).
+    The converter's arithmetic is method-independent — canonical
+    residues through the shared Shoup multiply
+    (:func:`~repro.rns.reduction.shoup_mul`, on word registers) — so one
+    converter serves every NTT backend, and its output bit-matches the
+    big-int CRT reference by construction (see the module docstring's
+    exactness guard).
 
-    Scratch (two ``(L_out, L_in, N)`` tensors, a few ``(L, N)`` rows) is
-    allocated lazily on first :meth:`convert` and reused for the life of
-    the converter, so steady-state conversions allocate nothing.
+    Scratch registers (three ``(L_out, L_in, N)`` tensors, a few
+    ``(L, N)`` rows) are allocated lazily on first :meth:`convert` and
+    reused for the life of the converter, so steady-state conversions
+    allocate nothing.
     """
 
     def __init__(
@@ -130,15 +130,18 @@ class BasisConverter:
             self.modulus *= q
         self._q_hat = [self.modulus // q for q in self.src]
 
-        col = lambda v, dt=np.uint64: np.array(v, dtype=dt).reshape(-1, 1)  # noqa: E731
-        self._q_src = col(self.src)
+        # Moduli and multiplicands are word columns, Shoup companions wide
+        # ones; both tiers read these.
+        col = lambda v: np.array(v, dtype=np.uint32).reshape(-1, 1)  # noqa: E731
+        wide = lambda v: np.array(v, dtype=np.uint64).reshape(-1, 1)  # noqa: E731
+        self._q_src, self._q_dst = col(self.src), col(self.dst)
         # Scale step: w_i = q_i_hat^-1 mod q_i with Shoup companions.
         w = [pow(h, -1, q) for h, q in zip(self._q_hat, self.src)]
         self._w = col(w)
-        self._w_sh = col([(wi << 32) // q for wi, q in zip(w, self.src)])
+        self._w_sh = wide([(wi << 32) // q for wi, q in zip(w, self.src)])
         # CRT matrix M[j, i] = q_i_hat mod p_j with per-row companions.
         self._m = np.array(
-            [[h % p for h in self._q_hat] for p in self.dst], dtype=np.uint64
+            [[h % p for h in self._q_hat] for p in self.dst], dtype=np.uint32
         )
         self._m_sh = np.array(
             [[(h % p << 32) // p for h in self._q_hat] for p in self.dst],
@@ -147,7 +150,7 @@ class BasisConverter:
         # v-correction constant (-Q) mod p_j, with companions.
         corr = [(-self.modulus) % p for p in self.dst]
         self._corr = col(corr)
-        self._corr_sh = col([(c << 32) // p for c, p in zip(corr, self.dst)])
+        self._corr_sh = wide([(c << 32) // p for c, p in zip(corr, self.dst)])
         #: float64 reciprocals 1/q_i for the correction term
         self._inv_q = 1.0 / np.array(self.src, dtype=np.float64).reshape(-1, 1)
 
@@ -167,25 +170,29 @@ class BasisConverter:
     def _workspace(self) -> tuple:
         if self._space is None:
             l_in, l_out, n = len(self.src), len(self.dst), self.n
+            cross = (l_out, l_in, n)
             self._space = (
-                np.empty((l_in, n), np.uint64),  # scale scratch a
-                np.empty((l_in, n), np.uint64),  # scale scratch b
-                np.empty((l_out, l_in, n), np.uint64),  # cross tensor
-                np.empty((l_out, l_in, n), np.uint64),  # cross work
+                np.empty((l_in, n), np.uint64),  # default scale output
+                np.empty((l_in, n), np.uint32),  # word registers x, s, t
+                np.empty((l_in, n), np.uint32),
+                np.empty((l_in, n), np.uint32),
+                np.empty((l_in, n), np.uint64),  # wide register h
+                np.empty(cross, np.uint32),  # cross tensor and its s, t, h
+                np.empty(cross, np.uint32),
+                np.empty(cross, np.uint64),
                 np.empty((l_out, n), np.uint64),  # row sums
                 np.empty((l_in, n), np.float64),  # v weights
                 np.empty(n, np.float64),  # v sum
                 np.empty(n, np.float64),  # v rounding scratch
                 np.empty((1, n), np.uint64),  # v as residues
                 np.empty((l_out, n), np.uint64),  # default output
-                np.empty((l_out, n), np.uint64),  # v-term product scratch
             )
         return self._space
 
     def scale(self, x: np.ndarray, out: np.ndarray | None = None):
         """The scale step: ``x_hat_i = x_i * q_i_hat^-1 mod q_i``.
 
-        One vectorized per-row Shoup chain over the whole ``(L_in, N)``
+        One vectorized per-row Shoup multiply over the whole ``(L_in, N)``
         limb matrix; exposed separately because tests pin its exact
         intermediate (and ModUp's digit reuse wants it cheap).
         """
@@ -196,22 +203,19 @@ class BasisConverter:
             )
         if x.size and np.any(x >= self._q_src):
             raise _range_error(x, self._q_src)
-        s1, s2 = self._workspace()[:2]
+        space = self._workspace()
         if out is None:
-            out = s1
+            out = space[0]
         impl = self._tier_impl()
         if impl is not None:
             res = impl.scale_core(np.ascontiguousarray(x, dtype=np.uint64), out)
             if res is not None:
                 return res
-        np.multiply(x, self._w_sh, out=s2)
-        np.right_shift(s2, _SHIFT32, out=s2)  # hi = mulhi32(x, w')
-        np.multiply(s2, self._q_src, out=s2)  # hi * q (low 64)
-        np.multiply(x, self._w, out=out)
-        np.subtract(out, s2, out=out)
-        np.bitwise_and(out, _U32, out=out)  # in [0, 2q)
-        np.subtract(out, self._q_src, out=s2)
-        np.minimum(out, s2, out=out)  # canonical [0, q)
+        x32, s, t, h = space[1:5]
+        q = self._q_src
+        NUMPY.lo(x32, x)  # canonical residues are words
+        shoup_mul(NUMPY, s, x32, self._w, self._w_sh, q, h, t)
+        NUMPY.fold(out, s, q, t)
         return out
 
     def _v_term(self, x_hat: np.ndarray) -> np.ndarray:
@@ -224,7 +228,7 @@ class BasisConverter:
         needs — conversion stays bit-identical to the big-int reference
         even for adversarial inputs like ``X = Q - 1``.
         """
-        fw, fs, fr, v_row = self._workspace()[5:9]
+        fw, fs, fr, v_row = self._workspace()[9:13]
         np.multiply(x_hat, self._inv_q, out=fw)
         np.sum(fw, axis=0, out=fs)
         np.rint(fs, out=fr)
@@ -255,23 +259,22 @@ class BasisConverter:
         in, canonical target residues out), never the scale/v steps.
         """
         space = self._workspace()
-        cross, work, sums = space[2:5]
-        self.reducer.mulmod_cross(x_hat, self._m, self._m_sh, out=cross, work=work)
+        x32, cross, cross_t, cross_h, sums = space[1], *space[5:9]
+        NUMPY.lo(x32, x_hat)
+        self.reducer.mulmod_cross(
+            x32, self._m, self._m_sh, out=cross, scratch=(cross_h, cross_t)
+        )
         np.add.reduce(cross, axis=1, out=sums)
         acc = self._acc
         acc.reset()
         acc.accumulate_value(sums, self._row_bound)
-        # v-correction term v * [-Q]_{p_j}, same Shoup chain in scratch
-        # (sums is free again once accumulated above).
-        t = space[10]
-        q_dst = self.reducer.q
-        np.multiply(v_row, self._corr_sh, out=t)
-        np.right_shift(t, _SHIFT32, out=t)  # hi = mulhi32(v, corr')
-        np.multiply(t, q_dst, out=t)
-        np.multiply(v_row, self._corr, out=sums)
-        np.subtract(sums, t, out=sums)
-        np.bitwise_and(sums, _U32, out=sums)  # in [0, 2q)
-        acc.accumulate_value(sums, self._term_bound)
+        # v-correction term v * [-Q]_{p_j}, the same Shoup multiply in the
+        # registers' first slices (free once the rows are summed).
+        s, t, h = cross[:, 0], cross_t[:, 0], cross_h[:, 0]
+        v = x32[:1]
+        NUMPY.lo(v, v_row)
+        shoup_mul(NUMPY, s, v, self._corr, self._corr_sh, self._q_dst, h, t)
+        acc.accumulate_value(s, self._term_bound)
         acc.fold_into(out)
         return out
 
@@ -286,7 +289,7 @@ class BasisConverter:
         x_hat = self.scale(x)
         v_row = self._v_term(x_hat)
         if out is None:
-            out = self._workspace()[9]
+            out = self._workspace()[13]
         impl = self._tier_impl()
         res = (
             impl.convert_core(x_hat, v_row, out) if impl is not None else None
@@ -382,14 +385,18 @@ class ModDown:
         self.p_modulus = 1
         for p in self.aux:
             self.p_modulus *= p
-        col = lambda v: np.array(v, dtype=np.uint64).reshape(-1, 1)  # noqa: E731
+        # word columns, and P^-1's wide Shoup companion; both tiers read these
+        col = lambda v, dt=np.uint32: np.array(v, dtype=dt).reshape(-1, 1)  # noqa: E731
         self._q = col(self.base)
         pinv = [pow(self.p_modulus, -1, q) for q in self.base]
         self._pinv = col(pinv)
-        self._pinv_sh = col([(w << 32) // q for w, q in zip(pinv, self.base)])
+        self._pinv_sh = col(
+            [(w << 32) // q for w, q in zip(pinv, self.base)], np.uint64
+        )
         shape = (len(self.base), self.n)
-        self._s1 = np.empty(shape, np.uint64)
-        self._s2 = np.empty(shape, np.uint64)
+        #: the numpy combine's registers: words s, t, d and a wide h
+        self._regs = (*(np.empty(shape, np.uint32) for _ in range(3)),
+                      np.empty(shape, np.uint64))
 
     def combine(
         self, x_base: np.ndarray, conv: np.ndarray, out: np.ndarray
@@ -406,7 +413,7 @@ class ModDown:
             self._combine_numpy(x_base, conv, out)
         if self.checked:
             assert_within(
-                out, q - np.uint64(1),
+                out, q - np.uint32(1),
                 kernel="ModDown", stage="combine output",
             )
         return out
@@ -414,20 +421,15 @@ class ModDown:
     def _combine_numpy(
         self, x_base: np.ndarray, conv: np.ndarray, out: np.ndarray
     ) -> None:
-        s1, s2 = self._s1, self._s2
+        s, t, d, h = self._regs
         q = self._q
-        np.subtract(q, conv, out=s1)  # q - conv in (0, q]
-        np.add(s1, x_base, out=s1)  # x - conv + q in (0, 2q)
-        np.subtract(s1, q, out=s2)
-        np.minimum(s1, s2, out=s1)  # canonical difference
-        np.multiply(s1, self._pinv_sh, out=s2)
-        np.right_shift(s2, _SHIFT32, out=s2)
-        np.multiply(s2, q, out=s2)  # hi * q
-        np.multiply(s1, self._pinv, out=s1)
-        np.subtract(s1, s2, out=s1)
-        np.bitwise_and(s1, _U32, out=s1)  # in [0, 2q)
-        np.subtract(s1, q, out=s2)
-        np.minimum(s1, s2, out=out)
+        NUMPY.lo(d, conv)
+        NUMPY.sub(s, q, d)  # q - conv in (0, q]
+        NUMPY.lo(d, x_base)
+        NUMPY.add(s, s, d)  # x - conv + q in (0, 2q)
+        NUMPY.fold(d, s, q, t)  # canonical difference
+        shoup_mul(NUMPY, s, d, self._pinv, self._pinv_sh, q, h, t)
+        NUMPY.fold(out, s, q, t)
 
     def apply(self, x_ext: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Coefficient-domain ModDown of an ``(L+K, N)`` limb matrix."""

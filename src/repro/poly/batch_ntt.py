@@ -17,12 +17,14 @@ the ``t`` butterflies of each block, exactly mirroring the per-prime
 implementation the tests cross-check against — both use the same per-limb
 roots, so outputs bit-match).
 
-The transform hot loop runs through hand-scheduled stage kernels rather
-than the generic backend ops, because at ``(L, N)`` scale the functional
-style drowns in temporary allocations, strided slivers and 64-bit scalar
-multiplies:
+Each stage runs the family's butterfly definition from
+:mod:`repro.rns.reduction` — the same Table-3 multiply and Cooley-Tukey /
+Gentleman-Sande bodies the range certificate interprets — through the
+numpy primitive set, on persistent registers rather than the generic
+backend ops, because at ``(L, N)`` scale the functional style drowns in
+temporary allocations, strided slivers and 64-bit scalar multiplies:
 
-* every intermediate lives in a preallocated scratch workspace (``out=``
+* every register is a preallocated workspace array (in-place ufuncs
   everywhere) and stages ping-pong between two buffers, so a whole
   transform allocates nothing;
 * conditional folds use the branch-free trick ``min(s, s - q)`` (for
@@ -34,21 +36,22 @@ multiplies:
   over long contiguous rows instead of ``t``-element slivers (the
   per-stage twiddle layout for the transposed phase is precomputed once
   per table);
-* the Shoup / Montgomery / SMR kernels keep the whole coefficient state
-  in **canonical uint32**: residues are < q < 2^31 so sums < 2q never
-  wrap, low-32-bit partial products become wrapping uint32 multiplies
-  (SIMD-friendly, unlike 64-bit multiplies which the int datapath runs
-  scalar), and only the one high-half product per butterfly runs in
-  64-bit.  Barrett needs all four 64-bit partial products anyway, so it
-  keeps a uint64 Harvey-style 2q-lazy kernel instead.
+* the Shoup / Montgomery / SMR stage state is **canonical uint32**
+  (:data:`~repro.rns.reduction.STAGE_KINDS` fixes every register's
+  type): residues are < q < 2^31 so sums < 2q never wrap, low-32-bit
+  partial products are wrapping uint32 multiplies (SIMD-friendly,
+  unlike 64-bit multiplies which the int datapath runs scalar), and
+  only the wide products run in 64-bit.  Barrett needs all four 64-bit
+  partial products anyway, so its state is a uint64 Harvey-style
+  2q-lazy one instead.
 
-Bit-exactness: the Shoup / Montgomery / Barrett kernels compute the very
-same intermediate integers as the reference engine (same butterfly
-schedule, same reduction formulas).  The SMR kernel canonicalizes each
-Alg. 2 output into [0, q) instead of carrying the reference's signed
-(-q, q) representatives; intermediates stay congruent mod q with all of
-Alg. 2's range preconditions intact, so the canonical outputs after the
-exit pass are bit-identical to the reference's.
+Bit-exactness: the kernels compute the very same intermediate integers as
+the reference engine, whose backends run the same multiplies through the
+reducer classes (same butterfly schedule).  The SMR kernel canonicalizes
+each Alg. 2 output into [0, q) with its sign fold instead of carrying the
+reference's signed (-q, q) representatives; intermediates stay congruent
+mod q with all of Alg. 2's range preconditions intact, so the canonical
+outputs after the exit pass are bit-identical to the reference's.
 """
 
 from __future__ import annotations
@@ -69,11 +72,7 @@ from repro.poly.ntt import (
     make_ntt_backend,
 )
 from repro.rns.primes import Prime, primitive_root_of_unity
-
-_U32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-_ISHIFT32 = np.int64(32)
-_ISHIFT63 = np.int64(63)
+from repro.rns.reduction import NUMPY, STAGE_KINDS, ct_butterfly, gs_butterfly
 
 #: chunk length for the transposed tail phase; butterflies within a chunk
 #: pair elements < _CHUNK apart, so whole chunks stay independent.
@@ -153,7 +152,7 @@ class BatchNTT:
         self._inv = self.backend.prepare_twiddles(inv)
         n_inv = np.array([[pow(n, -1, q)] for q in primes], dtype=np.uint64)
         self._n_inv = self.backend.prepare_twiddles(n_inv)
-        self._kernel = _KERNELS[method](primes, n, self.backend.red)
+        self._kernel = _StageKernel(primes, n, self.backend.red)
         self._kernel.set_tables(self._fwd, self._inv, self._n_inv)
 
     @property
@@ -255,7 +254,7 @@ class BatchNTT:
         clone._fwd = fwd
         clone._inv = inv
         clone._n_inv = n_inv
-        clone._kernel = _KERNELS[self.method](clone.primes, self.n, clone.backend.red)
+        clone._kernel = _StageKernel(clone.primes, self.n, clone.backend.red)
         clone._kernel.set_tables(clone._fwd, clone._inv, clone._n_inv)
         return clone
 
@@ -372,38 +371,28 @@ class BatchNTT:
 # ---------------------------------------------------------------------------
 # Stage kernels.
 #
-# Shared conventions:
-# * state lives in two persistent ping-pong buffers plus persistent
-#   scratch rows, reshaped per stage to the (L, m, t) / (J, t, M) view;
-# * plain-layout constants are (L, 1, 1) columns broadcasting against the
-#   (L, m, t) stage views; transposed-phase constants are (M,) rows
-#   (M = L*N/_CHUNK columns, limb-major) broadcasting against (J, t, M);
-# * a multiplicand ``v`` handed to ``_mul`` is only read before the first
-#   scratch write, so callers may pass a scratch view as ``v``.
+# State lives in two persistent ping-pong buffers plus persistent scratch
+# registers, reshaped per stage to the (L, m, t) / (J, t, M) view; plain-
+# layout constants are (L, 1, 1) columns broadcasting against the
+# (L, m, t) stage views, transposed-phase constants (M,) rows (M = L*N /
+# _CHUNK columns, limb-major) broadcasting against (J, t, M).  Each stage
+# runs the family's butterfly definition from repro.rns.reduction.
 # ---------------------------------------------------------------------------
 
 
-class _Layout:
-    """Per-layout constant bundle (plain limb-rows vs transposed columns)."""
+class _StageKernel:
+    """Stage scheduling, layouts, tables and workspaces of one family.
 
-    __slots__ = ("q", "q2", "q64", "q_inv_neg", "mu_hi", "mu_lo", "m")
-
-
-class _KernelBase:
-    """Stage scheduling, layouts and table management shared by kernels.
-
-    Subclasses define ``state_dtype``, ``_consts`` (per-layout constants),
-    ``_cast_parts`` (table dtypes), ``_mul`` (twiddle product to canonical
-    or lazy boundary), ``_bfly`` (CT combine), ``_gs`` (GS combine),
-    ``enter`` and ``exit``.
+    The family's :class:`~repro.rns.reduction.StageKind` fixes the state
+    and scratch register types and the twiddle product; the batched
+    reducer supplies the per-limb constants.
     """
 
     def __init__(self, primes: list[int], n: int, reducer) -> None:
         self.primes = primes
         self.n = n
-        #: the batched Table-3 reducer whose precomputed constants
-        #: (mu, -q^-1, signed m) the kernels reuse instead of re-deriving
-        self.reducer = reducer
+        self.method_name = reducer.contract.name
+        self.kind = STAGE_KINDS[self.method_name]
         self.chunks = n // _CHUNK if n >= _MIN_SPLIT_N else 0
         self.cols = len(primes) * self.chunks  # M, transposed-phase width
         q = np.array(primes, dtype=np.uint64)
@@ -411,17 +400,18 @@ class _KernelBase:
         #: sanitizer mode: assert the statically certified per-stage bound
         #: (q-1 canonical, 2q-1 Barrett-lazy) after every butterfly stage
         self.checked = checked_mode()
-        bound = q * np.uint64(self.lazy_factor) - np.uint64(1)
+        bound = q * np.uint64(self.kind.lazy) - np.uint64(1)
         self._bound_col = bound.reshape(-1, 1)
         self._bound_row = np.repeat(bound, self.chunks) if self.chunks else None
-        self.cN = self._consts(lambda a: np.asarray(a).reshape(-1, 1, 1))
+        consts = reducer.stage_constants()
+        self.cN = tuple(c.reshape(-1, 1, 1) for c in consts)
         self.cT = (
-            self._consts(lambda a: np.repeat(np.asarray(a).reshape(-1),
-                                             self.chunks))
+            tuple(np.repeat(c.reshape(-1), self.chunks) for c in consts)
             if self.chunks
             else None
         )
         self._space: tuple | None = None
+        self._views: dict = {}
 
     # -- tables ------------------------------------------------------------
     def set_tables(self, fwd, inv, n_inv) -> None:
@@ -432,6 +422,12 @@ class _KernelBase:
         self.n_inv = self._cast_parts(n_inv)
         self.fwd_t = self._stage_tables(self.fwd_n, inverse=False)
         self.inv_t = self._stage_tables(self.inv_n, inverse=True)
+
+    def _cast_parts(self, parts):
+        return tuple(
+            np.asarray(p).astype(dt, copy=False)
+            for p, dt in zip(parts, self.kind.tables)
+        )
 
     def _stage_tables(self, parts, *, inverse: bool) -> list:
         """Per-stage twiddles rearranged for the transposed tail phase.
@@ -473,9 +469,25 @@ class _KernelBase:
 
     # -- buffers -----------------------------------------------------------
     def _workspace(self):
+        """Two full-size state buffers, then the half-size scratch
+        registers of the family's stage kind."""
         if self._space is None:
-            self._space = self._alloc_space()
+            full = (len(self.primes), self.n)
+            half = (len(self.primes), self.n // 2)
+            self._space = (
+                np.empty(full, self.kind.state),
+                np.empty(full, self.kind.state),
+                *(np.empty(half, dt) for dt in self.kind.scratch),
+            )
         return self._space
+
+    def _registers(self, shape) -> tuple:
+        """The scratch registers viewed in one stage's shape (cached)."""
+        regs = self._views.get(shape)
+        if regs is None:
+            regs = tuple(r.reshape(shape) for r in self._workspace()[2:])
+            self._views[shape] = regs
+        return regs
 
     def _transpose_in(self, cur: np.ndarray, other: np.ndarray):
         """(L, N) -> (_CHUNK, M): row r holds element r of every chunk."""
@@ -490,10 +502,35 @@ class _KernelBase:
         np.copyto(dst, cur.T)
         return dst.reshape(length, self.n), cur.reshape(length, self.n)
 
+    def enter(self, a: np.ndarray):
+        a = np.asarray(a, dtype=np.uint64)
+        if a.size and np.any(a >= self.q_ucol):
+            raise _range_error(a, self.q_ucol)
+        x, y = self._workspace()[:2]
+        np.copyto(x, a, casting="unsafe")
+        return x, y
+
+    def exit(
+        self,
+        x: np.ndarray,
+        scratch: np.ndarray,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """State -> canonical uint64: a widening copy, or Barrett's one
+        fold from [0, 2q)."""
+        if out is None:
+            out = np.empty(x.shape, np.uint64)
+        if self.kind.lazy == 1:
+            np.copyto(out, x)
+        else:
+            NUMPY.fold(out, x, self.q_ucol, scratch)
+        return out
+
     # -- transforms --------------------------------------------------------
     def forward(self, a: np.ndarray, *, out: np.ndarray | None = None):
         x, y = self.enter(a)
         length = len(self.primes)
+        twiddle = self.kind.twiddle
         transposed = False
         stage_t = 0
         t = self.n
@@ -521,8 +558,7 @@ class _KernelBase:
                 c = self.cN
                 u, v = xb[:, :, 0, :], xb[:, :, 1, :]
                 yu, yv = yb[:, :, 0, :], yb[:, :, 1, :]
-            self._mul(v, tw, c, shape, yv)
-            self._bfly(u, yu, yv, c, shape)
+            ct_butterfly(NUMPY, twiddle, yu, yv, u, v, tw, c, self._registers(shape))
             x, y = y, x
             if self.checked:
                 self._assert_state(x, transposed, f"forward stage m={m}")
@@ -534,6 +570,7 @@ class _KernelBase:
     def inverse(self, a_hat: np.ndarray, *, out: np.ndarray | None = None):
         x, y = self.enter(a_hat)
         length = len(self.primes)
+        twiddle = self.kind.twiddle
         transposed = False
         stage_t = 0
         if self.chunks:
@@ -564,7 +601,7 @@ class _KernelBase:
                 c = self.cN
                 u, v = xb[:, :, 0, :], xb[:, :, 1, :]
                 yu, yv = yb[:, :, 0, :], yb[:, :, 1, :]
-            self._gs(u, v, tw, c, shape, yu, yv)
+            gs_butterfly(NUMPY, twiddle, yu, yv, u, v, tw, c, self._registers(shape))
             x, y = y, x
             if self.checked:
                 self._assert_state(x, transposed, f"inverse stage m={m}")
@@ -574,299 +611,12 @@ class _KernelBase:
             x, y = self._transpose_out(x, y)
         # Final n^-1 scale, chunked through the half-size scratch rows.
         half = self.n // 2
+        shape = (length, 1, half)
         tw = tuple(p[:, :, None] for p in self.n_inv)
         for lo in (0, half):
-            v = x[:, lo : lo + half].reshape(length, 1, half)
-            dst = y[:, lo : lo + half].reshape(length, 1, half)
-            self._mul(v, tw, self.cN, (length, 1, half), dst)
+            v = x[:, lo : lo + half].reshape(shape)
+            dst = y[:, lo : lo + half].reshape(shape)
+            twiddle(NUMPY, dst, v, tw, self.cN, self._registers(shape))
         if self.checked:
             self._assert_state(y, False, "n^-1 scale")
         return self.exit(y, x, out)
-
-
-class _Canon32Kernel(_KernelBase):
-    """Canonical-uint32 state shared by the Shoup / Montgomery / SMR
-    kernels: every stage value sits in [0, q), q < 2^31, so sums < 2q
-    never wrap uint32 and every fold is one branch-free ``min``."""
-
-    lazy_factor = 1  # stage invariant [0, q): canonical state
-
-    def _alloc_space(self):
-        shape = (len(self.primes), self.n)
-        half = (len(self.primes), self.n // 2)
-        return (
-            np.empty(shape, dtype=np.uint32),
-            np.empty(shape, dtype=np.uint32),
-            np.empty(half, dtype=self.wide_dtype),
-            np.empty(half, dtype=self.wide_dtype),
-            np.empty(half, dtype=np.uint32),
-            np.empty(half, dtype=np.uint32),
-            np.empty(half, dtype=self.low_dtype),
-        )
-
-    def enter(self, a: np.ndarray):
-        a = np.asarray(a, dtype=np.uint64)
-        if a.size and np.any(a >= self.q_ucol):
-            raise _range_error(a, self.q_ucol)
-        x, y = self._workspace()[:2]
-        np.copyto(x, a, casting="unsafe")
-        return x, y
-
-    def exit(
-        self,
-        x: np.ndarray,
-        _scratch: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if out is None:
-            return x.astype(np.uint64)
-        np.copyto(out, x, casting="unsafe")  # canonical uint32 -> uint64
-        return out
-
-    def _bfly(self, u, yu, yv, c, shape):
-        """(u, tt=yv) -> (u + tt, u + q - tt) mod q, canonical, uint32."""
-        _, _, _, _, c32, d32, _ = self._workspace()
-        c1 = c32.reshape(shape)
-        d1 = d32.reshape(shape)
-        np.add(u, yv, out=c1)
-        np.subtract(c1, c.q, out=d1)
-        np.minimum(c1, d1, out=yu)
-        np.add(u, c.q, out=c1)
-        np.subtract(c1, yv, out=c1)
-        np.subtract(c1, c.q, out=d1)
-        np.minimum(c1, d1, out=yv)
-
-    def _gs(self, u, v, tw, c, shape, yu, yv):
-        """(u, v) -> (u + v, (u - v) * w) mod q, canonical, uint32."""
-        _, _, _, _, c32, d32, _ = self._workspace()
-        c1 = c32.reshape(shape)
-        d1 = d32.reshape(shape)
-        np.add(u, v, out=c1)
-        np.subtract(c1, c.q, out=d1)
-        np.minimum(c1, d1, out=yu)
-        np.add(u, c.q, out=c1)
-        np.subtract(c1, v, out=c1)
-        np.subtract(c1, c.q, out=d1)
-        np.minimum(c1, d1, out=c1)
-        self._mul(c1, tw, c, shape, yv)
-
-
-class _ShoupKernel(_Canon32Kernel):
-    """Shoup butterflies: one 64-bit high product per twiddle multiply;
-    the cross terms run as wrapping uint32 multiplies."""
-
-    wide_dtype = np.uint64
-    low_dtype = np.uint32
-    method_name = "shoup"
-
-    def _consts(self, shape) -> _Layout:
-        c = _Layout()
-        c.q = shape(np.array(self.primes, dtype=np.uint32))
-        return c
-
-    def _cast_parts(self, parts):
-        w, w_shoup = parts
-        return (w.astype(np.uint32), w_shoup)  # companion stays uint64
-
-    def _mul(self, v, tw, c, shape, out):
-        w32, ws64 = tw
-        _, _, b64f, _, c32, d32, _ = self._workspace()
-        b64 = b64f.reshape(shape)
-        c1 = c32.reshape(shape)
-        d1 = d32.reshape(shape)
-        np.copyto(b64, v)  # widen v once for the high product
-        np.multiply(b64, ws64, out=b64)
-        np.right_shift(b64, _SHIFT32, out=b64)  # hi = mulhi32(v, w')
-        np.copyto(d1, b64, casting="unsafe")  # hi < 2^31
-        np.multiply(d1, c.q, out=d1)  # hi * q   (low 32 bits)
-        np.multiply(v, w32, out=c1)  # v * w     (low 32 bits)
-        np.subtract(c1, d1, out=c1)  # r = (v*w - hi*q) mod 2^32, in [0, 2q)
-        np.subtract(c1, c.q, out=d1)
-        np.minimum(c1, d1, out=out)  # canonical [0, q)
-
-
-class _MontgomeryKernel(_Canon32Kernel):
-    """Montgomery butterflies: the product and the m*q correction need
-    full 64-bit; the mullo32 by -q^-1 wraps in uint32."""
-
-    wide_dtype = np.uint64
-    low_dtype = np.uint32
-    method_name = "montgomery"
-
-    def _consts(self, shape) -> _Layout:
-        c = _Layout()
-        c.q = shape(np.array(self.primes, dtype=np.uint32))
-        c.q64 = shape(np.array(self.primes, dtype=np.uint64))
-        c.q_inv_neg = shape(self.reducer.q_inv_neg.reshape(-1).astype(np.uint32))
-        return c
-
-    def _cast_parts(self, parts):
-        return (parts[0],)  # Montgomery-form twiddles, uint64
-
-    def _mul(self, v, tw, c, shape, out):
-        _, _, b64f, c64f, _, d32, l32f = self._workspace()
-        b64 = b64f.reshape(shape)
-        c64 = c64f.reshape(shape)
-        low = l32f.reshape(shape)
-        d1 = d32.reshape(shape)
-        np.copyto(b64, v)
-        np.multiply(b64, tw[0], out=b64)  # p = v * (w * 2^32 mod q)
-        np.copyto(low, b64, casting="unsafe")  # p mod 2^32
-        np.multiply(low, c.q_inv_neg, out=low)  # m = mullo32(p, -q^-1)
-        np.copyto(c64, low)
-        np.multiply(c64, c.q64, out=c64)  # m * q, full 64 bits
-        np.add(b64, c64, out=b64)
-        np.right_shift(b64, _SHIFT32, out=b64)  # t = (p + m*q) >> 32 < 2q
-        np.copyto(d1, b64, casting="unsafe")
-        np.subtract(d1, c.q, out=out)
-        np.minimum(d1, out, out=out)  # canonical [0, q)
-
-
-class _SmrKernel(_Canon32Kernel):
-    """SMR (Alg. 2) butterflies over canonical residues.
-
-    The reference engine carries signed (-q, q) representatives; here each
-    Alg. 2 output is folded straight into [0, q) (one arithmetic-shift
-    sign mask), which keeps every intermediate congruent and inside
-    Alg. 2's |x| < 2^31 domain while letting the butterfly combines run
-    in uint32 like the other kernels.
-    """
-
-    wide_dtype = np.int64
-    low_dtype = np.int32
-    method_name = "smr"
-
-    def _consts(self, shape) -> _Layout:
-        c = _Layout()
-        c.q = shape(np.array(self.primes, dtype=np.uint32))
-        c.q64 = shape(np.array(self.primes, dtype=np.int64))
-        c.m = shape(self.reducer.m.reshape(-1).astype(np.int32))
-        return c
-
-    def _cast_parts(self, parts):
-        return (parts[0],)  # signed-Montgomery-form twiddles, int64
-
-    def _mul(self, v, tw, c, shape, out):
-        _, _, b64f, c64f, _, _, l32f = self._workspace()
-        b64 = b64f.reshape(shape)
-        c64 = c64f.reshape(shape)
-        low = l32f.reshape(shape)
-        np.copyto(b64, v)  # canonical residue, 0 <= v < q < 2^31
-        np.multiply(b64, tw[0], out=b64)  # p = v * tw, |p| < q * 2^31
-        np.right_shift(b64, _ISHIFT32, out=c64)  # x_hi (arithmetic shift)
-        np.copyto(low, b64, casting="unsafe")  # signed low 32 of p
-        np.multiply(low, c.m, out=low)  # z = signed mullo32(x_lo, m)
-        np.copyto(b64, low)  # sign-extend z
-        np.multiply(b64, c.q64, out=b64)
-        np.right_shift(b64, _ISHIFT32, out=b64)  # signed mulhi32(z, q)
-        np.subtract(c64, b64, out=c64)  # t = x_hi - z, in (-q, q)
-        # Canonicalize: t += q when negative (branch-free sign mask).
-        np.right_shift(c64, _ISHIFT63, out=b64)
-        np.bitwise_and(b64, c.q64, out=b64)
-        np.add(c64, b64, out=c64)
-        np.copyto(out, c64, casting="unsafe")
-
-
-class _BarrettKernel(_KernelBase):
-    """Harvey-style 2q-lazy uint64 stages for the Barrett backend.
-
-    Barrett's mu-chain needs all four 64-bit partial products, so there is
-    no uint32 shortcut; instead stage values ride in [0, 2q) with exactly
-    one fold per butterfly output and the exit pass folds to canonical.
-    The intermediate integers match the reference's mulmod outputs before
-    its strict fold, so canonical outputs are bit-identical.
-    """
-
-    lazy_factor = 2  # stage invariant [0, 2q): Harvey-lazy state
-    method_name = "barrett"
-
-    def _consts(self, shape) -> _Layout:
-        c = _Layout()
-        c.q = shape(np.array(self.primes, dtype=np.uint64))
-        c.q2 = shape(np.array(self.primes, dtype=np.uint64) * np.uint64(2))
-        mu = np.asarray(self.reducer.mu, dtype=np.uint64).reshape(-1)
-        c.mu_hi = shape(mu >> _SHIFT32)
-        c.mu_lo = shape(mu & _U32)
-        return c
-
-    def _cast_parts(self, parts):
-        return (parts[0],)
-
-    def _alloc_space(self):
-        shape = (len(self.primes), self.n)
-        half = (len(self.primes), self.n // 2)
-        return (
-            np.empty(shape, dtype=np.uint64),
-            np.empty(shape, dtype=np.uint64),
-            [np.empty(half, dtype=np.uint64) for _ in range(4)],
-        )
-
-    def enter(self, a: np.ndarray):
-        a = np.asarray(a, dtype=np.uint64)
-        if a.size and np.any(a >= self.q_ucol):
-            raise _range_error(a, self.q_ucol)
-        x, y = self._workspace()[:2]
-        np.copyto(x, a)
-        return x, y
-
-    def exit(
-        self,
-        x: np.ndarray,
-        scratch: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """[0, 2q) -> canonical [0, q) via the wraparound min-trick."""
-        np.subtract(x, self.q_ucol, out=scratch)
-        if out is None:
-            return np.minimum(x, scratch)
-        np.minimum(x, scratch, out=out)
-        return out
-
-    def _mul(self, v, tw, c, shape, out):
-        b1, b2, b3, b4 = (s.reshape(shape) for s in self._workspace()[2])
-        np.multiply(v, tw[0], out=b2)  # x = v * w (exact: < 2q^2 < 2^63)
-        np.right_shift(b2, _SHIFT32, out=b1)  # x_hi (v consumed)
-        np.bitwise_and(b2, _U32, out=b3)  # x_lo
-        np.multiply(b3, c.mu_hi, out=b4)  # mid = x_lo * mu_hi
-        np.multiply(b3, c.mu_lo, out=b3)
-        np.right_shift(b3, _SHIFT32, out=b3)
-        np.add(b4, b3, out=b4)  # + (x_lo * mu_lo) >> 32
-        np.multiply(b1, c.mu_lo, out=b3)
-        np.add(b4, b3, out=b4)  # + x_hi * mu_lo
-        np.right_shift(b4, _SHIFT32, out=b4)
-        np.multiply(b1, c.mu_hi, out=b3)
-        np.add(b3, b4, out=b3)  # q_hat = x_hi * mu_hi + (mid >> 32)
-        np.multiply(b3, c.q, out=b3)
-        np.subtract(b2, b3, out=b2)  # r = x - q_hat * q, in [0, 3q)
-        np.subtract(b2, c.q2, out=b3)
-        np.minimum(b2, b3, out=out)  # fold once into [0, 2q)
-
-    def _bfly(self, u, yu, yv, c, shape):
-        """(u, tt=yv) -> (u + tt, u + 2q - tt), folded once into [0, 2q)."""
-        b1, b2 = (s.reshape(shape) for s in self._workspace()[2][:2])
-        np.add(u, yv, out=b1)
-        np.subtract(b1, c.q2, out=b2)
-        np.minimum(b1, b2, out=yu)
-        np.add(u, c.q2, out=b1)
-        np.subtract(b1, yv, out=b1)
-        np.subtract(b1, c.q2, out=b2)
-        np.minimum(b1, b2, out=yv)
-
-    def _gs(self, u, v, tw, c, shape, yu, yv):
-        b1, b2 = (s.reshape(shape) for s in self._workspace()[2][:2])
-        np.add(u, v, out=b1)
-        np.subtract(b1, c.q2, out=b2)
-        np.minimum(b1, b2, out=yu)
-        np.add(u, c.q2, out=b1)
-        np.subtract(b1, v, out=b1)
-        np.subtract(b1, c.q2, out=b2)
-        np.minimum(b1, b2, out=b1)
-        self._mul(b1, tw, c, shape, yv)
-
-
-_KERNELS = {
-    "barrett": _BarrettKernel,
-    "montgomery": _MontgomeryKernel,
-    "shoup": _ShoupKernel,
-    "smr": _SmrKernel,
-}

@@ -138,7 +138,7 @@ class LazyAccumulator:
         nothing is written until the charge succeeds, so a failed call
         leaves both the tracker and the accumulator untouched.
         """
-        shoup = not hasattr(self.reducer, "mulmod")
+        shoup = self.reducer.contract.name == "shoup"
         if shoup:  # Shoup multiplies by constants only; needs the companion
             if not isinstance(b, np.ndarray):
                 b = int(b)

@@ -36,7 +36,6 @@ from repro.rns.reduction import (
     MontgomeryReducer,
     ShoupReducer,
     SignedMontgomeryReducer,
-    _parse_moduli,
     align_rows,
 )
 
@@ -204,15 +203,11 @@ class _UnsignedBackend:
     """
 
     name = "unsigned"
+    reducer = None  # the Table-3 reducer class the products run through
 
     def __init__(self, q) -> None:
-        qs, self.batched = _parse_moduli(q, "NTT backend")
-        self.q_ints = qs
-        if self.batched:
-            self.q = np.array(qs, dtype=np.uint64).reshape(-1, 1)
-        else:
-            self.q_int = qs[0]
-            self.q = np.uint64(qs[0])
+        self.red = self.reducer(q)
+        self.q = self.red.q
 
     # -- domain conversion -------------------------------------------------
     def enter(self, a: np.ndarray) -> np.ndarray:
@@ -241,10 +236,7 @@ class _UnsignedBackend:
 
 class _BarrettBackend(_UnsignedBackend):
     name = "barrett"
-
-    def __init__(self, q) -> None:
-        super().__init__(q)
-        self.red = BarrettReducer(q)
+    reducer = BarrettReducer
 
     def prepare_twiddles(self, tw: np.ndarray) -> tuple[np.ndarray, ...]:
         return (np.asarray(tw, dtype=np.uint64),)
@@ -255,10 +247,7 @@ class _BarrettBackend(_UnsignedBackend):
 
 class _MontgomeryBackend(_UnsignedBackend):
     name = "montgomery"
-
-    def __init__(self, q) -> None:
-        super().__init__(q)
-        self.red = MontgomeryReducer(q)
+    reducer = MontgomeryReducer
 
     def prepare_twiddles(self, tw: np.ndarray) -> tuple[np.ndarray, ...]:
         # Twiddles are stored as w * 2^32 mod q so each butterfly's reduce
@@ -271,10 +260,7 @@ class _MontgomeryBackend(_UnsignedBackend):
 
 class _ShoupBackend(_UnsignedBackend):
     name = "shoup"
-
-    def __init__(self, q) -> None:
-        super().__init__(q)
-        self.red = ShoupReducer(q)
+    reducer = ShoupReducer
 
     def prepare_twiddles(self, tw: np.ndarray) -> tuple[np.ndarray, ...]:
         tw = np.asarray(tw, dtype=np.uint64)
@@ -297,14 +283,8 @@ class _SmrBackend:
     name = "smr"
 
     def __init__(self, q) -> None:
-        qs, self.batched = _parse_moduli(q, "SMR backend")
-        self.q_ints = qs
-        if self.batched:
-            self.q = np.array(qs, dtype=np.int64).reshape(-1, 1)
-        else:
-            self.q_int = qs[0]
-            self.q = np.int64(qs[0])
         self.red = SignedMontgomeryReducer(q)
+        self.q = self.red.q
 
     def enter(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.uint64)
@@ -334,7 +314,7 @@ class _SmrBackend:
 
     def mul(self, x: np.ndarray, parts: tuple[np.ndarray, ...]) -> np.ndarray:
         # |x| < q and |tw_mont| < q, so |x * tw| < q * 2^31: Alg. 2's domain.
-        return self.red.reduce(x * parts[0])
+        return self.red.mulmod(x, parts[0])
 
 
 _BACKENDS = {

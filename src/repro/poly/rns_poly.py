@@ -36,6 +36,7 @@ from repro.errors import LayoutError, LevelError, ParameterError
 from repro.poly.batch_ntt import BatchNTT
 from repro.poly.lazy import LazyAccumulator
 from repro.rns.primes import Prime, PrimePool
+from repro.rns.reduction import NUMPY, rescale_constants, rescale_limb
 
 COEFF = "coeff"
 NTT = "ntt"
@@ -367,36 +368,27 @@ class PolyContext:
         return switcher
 
     @cached_property
-    def _rescale_scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two persistent (L-1, N) work rows so ``exact_rescale`` runs its
-        whole chain through ``out=`` without allocating temporaries."""
+    def _rescale_scratch(self) -> tuple[np.ndarray, ...]:
+        """Persistent (L-1, N) registers — three words and a wide one — so
+        ``exact_rescale`` runs its whole chain without temporaries."""
         shape = (self.num_limbs - 1, self.ring_degree)
-        return np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+        return (*(np.empty(shape, np.uint32) for _ in range(3)),
+                np.empty(shape, np.uint64))
 
     @cached_property
     def rescale_consts(self) -> tuple[np.ndarray, ...]:
-        """Cached ``(L-1, 1)`` constant columns for ``exact_rescale``.
+        """Cached ``(L-1, 1)`` word columns for ``exact_rescale``.
 
         Four per-surviving-limb tables — ``inv = q_last^-1 mod q_i`` with
         its Shoup companion ``floor(inv * 2^32 / q_i)``, the 32-bit Barrett
-        constant ``floor(2^32 / q_i)``, and the fold correction
-        ``(q_i - q_last) mod q_i`` — so the per-call path is pure
-        division-free NumPy.  The modular inverses were previously
-        recomputed with ``pow(q_last, -1, q)`` inside the per-limb loop on
-        every call; caching lives here alongside :meth:`drop_last`.
+        constant ``floor(2^32 / q_i)`` (the Shoup companion of one), and
+        the fold correction ``(q_i - q_last) mod q_i`` — so the per-call
+        path is pure division-free NumPy.
         """
         if self.num_limbs < 2:
             raise LevelError("rescale constants need at least two limbs")
-        q_last = self.primes[-1]
-        live = self.primes[:-1]
-        col = lambda vals: np.array(vals, dtype=np.uint64).reshape(-1, 1)  # noqa: E731
-        inv = [pow(q_last, -1, q) for q in live]
-        return (
-            col(inv),
-            col([(w << 32) // q for w, q in zip(inv, live)]),  # Shoup
-            col([(1 << 32) // q for q in live]),  # 32-bit Barrett mu
-            col([(q - q_last % q) % q for q in live]),  # -q_last mod q_i
-        )
+        consts = rescale_constants(self.primes[-1], self.primes[:-1])
+        return tuple(np.array(c, dtype=np.uint32).reshape(-1, 1) for c in consts)
 
     def mismatch_reason(self, other: PolyContext) -> str | None:
         """The first field on which two contexts differ, named — or ``None``.
@@ -830,41 +822,17 @@ class RnsPolynomial:
         centered = np.where(last > q_last // 2, last - q_last, last)
         q = self.ctx.moduli[:-1]  # (L-1, 1), broadcasts over every limb row
         inv, inv_shoup, mu32, corr = self.ctx.rescale_consts
-        s1, s2 = self.ctx._rescale_scratch
-        shift = np.uint64(32)
-        # Division-free (L-1, N) chain through cached constants and
-        # persistent scratch (no temporaries); every fold is the
-        # branch-free uint64 min-trick — min(s, s - q) keeps s when the
-        # subtraction wraps.
-        # t0 = q_L - centered is a positive < 2^32 lift of -[c]_{q_L}
-        # shifted by q_L; reduce it per row via the cached 32-bit Barrett
-        # constant (approximation error < 3q, so two folds reach [0, q)).
-        t0 = (q_last - centered).astype(np.uint64)[None, :]
-        np.multiply(t0, mu32, out=s1)
-        np.right_shift(s1, shift, out=s1)
-        np.multiply(s1, q, out=s1)
-        np.subtract(t0, s1, out=s1)  # t0 mod q + < 3q of error
-        np.subtract(s1, q, out=s2)
-        np.minimum(s1, s2, out=s1)
-        np.subtract(s1, q, out=s2)
-        np.minimum(s1, s2, out=s1)  # canonical [0, q)
-        # Undo the +q_L shift (corr = -q_last mod q_i) and add the limb:
-        # diff = limbs - [c]_{q_L} mod q_i, canonical after one fold each.
-        np.add(s1, corr, out=s1)
-        np.subtract(s1, q, out=s2)
-        np.minimum(s1, s2, out=s1)
-        np.add(s1, self.limbs[:-1], out=s1)
-        np.subtract(s1, q, out=s2)
-        np.minimum(s1, s2, out=s1)
-        # Multiply by the cached q_last^-1 via its Shoup companion.
-        np.multiply(s1, inv_shoup, out=s2)
-        np.right_shift(s2, shift, out=s2)
-        np.multiply(s2, q, out=s2)  # hi * q
-        np.multiply(s1, inv, out=s1)
-        np.subtract(s1, s2, out=s1)
-        np.bitwise_and(s1, np.uint64(0xFFFFFFFF), out=s1)  # in [0, 2q)
-        np.subtract(s1, q, out=s2)
-        out = np.minimum(s1, s2)
+        s, t, d, h = self.ctx._rescale_scratch
+        # lift = q_L - centered is a positive word (< 2 q_L) congruent to
+        # -[c]_{q_L} + q_L; the shared chain reduces it per row, undoes the
+        # shift, adds the limb and scales by q_L^-1.
+        lift = (q_last - centered).astype(np.uint32)[None, :]
+        out = np.empty(s.shape, np.uint64)
+        NUMPY.lo(d, self.limbs[:-1])  # the surviving limbs, as words
+        rescale_limb(
+            NUMPY, out, lift, d, q.astype(np.uint32), np.uint32(1),
+            mu32, corr, inv, inv_shoup, h, s, t, d,
+        )
         if self.ctx.checked:
             assert_within(
                 out, q - np.uint64(1),

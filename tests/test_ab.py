@@ -1,0 +1,67 @@
+"""benchmarks/ab.py's summary: medians, parent quartiles, wins and bounds."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+_AB = Path(__file__).resolve().parent.parent / "benchmarks" / "ab.py"
+_spec = importlib.util.spec_from_file_location("ab", _AB)
+ab = importlib.util.module_from_spec(_spec)
+sys.modules.setdefault("ab", ab)
+_spec.loader.exec_module(ab)
+
+METRICS = [
+    {"name": "latency_p5_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "throughput_rps", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15},
+]
+
+
+def _result(**values):
+    return {
+        "correct": True,
+        "metrics": {k: {"value": v, "unit": "x"} for k, v in values.items()},
+    }
+
+
+def _pairs(rows):
+    return [
+        {"parent": _result(**p), "change": _result(**c)} for p, c in rows
+    ]
+
+
+def test_summary_on_canned_pairs():
+    rows = [
+        ({"latency_p5_ms": 100, "throughput_rps": 4.0, "peak_rss_mb": 90},
+         {"latency_p5_ms": 95, "throughput_rps": 4.2, "peak_rss_mb": 120}),
+        ({"latency_p5_ms": 110, "throughput_rps": 3.8, "peak_rss_mb": 92},
+         {"latency_p5_ms": 112, "throughput_rps": 3.9, "peak_rss_mb": 118}),
+        ({"latency_p5_ms": 104, "throughput_rps": 4.1, "peak_rss_mb": 91},
+         {"latency_p5_ms": 99, "throughput_rps": 4.0, "peak_rss_mb": 121}),
+        ({"latency_p5_ms": 120, "throughput_rps": 3.5, "peak_rss_mb": 93},
+         {"latency_p5_ms": 101, "throughput_rps": 3.6, "peak_rss_mb": 119}),
+    ]
+    s = ab.summarize(_pairs(rows), METRICS)
+    lat = s["latency_p5_ms"]
+    assert lat["parent_median"] == 107 and lat["change_median"] == 100
+    assert lat["parent_quartiles"] == [103, 112.5]
+    assert lat["change_wins"] == 3 and lat["pairs"] == 4
+    assert lat["within_bound"]
+    rps = s["throughput_rps"]
+    assert rps["change_wins"] == 3  # higher is better
+    assert rps["change_median"] == pytest.approx(3.95)
+    assert rps["within_bound"]
+    # 119.5 MB against 91.5 MB is +31%, beyond the 15% bound
+    rss = s["peak_rss_mb"]
+    assert rss["change_wins"] == 0 and not rss["within_bound"]
+    assert rss["change_over_parent"] == pytest.approx(119.5 / 91.5)
+
+
+def test_summary_skips_metrics_a_run_lacks():
+    rows = [({"latency_p5_ms": 10}, {"latency_p5_ms": 11})]
+    s = ab.summarize(_pairs(rows), METRICS)
+    assert list(s) == ["latency_p5_ms"]
+    assert s["latency_p5_ms"]["parent_quartiles"] == [10, 10]
+    assert s["latency_p5_ms"]["within_bound"]  # +10% < 25%

@@ -14,11 +14,12 @@ import pytest
 from repro.analysis import Interval, certify_kernels
 from repro.analysis.intervals import lazy_fold
 from repro.analysis.plan_check import _Checker
+from repro.analysis.ranges import IntervalOps, Reg, _Prover
 from repro.errors import ParameterError, StaticAnalysisError
 from repro.poly.lazy import LazyAccumulator
 from repro.poly.rns_poly import PolyContext
 from repro.rns.primes import PrimePool
-from repro.rns.reduction import make_reducer
+from repro.rns.reduction import make_reducer, montgomery_mul, shoup_mul
 from repro.scheme._circuit import _Step
 
 METHODS = ("barrett", "montgomery", "shoup", "smr")
@@ -112,3 +113,65 @@ class TestIntervalDomain:
         assert lazy_fold(Interval(0, 300), 97) == Interval(0, 203)
         with pytest.raises(ValueError):
             lazy_fold(Interval(-1, 5), 97)
+
+
+class TestIntervalInterpretation:
+    """The certificate interprets the numpy kernels' own definitions, so a
+    violation names the definition, the primitive and the register."""
+
+    Q = 1073741969
+
+    def _failures(self, body):
+        prover = _Prover("planted")
+        body(IntervalOps(prover))
+        return [d.code for d in prover.diagnostics]
+
+    def test_refutes_shoup_constant_reaching_q(self):
+        q = self.Q
+
+        def body(ops):
+            w = Reg("uint32", 0, q)  # one constant too many: w = q
+            ws = Reg("uint64", 0, (q << 32) // q)
+            shoup_mul(ops, Reg("uint32"), Reg("uint32", 0, q - 1), w, ws,
+                      Reg("uint32", q), Reg("uint64"), Reg("uint32"))
+
+        # w = q has the 33-bit companion 2^32: the high product no longer
+        # reads words, and Shoup's lemma no longer applies
+        assert self._failures(body) == [
+            "shoup_mul: mulhi -> h reads words",
+            "shoup_mul: shoup axiom -> out precondition",
+        ]
+        # the canonical constant range proves
+        assert not self._failures(lambda ops: shoup_mul(
+            ops, Reg("uint32"), Reg("uint32", 0, q - 1),
+            Reg("uint32", 0, q - 1), Reg("uint64", 0, ((q - 1) << 32) // q),
+            Reg("uint32", q), Reg("uint64"), Reg("uint32"),
+        ))
+
+    def test_refutes_a_64_bit_register_that_can_overflow(self):
+        q = self.Q
+
+        def body(ops):
+            # full-word operands break Montgomery's x < q*2^32: the 64-bit
+            # sum x + m*q can wrap
+            word = Reg("uint32", 0, 2**32 - 1)
+            montgomery_mul(ops, Reg("uint32"), word, word, Reg("uint64", q),
+                           Reg("uint32", 7), Reg("uint64"), Reg("uint32"),
+                           Reg("uint64"))
+
+        failures = self._failures(body)
+        assert failures[0] == "montgomery_mul: add -> mq fits uint64"
+        assert "montgomery_mul: montgomery axiom -> mq precondition" in failures
+
+    def test_certificate_names_the_failing_step(self, monkeypatch):
+        # A planted companion range that reaches 2^32 fails the family's
+        # certificate at the Shoup definition's high product.
+        from repro.analysis import ranges
+
+        def wide_tables(method, q):
+            return (Reg("uint32", 0, q - 1), Reg("uint64", 0, 2**32))
+
+        monkeypatch.setattr(ranges, "_tables", wide_tables)
+        cert = certify_kernels(1024, _family(1024, 4), "shoup")
+        assert not cert.ok
+        assert cert.diagnostics[0].code == "shoup_mul: mulhi -> h reads words"

@@ -14,8 +14,9 @@ The PR 9 contract has three load-bearing claims, each tested here:
 * checked mode reports a violation in a narrow (t < 16) stage exactly
   as the numpy kernels do;
 * the compiled accumulator keeps the numpy tier's guarantees: the bound
-  tracker raises before the kernel writes, and checked mode declines to
-  the instrumented numpy fold;
+  tracker raises before the kernel writes, checked mode declines to the
+  instrumented numpy fold, and its C terms match numpy on operands at
+  the edges of each reducer contract's precondition;
 * the library is built for the host ISA, under a name that changes with
   the flags and the ISA fingerprint, and a compiler that rejects
   ``-march=native`` gets the portable retry without a warning;
@@ -24,6 +25,7 @@ The PR 9 contract has three load-bearing claims, each tested here:
   runs on numpy.
 """
 
+import itertools
 import os
 import shutil
 import warnings
@@ -44,6 +46,7 @@ from repro.poly.lazy import LazyAccumulator
 from repro.poly.ntt import automorphism_tables
 from repro.poly.rns_poly import PolyContext, RnsPolynomial
 from repro.rns.primes import PrimePool, is_prime
+from repro.rns.reduction import make_reducer
 
 
 def _available_tiers() -> list[str]:
@@ -283,6 +286,55 @@ def _compiled_acc(pool64, method, checked):
     )
     b_shoup = parts[1] if method == "shoup" else None
     return acc, (a, parts[0]), b_shoup
+
+
+#: per family: operand edges its contract's precondition admits — the
+#: multiplicand ``a`` (canonical, one-fold lazy, or the widest word the
+#: reduction still accepts) and the other operand ``b`` (canonical, or
+#: SMR's signed form), with the Montgomery factor R the product carries
+_EDGES = {
+    "barrett": (lambda q: (0, 1, q - 1, 2 * q - 1), lambda q: (0, 1, q - 1), 1),
+    "montgomery": (lambda q: (0, 1, q - 1, 2 * q - 1), lambda q: (0, 1, q - 1),
+                   1 << 32),
+    "shoup": (lambda q: (0, 1, q - 1, 2 * q - 1, 2**32 - 1),
+              lambda q: (0, 1, q - 1), 1),
+    "smr": (lambda q: (0, 1, q - 1, 2**31 - 1),
+            lambda q: (-(q - 1), -1, 0, 1, q - 1), 1 << 32),
+}
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+@pytest.mark.parametrize("method", _METHODS)
+def test_lazy_terms_at_precondition_edges(pool64, method, c_calls):
+    """The C lazy terms match numpy on every operand pair at the edges of
+    the reducer contract's precondition (random residues miss them): the
+    unfolded accumulators are equal, and the folds are ``a*b*R^-1 mod q``
+    by big-int arithmetic."""
+    primes = [p.value for p in pool64.limb_primes(2, 4)]
+    a_edges, b_edges, r = _EDGES[method]
+    cols = [
+        list(itertools.product(a_edges(q), b_edges(q))) for q in primes
+    ]
+    n = len(cols[0])
+    a = np.array([[x for x, _ in row] for row in cols], dtype=np.uint64)
+    b = np.array([[y for _, y in row] for row in cols], dtype=np.int64)
+    if method != "smr":
+        b = b.astype(np.uint64)
+    red = make_reducer(method, primes)
+    b_shoup = red.precompute(b) if method == "shoup" else None
+    runs = {}
+    for tier in ("numpy", "compiled"):
+        acc = LazyAccumulator(red, (len(primes), n), checked=False, backend=tier)
+        for _ in range(3):
+            acc.accumulate_product(a, b, b_shoup=b_shoup)
+        runs[tier] = (acc.acc.copy(), acc.fold())
+    assert c_calls["product"] == 3 and c_calls["fold"] == 1
+    assert np.array_equal(runs["numpy"][0], runs["compiled"][0])
+    for i, q in enumerate(primes):
+        r_inv = pow(r, -1, q)
+        expect = [3 * x * y * r_inv % q for x, y in cols[i]]
+        for tier in runs:
+            assert runs[tier][1][i].tolist() == expect, (tier, q)
 
 
 @pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")

@@ -87,7 +87,7 @@ def test_overflow_raises_before_wraparound(rng):
     # The tracker refused while the live sum is still far from a wrap, so
     # after the refusal the accumulator still folds correctly.
     expect = (
-        a.astype(object) * red.canonical(red.reduce(b)).astype(object)
+        a.astype(object) * red.from_form(b).astype(object)
     ) * acc.terms % q
     assert np.array_equal(acc.fold(), expect.astype(np.uint64))
 

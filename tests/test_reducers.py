@@ -12,6 +12,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.rns.primes import ntt_friendly_primes
 from repro.rns.reduction import (
+    REDUCER_CONTRACTS,
     REDUCTION_COSTS,
     ShoupReducer,
     make_reducer,
@@ -154,9 +155,12 @@ def test_cost_table_claims():
     """Table 3's shape: SMR is the cheapest row; ranges are as published."""
     total = {m: c.total_instrs for m, c in REDUCTION_COSTS.items()}
     assert total["smr"] == min(total.values())
-    assert REDUCTION_COSTS["smr"].output_range == "(-q, q)"
+    smr = REDUCER_CONTRACTS["smr"]
+    assert (smr.output_lo_q, smr.output_hi_q) == (-1, 1)  # (-q, q)
     for method in ("barrett", "montgomery", "shoup"):
-        assert REDUCTION_COSTS[method].output_range == "[0, 2q)"
+        contract = REDUCER_CONTRACTS[method]
+        assert not contract.signed  # the unsigned carrier's floor is 0
+        assert (contract.output_lo_q, contract.output_hi_q) == (-1, 2)
 
 
 def test_make_reducer_rejects_unknown():
@@ -247,3 +251,120 @@ def test_batched_moduli_validation():
     # (L, 1) columns are accepted as moduli specs too.
     col = np.array(MODULI, dtype=np.uint64).reshape(-1, 1)
     assert make_reducer("smr", col).q_ints == MODULI
+
+
+# -- Table 3 counted from the definitions ----------------------------------
+
+
+class _Reg:
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+
+
+def _width(reg: _Reg) -> int:
+    """An add or subtract costs 1 on a word register, 2 on a wide one."""
+    return 1 if reg.kind.endswith("32") else 2
+
+
+class _Counter:
+    """Counts a definition's instructions with ReductionCost's weights.
+
+    ``mulwide`` costs 2, ``mulhi`` and ``mullo`` 1; an add, a subtract or
+    a fold's subtract costs 1 at word width and 2 at 64 bits (a fold's
+    select and the sign fold's mask are not adds); ``hi``/``lo`` are
+    register moves and cost nothing.  The operand product — the multiply
+    of the definition's own operands ``v`` and ``w`` — is kept apart,
+    because Table 3 prices the reduction only.
+    """
+
+    def __init__(self, v, w) -> None:
+        self.operands = {id(v), id(w)}
+        self.muls = self.adds = self.product = 0
+
+    def _mul(self, cost, a, b):
+        if {id(a), id(b)} == self.operands:
+            self.product += cost
+        else:
+            self.muls += cost
+
+    def mulwide(self, d, a, b):
+        self._mul(2, a, b)
+
+    def mullo(self, d, a, b):
+        self._mul(1, a, b)
+
+    def mulhi(self, d, a, b):
+        self._mul(1, a, b)
+
+    def hi(self, d, x):
+        pass
+
+    lo = hi
+
+    def add(self, d, a, b):
+        self.adds += _width(d)
+
+    sub = add
+
+    def fold(self, d, s, m, t):
+        self.adds += _width(s)
+
+    sign_fold = fold
+
+    def axiom(self, d, contract, q, v, w):
+        pass
+
+
+def _count(method: str) -> _Counter:
+    """Run ``method``'s multiply on counting registers of the reducer
+    API's types."""
+    from repro.rns import reduction as r
+
+    u32, u64, i32, i64 = (_Reg(k) for k in ("uint32", "uint64", "int32", "int64"))
+    if method == "barrett":
+        v, w = _Reg("uint64"), _Reg("uint64")
+        c = _Counter(v, w)
+        r.barrett_mul(c, _Reg("uint64"), v, w, u64, u64, u64, u64,
+                      _Reg("uint64"), _Reg("uint64"), _Reg("uint64"),
+                      _Reg("uint64"), _Reg("uint64"))
+    elif method == "montgomery":
+        v, w = _Reg("uint64"), _Reg("uint64")
+        c = _Counter(v, w)
+        r.montgomery_mul(c, _Reg("uint32"), v, w, u64, u32, _Reg("uint64"),
+                         _Reg("uint32"), _Reg("uint64"))
+    elif method == "shoup":
+        v, w = _Reg("uint32"), _Reg("uint32")
+        c = _Counter(v, w)
+        r.shoup_mul(c, _Reg("uint32"), v, w, u64, u32, _Reg("uint64"),
+                    _Reg("uint32"))
+    else:
+        v, w = _Reg("int64"), _Reg("int64")
+        c = _Counter(v, w)
+        r.smr_mul(c, _Reg("int64"), v, w, i64, i32, _Reg("int64"),
+                  _Reg("int32"), _Reg("int64"))
+    return c
+
+
+#: (mul, add) counted from each definition, operand product excluded,
+#: and the operand product's own cost
+COUNTED = {
+    "barrett": ((9, 10), 2),
+    "montgomery": ((3, 2), 2),
+    "shoup": ((2, 1), 1),
+    "smr": ((2, 2), 2),
+}
+#: families whose counted row differs from the paper's Table 3 row, with
+#: the paper's numbers.  Barrett's 64x64 high product runs as four
+#: half-word products plus three 64-bit adds here; SMR's final subtract
+#: x_hi - mulhi32(z, q) runs on 64-bit lanes.
+PAPER_DIFFERS = {"barrett": (4, 2), "smr": (2, 1)}
+
+
+@pytest.mark.parametrize("method", sorted(COUNTED))
+def test_definitions_count_against_table3(method):
+    c = _count(method)
+    counted, product = COUNTED[method]
+    assert ((c.muls, c.adds), c.product) == (counted, product)
+    cost = REDUCTION_COSTS[method]
+    paper = (cost.mul_instrs, cost.add_instrs)
+    assert paper == PAPER_DIFFERS.get(method, counted)
