@@ -4,10 +4,14 @@ Runs ``perfbench/run.py --trace 0`` from a parent and a change checkout,
 one pair at a time, alternating which side goes first (pair 0 runs the
 parent first, pair 1 the change, and so on) so slow phases of a shared
 host land on both sides alike.  Each run's last JSON line is its result.
-The output is one JSON document: every pair, and per end-to-end metric
-the parent's and the change's medians, the parent's quartiles, the
-change's win count (``better`` from ``BENCHMARK.json``) and whether the
-change's median stays within the metric's bound.
+The output is one JSON document: every pair; per side the operations
+attempted and failed over all runs, the failed share, and the runs that
+answered wrongly or exited nonzero; and per end-to-end metric the
+parent's and the change's medians, the parent's quartiles, the change's
+win count (``better`` from ``BENCHMARK.json``) and whether the change's
+median stays within the metric's bound.  The metrics leave out every
+pair with such a run on either side: a wrong answer's timings say
+nothing.
 
 Usage::
 
@@ -29,7 +33,9 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run of ``checkout``'s benchmark: its result line."""
+    """One ``--trace 0`` run of ``checkout``'s benchmark: its result line,
+    with the process's exit status under ``"exit"`` (perfbench exits 1
+    after a wrong answer but still prints the line)."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(seed),
@@ -42,7 +48,31 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             f"{checkout}: no result line (exit {proc.returncode}):\n"
             + proc.stderr[-2000:]
         )
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["exit"] = proc.returncode
+    return result
+
+
+def _sound(run: dict) -> bool:
+    """Whether a run's timings count: it exited 0 with every answer right."""
+    return run.get("exit", 0) == 0 and run.get("correct", False)
+
+
+def failures(pairs: list[dict]) -> dict:
+    """Per side: operations attempted and failed over all runs, the failed
+    share, and the count of runs that answered wrongly or exited nonzero."""
+    out = {}
+    for side in ("parent", "change"):
+        runs = [p[side] for p in pairs]
+        attempted = sum(r.get("attempted", 0) for r in runs)
+        failed = sum(r.get("failed", 0) for r in runs)
+        out[side] = {
+            "attempted": attempted,
+            "failed": failed,
+            "failed_share": failed / attempted if attempted else 0.0,
+            "bad_runs": sum(not _sound(r) for r in runs),
+        }
+    return out
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
@@ -57,15 +87,17 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
     ``pairs`` holds ``{"parent": result, "change": result}`` dicts (the
     benchmark's result lines); ``metrics`` is ``BENCHMARK.json``'s
-    ``end_to_end`` list.
+    ``end_to_end`` list.  Pairs with a wrong-answer or nonzero-exit run
+    on either side are left out (:func:`failures` counts them).
     """
+    sound = [p for p in pairs if _sound(p["parent"]) and _sound(p["change"])]
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
         both = [
             (p["parent"]["metrics"][name]["value"],
              p["change"]["metrics"][name]["value"])
-            for p in pairs
+            for p in sound
             if name in p["parent"]["metrics"] and name in p["change"]["metrics"]
         ]
         if not both:
@@ -115,6 +147,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "parent": str(sides["parent"]),
         "change": str(sides["change"]),
+        "failures": failures(pairs),
         "summary": summarize(pairs, decl["end_to_end"]),
         "pairs": pairs,
     }

@@ -68,9 +68,6 @@ class Interval:
     def union(self, other: Interval) -> Interval:
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def abs_max(self) -> int:
-        return max(abs(self.lo), abs(self.hi))
-
     def within(self, lo: int, hi: int) -> bool:
         return lo <= self.lo and self.hi <= hi
 

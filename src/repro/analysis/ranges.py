@@ -198,8 +198,8 @@ def _point(c) -> Reg:
 
 
 def _tables(method: str, q: int) -> tuple[Reg, ...]:
-    """The twiddle tables' ranges, as ``prepare_twiddles`` builds them:
-    canonical residues (Montgomery's strict-reduced forms too), Shoup's
+    """The twiddle tables' ranges, as each reducer's ``prepare`` builds
+    them: canonical residues (Montgomery's canonical forms too), Shoup's
     companions of canonical constants, SMR's signed forms in (-q, q)."""
     if method == "smr":
         return (Reg("int64", -(q - 1), q - 1),)

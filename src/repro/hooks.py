@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-__all__ = ["emit", "install", "installed", "uninstall"]
+__all__ = ["emit", "install", "uninstall"]
 
 #: the single installed handler, or None (the common case)
 _handler: Callable[[str, object], None] | None = None
@@ -41,11 +41,6 @@ def uninstall() -> None:
     """Remove the installed handler, restoring zero-cost emits."""
     global _handler
     _handler = None
-
-
-def installed() -> bool:
-    """Whether a handler is currently installed."""
-    return _handler is not None
 
 
 def emit(site: str, payload: object = None) -> None:

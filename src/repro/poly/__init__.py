@@ -27,7 +27,6 @@ from repro.poly.ntt import (
     NegacyclicNTT,
     automorphism_tables,
     bit_reverse_permutation,
-    make_ntt_backend,
 )
 from repro.poly.rns_poly import (
     COEFF,
@@ -56,5 +55,4 @@ __all__ = [
     "RnsPolynomial",
     "automorphism_tables",
     "bit_reverse_permutation",
-    "make_ntt_backend",
 ]

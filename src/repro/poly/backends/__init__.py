@@ -133,9 +133,10 @@ def make_convert_impl(converter, tier: str):
 def make_lazy_impl(acc, tier: str):
     """Tier implementation for one ``LazyAccumulator``, or ``None``.
 
-    The impl exposes ``product(a, b, b_shoup, perm)`` — the validated
-    product-accumulate as a ready call, run only after the accumulator
-    has charged its bound tracker — and ``fold(out)``.  Each returns
+    The impl exposes ``product(a, parts, perm)`` — ``parts`` the
+    reducer's prepared operand tuple; the validated product-accumulate as
+    a ready call, run only after the accumulator has charged its bound
+    tracker — and ``fold(out)``.  Each returns
     ``None`` to decline a call (checked mode, operands that are
     non-contiguous or do not match), and numpy runs it instead.
     """

@@ -278,6 +278,13 @@ def _u32(a: np.ndarray) -> np.ndarray:
     return _c(np.asarray(a).astype(np.uint32))
 
 
+def _part_ptrs(parts: tuple) -> tuple[ctypes.c_void_p, ctypes.c_void_p]:
+    """A prepared operand ``(w,)`` or ``(w, w')`` as the kernels' pointer
+    pair; one-part forms pass a NULL companion."""
+    ptrs = tuple(_ptr(p) for p in parts)
+    return ptrs + (ctypes.c_void_p(None),) * (2 - len(ptrs))
+
+
 class CompiledNtt:
     """C-kernel implementation bound to one :class:`BatchNTT` engine.
 
@@ -292,7 +299,7 @@ class CompiledNtt:
         self.n = engine.n
         self.num_limbs = len(engine.primes)
         shape = (self.num_limbs, self.n)
-        red = engine.backend.red
+        red = engine.reducer
         name, const = _FAMILIES[type(red)]
         self._q = _c(np.array(engine.primes, dtype=np.uint64))
         self._q_col = self._q.reshape(-1, 1)
@@ -307,8 +314,7 @@ class CompiledNtt:
             for parts in (engine._fwd, engine._inv, engine._n_inv)
         )
         fwd, inv, ninv = (
-            (_ptr(parts[0]), _ptr_or_null(parts[1] if len(parts) > 1 else None))
-            for parts in (self.fwd_n, self.inv_n, self.n_inv)
+            _part_ptrs(parts) for parts in (self.fwd_n, self.inv_n, self.n_inv)
         )
         state, tail = _ptr(self._state), (_ptr(self._q), _ptr_or_null(self._const))
         self._fwd = (getattr(lib, f"ntt_fwd_{name}"), (state, *fwd, *tail, *shape))
@@ -354,24 +360,20 @@ class CompiledNtt:
     def inverse(self, a_hat, out=None):
         return self._transform(self._inv, a_hat, out, "inverse")
 
-    def pointwise(self, a_hat, prepared):
-        """NTT-domain product through the lazy product kernel: one term
-        into a zeroed accumulator, then its fold (canonical residues)."""
+    def pointwise(self, a, prepared):
+        """NTT-domain product of range-checked uint64 ``a`` through the
+        lazy product kernel: one term into a zeroed accumulator, then its
+        fold (canonical residues)."""
         from repro.poly.lazy import LazyAccumulator
 
-        a = np.asarray(a_hat, dtype=np.uint64)
-        if a.size and np.any(a >= self._q_col):
-            raise _range_error(a, self._q_col)
         if self._products is None:
             self._products = LazyAccumulator(
-                self.engine.backend.red, (self.num_limbs, self.n),
+                self.engine.reducer, (self.num_limbs, self.n),
                 checked=self.engine.checked, backend="compiled",
             )
         acc = self._products
         acc.reset()
-        acc.accumulate_product(
-            a, prepared[0], b_shoup=prepared[1] if len(prepared) > 1 else None
-        )
+        acc.accumulate_product(a, prepared)
         return acc.fold()
 
 
@@ -484,8 +486,9 @@ class CompiledLazy:
     ``None`` to decline; :meth:`fold` folds into ``out`` or declines.
     Both decline under checked mode and for operands that are not
     contiguous ``(L, N)`` 64-bit words (scalars, broadcast rows, strided
-    views), non-``int64`` or out-of-range permutations, and operands that
-    overlap the accumulator.
+    views), prepared tuples of the wrong length for the family,
+    non-``int64`` or out-of-range permutations, and operands that overlap
+    the accumulator.
     """
 
     def __init__(self, acc, lib: ctypes.CDLL) -> None:
@@ -495,7 +498,9 @@ class CompiledLazy:
         name, const = _FAMILIES[type(red)]
         self._mac = getattr(lib, f"lazy_mac_{name}")
         self._fold = lib.lazy_fold_signed if acc.signed else lib.lazy_fold_unsigned
-        self._shoup = const is None
+        #: parts of the family's prepared operand: Shoup's companion has
+        #: no per-limb constant to stand in for it
+        self._parts = 1 if const else 2
         # The store and the constants live as long as this impl, so their
         # addresses are taken once (a swapped-out store declines).
         self._store = acc.acc
@@ -511,13 +516,12 @@ class CompiledLazy:
         acc = self.acc
         return acc.checked or acc.acc is not self._store
 
-    def product(self, a, b, b_shoup, perm):
-        if self._declines():
+    def product(self, a, parts, perm):
+        if self._declines() or len(parts) != self._parts:
             return None
-        operands = (a, b) if not self._shoup else (a, b, b_shoup)
         if not all(
             _words(x, self.shape) and not np.may_share_memory(x, self._store)
-            for x in operands
+            for x in (a, *parts)
         ):
             return None
         if perm is not None:
@@ -535,8 +539,7 @@ class CompiledLazy:
             self._mac,
             self._store_ptr,
             _ptr(a),
-            _ptr(b),
-            _ptr_or_null(b_shoup if self._shoup else None),
+            *_part_ptrs(parts),
             _ptr_or_null(perm),
             *self._mac_tail,
         )

@@ -91,8 +91,12 @@ class BasisConverter:
 
     Scratch registers (three ``(L_out, L_in, N)`` tensors, a few
     ``(L, N)`` rows) are allocated lazily on first :meth:`convert` and
-    reused for the life of the converter, so steady-state conversions
-    allocate nothing.
+    reused for the life of the converter.  Steady-state conversions
+    still allocate transients: the range check's boolean mask in
+    :meth:`scale`, the float passes of the v-term and, on the numpy
+    tier, the cast buffer of the cross tensor's row sum (about 130 KB
+    peak for 12 source and 4 target limbs at N=1024).  ROADMAP item 4
+    (plan-owned buffers) is where those go.
     """
 
     def __init__(
@@ -453,7 +457,7 @@ class KeySwitchKey:
 
     Each pair lives in the *extended* context (base limbs then auxiliary
     limbs) in the NTT domain; pair ``d`` multiplies the ModUp-extension
-    of digit ``d``.  The pairs cache their backend-prepared operands on
+    of digit ``d``.  The pairs cache their reducer-prepared operands on
     first use, so a long-lived key pays Shoup-companion / Montgomery
     ``to_form`` precompute exactly once across all switches.
 
@@ -517,11 +521,14 @@ class KeySwitcher:
     :class:`ModUp` per digit, the :class:`ModDown`, the extended-basis
     batched NTT (twiddle tables shared with the base context via
     ``BatchNTT.extend``), two :class:`~repro.poly.lazy.LazyAccumulator`
-    halves on the context's tier, and all transform scratch — so every
-    stage of a steady-state switch writes into reusable buffers (the
-    numpy tier's reducer-level temporaries inside the MAC and the two
-    output polynomials are the only fresh arrays).  On the compiled tier
-    the MAC, the fold and ModDown's combine are one C call each.
+    halves on the context's tier, and all transform scratch — so the
+    stages' results land in reusable buffers.  A switch still allocates:
+    its two output polynomials, the converters' transients (see
+    :class:`BasisConverter`) and, on the numpy tier, the reducer's
+    registers for every MAC product and a rotation's gathered operand.
+    ROADMAP item 4 (plan-owned buffers) is where those go.  On the
+    compiled tier the MAC, the fold and ModDown's combine are one C call
+    each.
 
     :meth:`run` (one key switch) and :meth:`run_hoisted` (one key against
     a shared :meth:`hoist` front) differ only in where the NTT-domain
@@ -559,7 +566,7 @@ class KeySwitcher:
 
     @cached_property
     def _accs(self) -> tuple[LazyAccumulator, LazyAccumulator]:
-        red = self.ext_ctx.batch_ntt.backend.red
+        red = self.ext_ctx.batch_ntt.reducer
         shape = (self.num_ext, self.ctx.ring_degree)
         return tuple(
             LazyAccumulator(
@@ -676,13 +683,8 @@ class KeySwitcher:
         perm: np.ndarray | None = None,
     ) -> None:
         """Accumulate digit ``d``'s two products into the c0/c1 halves."""
-        shoup = self.ctx.method == "shoup"
         for acc, key in zip(self._accs, ksk.pairs[d]):
-            parts = key.prepared_operand()
-            acc.accumulate_product(
-                a_hat, parts[0],
-                b_shoup=parts[1] if shoup else None, perm=perm,
-            )
+            acc.accumulate_product(a_hat, key.prepared_operand(), perm=perm)
 
     def _finish(self):
         """Fold both halves, inverse-transform them over ``Q ∪ P`` and

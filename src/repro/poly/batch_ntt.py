@@ -17,12 +17,16 @@ the ``t`` butterflies of each block, exactly mirroring the per-prime
 implementation the tests cross-check against — both use the same per-limb
 roots, so outputs bit-match).
 
-Each stage runs the family's butterfly definition from
-:mod:`repro.rns.reduction` — the same Table-3 multiply and Cooley-Tukey /
-Gentleman-Sande bodies the range certificate interprets — through the
-numpy primitive set, on persistent registers rather than the generic
-backend ops, because at ``(L, N)`` scale the functional style drowns in
-temporary allocations, strided slivers and 64-bit scalar multiplies:
+The engine owns one batched reducer (:attr:`BatchNTT.reducer`), which
+decides the residue formats: its ``prepare`` builds the twiddle tables and
+prepared operands, and its ``mul_prepared`` and ``canonical`` run the
+numpy pointwise product.  Each stage runs the family's butterfly
+definition from :mod:`repro.rns.reduction` — the same Table-3 multiply
+and Cooley-Tukey / Gentleman-Sande bodies the range certificate
+interprets — through the numpy primitive set, on persistent registers
+rather than the reducer's functional API, because at ``(L, N)`` scale the
+functional style drowns in temporary allocations, strided slivers and
+64-bit scalar multiplies:
 
 * every register is a preallocated workspace array (in-place ufuncs
   everywhere) and stages ping-pong between two buffers, so a whole
@@ -46,8 +50,8 @@ temporary allocations, strided slivers and 64-bit scalar multiplies:
   2q-lazy one instead.
 
 Bit-exactness: the kernels compute the very same intermediate integers as
-the reference engine, whose backends run the same multiplies through the
-reducer classes (same butterfly schedule).  The SMR kernel canonicalizes
+the reference engine, which runs the same multiplies through the reducer
+classes (same butterfly schedule).  The SMR kernel canonicalizes
 each Alg. 2 output into [0, q) with its sign fold instead of carrying the
 reference's signed (-q, q) representatives; intermediates stay congruent
 mod q with all of Alg. 2's range preconditions intact, so the canonical
@@ -69,10 +73,16 @@ from repro.poly.ntt import (
     _range_error,
     automorphism_tables,
     bit_reverse_permutation,
-    make_ntt_backend,
 )
 from repro.rns.primes import Prime, primitive_root_of_unity
-from repro.rns.reduction import NUMPY, STAGE_KINDS, ct_butterfly, gs_butterfly
+from repro.rns.reduction import (
+    NUMPY,
+    STAGE_KINDS,
+    ct_butterfly,
+    gs_butterfly,
+    make_reducer,
+    mod_neg,
+)
 
 #: chunk length for the transposed tail phase; butterflies within a chunk
 #: pair elements < _CHUNK apart, so whole chunks stay independent.
@@ -88,7 +98,7 @@ class BatchNTT:
     Args:
         primes: the limb primes (ints or :class:`Prime`), each = 1 (mod 2N).
         n: ring degree N, a power of two.
-        method: reducer backend; one of barrett / montgomery / shoup / smr.
+        method: Table-3 reducer; one of barrett / montgomery / shoup / smr.
         psis: optionally one primitive 2N-th root of unity per limb (pass
             the per-prime engines' roots to guarantee bit-identical
             outputs); found via :func:`primitive_root_of_unity` when
@@ -136,7 +146,9 @@ class BatchNTT:
         self.n = n
         self.log_n = n.bit_length() - 1
         self.method = method
-        self.backend = make_ntt_backend(method, primes)
+        #: the batched Table-3 reducer: per-limb constants, prepared
+        #: operand forms and the canonical fold
+        self.reducer = make_reducer(method, primes)
         #: dispatch tier name; the impl object itself is built lazily so
         #: engines that never transform (pure table donors) cost nothing
         self.backend_tier = resolve_backend(backend)
@@ -148,11 +160,11 @@ class BatchNTT:
         inv = np.stack(
             [_power_table(pow(psi, -1, q), q, n)[brv] for psi, q in zip(psis, primes)]
         )
-        self._fwd = self.backend.prepare_twiddles(fwd)
-        self._inv = self.backend.prepare_twiddles(inv)
+        self._fwd = self.reducer.prepare(fwd)
+        self._inv = self.reducer.prepare(inv)
         n_inv = np.array([[pow(n, -1, q)] for q in primes], dtype=np.uint64)
-        self._n_inv = self.backend.prepare_twiddles(n_inv)
-        self._kernel = _StageKernel(primes, n, self.backend.red)
+        self._n_inv = self.reducer.prepare(n_inv)
+        self._kernel = _StageKernel(primes, n, self.reducer)
         self._kernel.set_tables(self._fwd, self._inv, self._n_inv)
 
     @property
@@ -247,14 +259,14 @@ class BatchNTT:
         clone.n = self.n
         clone.log_n = self.log_n
         clone.method = self.method
-        clone.backend = make_ntt_backend(self.method, clone.primes)
+        clone.reducer = make_reducer(self.method, clone.primes)
         clone.backend_tier = self.backend_tier
         clone._impl = None
         clone._impl_ready = False
         clone._fwd = fwd
         clone._inv = inv
         clone._n_inv = n_inv
-        clone._kernel = _StageKernel(clone.primes, self.n, clone.backend.red)
+        clone._kernel = _StageKernel(clone.primes, self.n, clone.reducer)
         clone._kernel.set_tables(clone._fwd, clone._inv, clone._n_inv)
         return clone
 
@@ -291,7 +303,7 @@ class BatchNTT:
 
     # -- NTT-domain arithmetic ---------------------------------------------
     def prepare_operand(self, b_hat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Backend-prepared form of an (L, N) NTT-domain operand.
+        """The reducer's prepared form of an (L, N) NTT-domain operand.
 
         Same contract as :meth:`NegacyclicNTT.prepare_operand`: Shoup's
         per-element companion division / the Montgomery family's
@@ -299,23 +311,24 @@ class BatchNTT:
         :meth:`pointwise_prepared` against the handle skips them.
         """
         self._check_shape(b_hat, "prepare_operand")
-        return self.backend.prepare_twiddles(np.asarray(b_hat))
+        return self.reducer.prepare(np.asarray(b_hat))
 
     def pointwise_prepared(
         self, a_hat: np.ndarray, prepared: tuple[np.ndarray, ...]
     ) -> np.ndarray:
         """Element-wise limb-matrix product against a prepared operand.
 
-        The compiled tier runs it as one lazy product-accumulate term and
-        its fold (the key-switch MAC kernels); both tiers return the
-        canonical product residues.
+        ``a_hat`` must be canonical.  The numpy tier folds the reducer's
+        product to canonical; the compiled tier runs it as one lazy
+        product-accumulate term and its fold (the key-switch MAC
+        kernels).  Both return the canonical product residues.
         """
         self._check_shape(a_hat, "pointwise")
+        a = self._kernel.check_range(a_hat)
         impl = self._tier_impl()
         if impl is not None:
-            return impl.pointwise(a_hat, prepared)
-        b = self.backend
-        return b.exit(b.mul(b.enter(a_hat), prepared))
+            return impl.pointwise(a, prepared)
+        return self.reducer.canonical(self.reducer.mul_prepared(a, prepared))
 
     def pointwise(self, a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
         """Element-wise product of two (L, N) NTT-domain matrices."""
@@ -332,11 +345,12 @@ class BatchNTT:
         """Coefficient-domain ``sigma_k: X -> X^k`` on an (L, N) matrix.
 
         One signed index permutation per limb row — a gather through the
-        cached per-``(N, k)`` tables (:func:`automorphism_tables`) plus a
-        conditional negation of the wrapped columns; no transform, no
-        multiplies.  The same column pattern applies to every limb row
-        because ``sigma_k`` permutes *integer* coefficients: the sign
-        flip commutes with reduction mod each ``q_i``.
+        cached per-``(N, k)`` tables (:func:`automorphism_tables`) plus
+        the limb-wise negation (:func:`~repro.rns.reduction.mod_neg`) of
+        the wrapped columns; no transform, no multiplies.  The same
+        column pattern applies to every limb row because ``sigma_k``
+        permutes *integer* coefficients: the sign flip commutes with
+        reduction mod each ``q_i``.
         """
         self._check_shape(a, "automorphism")
         src, neg, _ = automorphism_tables(self.n, k)
@@ -344,9 +358,9 @@ class BatchNTT:
         if out is None:
             out = np.empty_like(a)
         np.take(a, src, axis=1, out=out)
-        q = np.array(self.primes, dtype=np.uint64).reshape(-1, 1)
         cols = out[:, neg]
-        out[:, neg] = np.where(cols == 0, cols, q - cols)
+        mod_neg(NUMPY, cols, cols, self._kernel.q_ucol, np.empty_like(cols))
+        out[:, neg] = cols
         return out
 
     def automorphism_ntt(
@@ -415,8 +429,8 @@ class _StageKernel:
 
     # -- tables ------------------------------------------------------------
     def set_tables(self, fwd, inv, n_inv) -> None:
-        """Adopt backend-prepared twiddle tables, in kernel dtypes plus the
-        precomputed transposed-phase layout."""
+        """Adopt the reducer's prepared twiddle tables, in kernel dtypes
+        plus the precomputed transposed-phase layout."""
         self.fwd_n = self._cast_parts(fwd)
         self.inv_n = self._cast_parts(inv)
         self.n_inv = self._cast_parts(n_inv)
@@ -502,10 +516,15 @@ class _StageKernel:
         np.copyto(dst, cur.T)
         return dst.reshape(length, self.n), cur.reshape(length, self.n)
 
-    def enter(self, a: np.ndarray):
+    def check_range(self, a: np.ndarray) -> np.ndarray:
+        """``a`` as uint64, refused unless every row is canonical."""
         a = np.asarray(a, dtype=np.uint64)
         if a.size and np.any(a >= self.q_ucol):
             raise _range_error(a, self.q_ucol)
+        return a
+
+    def enter(self, a: np.ndarray):
+        a = self.check_range(a)
         x, y = self._workspace()[:2]
         np.copyto(x, a, casting="unsafe")
         return x, y

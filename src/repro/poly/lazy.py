@@ -49,9 +49,9 @@ class LazyAccumulator:
             (same precedence as :class:`~repro.poly.batch_ntt.BatchNTT`'s
             ``backend``).
 
-    Montgomery-family reducers carry an implicit ``2^-32`` factor per
-    multiply; callers follow the NTT convention of pre-scaling one operand
-    into Montgomery form so accumulated values are plain residues.
+    Products take the operand form the reducer's ``prepare`` builds: the
+    Montgomery family's form cancels the ``2^-32`` factor of each
+    multiply, so accumulated values are plain residues.
     """
 
     def __init__(
@@ -117,41 +117,30 @@ class LazyAccumulator:
     def accumulate_product(
         self,
         a: np.ndarray,
-        b: np.ndarray | int,
+        parts: tuple,
         *,
-        b_shoup: np.ndarray | int | None = None,
         perm: np.ndarray | None = None,
     ) -> LazyAccumulator:
-        """Add ``a * b`` (one modular product per lane) to the accumulator.
+        """Add ``a`` times a prepared operand (one modular product per lane).
 
-        Operands must be valid reducer inputs (canonical or one-fold-lazy
-        residues); the product is reduced now and its fold deferred.
-        With a Shoup reducer, pass
-        ``b_shoup = reducer.precompute(b)`` once and reuse it across terms
-        (Shoup's whole premise); it is computed on the fly when omitted.
-        ``perm``, when given, gathers ``a`` along its last axis first
-        (``a[..., perm]``, the hoisted key switch's slot permutation); the
-        compiled tier fuses that gather into the product.
+        ``parts`` is the reducer's operand tuple — ``reducer.prepare(b)``,
+        built once and reused across terms (Shoup's whole premise): ``(b,)``,
+        or Shoup's ``(b, b')``.  ``a`` must be a valid reducer input
+        (canonical or one-fold-lazy residues); the product is reduced now
+        and its fold deferred.  ``perm``, when given, gathers ``a`` along
+        its last axis first (``a[..., perm]``, the hoisted key switch's
+        slot permutation); the compiled tier fuses that gather into the
+        product.
 
-        The term is fully formed (including any on-the-fly Shoup
-        precompute, which can raise) *before* the bound is charged, and
+        The term is fully formed *before* the bound is charged, and
         nothing is written until the charge succeeds, so a failed call
         leaves both the tracker and the accumulator untouched.
         """
-        shoup = self.reducer.contract.name == "shoup"
-        if shoup:  # Shoup multiplies by constants only; needs the companion
-            if not isinstance(b, np.ndarray):
-                b = int(b)
-            if b_shoup is None:
-                b_shoup = self.reducer.precompute(b)
         impl = self._tier_impl()
-        run = None if impl is None else impl.product(a, b, b_shoup, perm)
+        run = None if impl is None else impl.product(a, parts, perm)
         if run is None:
             a = np.asarray(a) if perm is None else np.take(a, perm, axis=-1)
-            if shoup:
-                term = self.reducer.mulmod_const(a, b, b_shoup)
-            else:
-                term = self.reducer.mulmod(a, b)
+            term = self.reducer.mul_prepared(a, parts)
         self._charge(self._per_term, "accumulating a product")
         if run is None:
             self.acc += term.astype(self.acc.dtype, copy=False)
@@ -189,48 +178,27 @@ class LazyAccumulator:
         return self
 
     def fold(self) -> np.ndarray:
-        """Collapse the deferred sum into canonical residues [0, q).
-
-        The exact floor remainder — on hardware this terminal fold is a
-        short Barrett chain, executed once per output instead of once per
-        term.
-        """
-        impl = self._tier_impl()
-        if impl is not None:
-            out = impl.fold(np.empty(self.acc.shape, np.uint64))
-            if out is not None:
-                return out
-        if self.checked:
-            assert_fold_sound(
-                self.acc, self.bound,
-                kernel="LazyAccumulator.fold", signed=self.signed,
-            )
-        acc = self.acc
-        # Per-row moduli for batched reducers; plain scalar otherwise.
-        if self.signed:
-            q = align_rows(np.asarray(self.reducer.q, np.int64), acc.ndim)
-            # int64 floor-mod folds negatives straight into [0, q).
-            return (acc % q).astype(np.uint64)
-        q = align_rows(np.asarray(self.reducer.q, np.uint64), acc.ndim)
-        return acc % q
+        """:meth:`fold_into` a fresh uint64 array."""
+        return self.fold_into(np.empty(self.acc.shape, np.uint64))
 
     def fold_into(self, out: np.ndarray) -> np.ndarray:
-        """Destructive :meth:`fold` writing canonical residues into ``out``.
+        """Collapse the deferred sum into canonical residues [0, q) in ``out``.
 
-        The fused pipelines (basis conversion, key switching) fold into
-        persistent scratch so the hot path allocates nothing.  The numpy
-        tier's terminal remainder runs *in place on the accumulator*, so
-        the accumulator state is consumed: call :meth:`reset` before
-        accumulating again.  ``out`` must be a uint64 array of the
-        accumulator's shape.
+        The exact floor remainder (canonical even from SMR's signed
+        carrier), per row for batched reducers — on hardware this
+        terminal fold is a short Barrett chain, executed once per output
+        instead of once per term.  The accumulator is left intact.  The
+        fused pipelines (basis conversion, key switching) fold into
+        persistent scratch this way.  ``out`` must be a uint64 array of
+        the accumulator's shape.
 
         Raises:
             ParameterError: if ``out`` overlaps the accumulator storage.
-                The in-place remainder would read half-folded values
-                through the alias and corrupt the result silently — the
-                evaluator's relinearize-then-rescale chains fold into
-                per-kernel scratch, and this guard is what keeps a
-                mis-shared scratch buffer from slipping through.
+                The fold would overwrite the deferred sum it reads and
+                leave the accumulator corrupt — the evaluator's
+                relinearize-then-rescale chains fold into per-kernel
+                scratch, and this guard is what keeps a mis-shared
+                scratch buffer from slipping through.
         """
         if out.shape != self.acc.shape or out.dtype != np.uint64:
             raise ParameterError(
@@ -240,9 +208,8 @@ class LazyAccumulator:
         if np.shares_memory(out, self.acc):
             raise ParameterError(
                 "fold_into output aliases the accumulator scratch: the "
-                "terminal remainder runs in place on the accumulator "
-                "before the copy-out, so an aliased buffer would read "
-                "partially-folded state; pass a distinct buffer"
+                "fold would overwrite the deferred sum it reads and leave "
+                "the accumulator corrupt; pass a distinct buffer"
             )
         impl = self._tier_impl()
         if impl is not None and impl.fold(out) is not None:
@@ -252,10 +219,8 @@ class LazyAccumulator:
                 self.acc, self.bound,
                 kernel="LazyAccumulator.fold_into", signed=self.signed,
             )
-        acc = self.acc
-        q = align_rows(np.asarray(self.reducer.q, dtype=acc.dtype), acc.ndim)
-        np.remainder(acc, q, out=acc)  # floor-mod: canonical even if signed
-        np.copyto(out, acc, casting="unsafe")
+        q = align_rows(self.reducer.q, self.acc.ndim)  # the carrier's dtype
+        np.remainder(self.acc, q, out=out, casting="unsafe")
         return out
 
     def reset(self) -> None:

@@ -17,10 +17,14 @@ The negacyclic wrap means ``inverse(forward(a) . forward(b))`` is the product
 ``a * b mod (x^N + 1)`` with no zero-padding, which is exactly the ring
 arithmetic CKKS needs.
 
-Reducer backends are interchangeable: ``method`` picks Shoup, SMR, Barrett or
-(unsigned) Montgomery per Table 3.  Montgomery-family backends keep the
-*twiddles* in Montgomery form (absorbing the ``2^-32`` factor into the table)
-so coefficients never leave the standard domain between butterflies.
+``method`` picks Shoup, SMR, Barrett or (unsigned) Montgomery per Table 3.
+The reducer's ``prepare`` builds the twiddle tables — the Montgomery family
+keeps them in Montgomery form, absorbing the ``2^-32`` factor, so
+coefficients never leave the standard domain between butterflies — and its
+``mul_prepared`` forms each product.  This reference engine keeps its own
+schedule and ``np.where`` butterflies: one backend serves the three
+unsigned reducers over canonical residues, and SMR's keeps Alg. 2's signed
+representatives.
 """
 
 from __future__ import annotations
@@ -31,13 +35,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.rns.primes import Prime, primitive_root_of_unity
-from repro.rns.reduction import (
-    BarrettReducer,
-    MontgomeryReducer,
-    ShoupReducer,
-    SignedMontgomeryReducer,
-    align_rows,
-)
+from repro.rns.reduction import make_reducer
 
 
 def _range_error(a: np.ndarray, q) -> ParameterError:
@@ -191,30 +189,21 @@ def _automorphism_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 class _UnsignedBackend:
-    """Shared butterfly arithmetic for the [0, 2q)-output reducers.
-
-    Coefficients live as canonical residues [0, q) in uint64; every butterfly
-    folds back to canonical so stage outputs are always valid stage inputs.
-    Subclasses only decide how a coefficient-times-twiddle product is formed.
-
-    ``q`` is one prime (per-limb engine) or a sequence of L primes (batched:
-    the modulus becomes an ``(L, 1)`` column and every op transforms all
-    limbs of an ``(L, N)`` matrix in one vectorized pass).
+    """Butterfly arithmetic over canonical uint64 residues ``[0, q)``, for
+    the three reducers whose products land in ``[0, 2q)``: every product
+    and every butterfly folds back to canonical, so stage outputs are
+    always valid stage inputs.
     """
 
-    name = "unsigned"
-    reducer = None  # the Table-3 reducer class the products run through
-
-    def __init__(self, q) -> None:
-        self.red = self.reducer(q)
-        self.q = self.red.q
+    def __init__(self, red) -> None:
+        self.red = red
+        self.q = red.q
 
     # -- domain conversion -------------------------------------------------
     def enter(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.uint64)
-        q = align_rows(self.q, a.ndim)
-        if a.size and np.any(a >= q):
-            raise _range_error(a, q)
+        if a.size and np.any(a >= self.q):
+            raise _range_error(a, self.q)
         return a.copy()
 
     def exit(self, a: np.ndarray) -> np.ndarray:
@@ -222,53 +211,17 @@ class _UnsignedBackend:
 
     # -- modular ring ops --------------------------------------------------
     def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        q = align_rows(self.q, x.ndim)
+        q = self.q
         s = x + y
         return np.where(s >= q, s - q, s)
 
     def sub(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        q = align_rows(self.q, x.ndim)
+        q = self.q
         d = x + q - y
         return np.where(d >= q, d - q, d)
 
-    # Subclasses: prepare_twiddles(tw) -> tuple of arrays; mul(x, parts).
-
-
-class _BarrettBackend(_UnsignedBackend):
-    name = "barrett"
-    reducer = BarrettReducer
-
-    def prepare_twiddles(self, tw: np.ndarray) -> tuple[np.ndarray, ...]:
-        return (np.asarray(tw, dtype=np.uint64),)
-
     def mul(self, x: np.ndarray, parts: tuple[np.ndarray, ...]) -> np.ndarray:
-        return self.red.reduce_strict(self.red.mulmod(x, parts[0]))
-
-
-class _MontgomeryBackend(_UnsignedBackend):
-    name = "montgomery"
-    reducer = MontgomeryReducer
-
-    def prepare_twiddles(self, tw: np.ndarray) -> tuple[np.ndarray, ...]:
-        # Twiddles are stored as w * 2^32 mod q so each butterfly's reduce
-        # cancels the Montgomery factor and coefficients stay plain.
-        return (self.red.to_form(np.asarray(tw, dtype=np.uint64)),)
-
-    def mul(self, x: np.ndarray, parts: tuple[np.ndarray, ...]) -> np.ndarray:
-        return self.red.reduce_strict(self.red.mulmod(x, parts[0]))
-
-
-class _ShoupBackend(_UnsignedBackend):
-    name = "shoup"
-    reducer = ShoupReducer
-
-    def prepare_twiddles(self, tw: np.ndarray) -> tuple[np.ndarray, ...]:
-        tw = np.asarray(tw, dtype=np.uint64)
-        return (tw, self.red.precompute(tw))
-
-    def mul(self, x: np.ndarray, parts: tuple[np.ndarray, ...]) -> np.ndarray:
-        w, w_shoup = parts
-        return self.red.reduce_strict(self.red.mulmod_const(x, w, w_shoup))
+        return self.red.canonical(self.red.mul_prepared(x, parts))
 
 
 class _SmrBackend:
@@ -280,15 +233,13 @@ class _SmrBackend:
     cheapest row: mulhi32 + mullo32 + one 32-bit subtract.
     """
 
-    name = "smr"
-
-    def __init__(self, q) -> None:
-        self.red = SignedMontgomeryReducer(q)
-        self.q = self.red.q
+    def __init__(self, red) -> None:
+        self.red = red
+        self.q = red.q
 
     def enter(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.uint64)
-        bound = np.asarray(align_rows(self.q, a.ndim), dtype=np.uint64)
+        bound = self.q.astype(np.uint64)
         if a.size and np.any(a >= bound):
             raise _range_error(a, bound)
         return a.astype(np.int64)
@@ -297,44 +248,20 @@ class _SmrBackend:
         return self.red.canonical(a)
 
     def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        q = align_rows(self.q, x.ndim)
+        q = self.q
         s = x + y
         s = np.where(s >= q, s - q, s)
         return np.where(s <= -q, s + q, s)
 
     def sub(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        q = align_rows(self.q, x.ndim)
+        q = self.q
         d = x - y
         d = np.where(d >= q, d - q, d)
         return np.where(d <= -q, d + q, d)
 
-    def prepare_twiddles(self, tw: np.ndarray) -> tuple[np.ndarray, ...]:
-        tw = np.asarray(tw, dtype=np.uint64)
-        return (self.red.to_form(tw),)
-
     def mul(self, x: np.ndarray, parts: tuple[np.ndarray, ...]) -> np.ndarray:
         # |x| < q and |tw_mont| < q, so |x * tw| < q * 2^31: Alg. 2's domain.
-        return self.red.mulmod(x, parts[0])
-
-
-_BACKENDS = {
-    "barrett": _BarrettBackend,
-    "montgomery": _MontgomeryBackend,
-    "shoup": _ShoupBackend,
-    "smr": _SmrBackend,
-}
-
-
-def make_ntt_backend(method: str, q):
-    """Factory over the four butterfly backends (Table 3).
-
-    ``q`` is one prime (per-limb engine) or a sequence of L primes
-    (batched limb-matrix mode, see :class:`repro.poly.batch_ntt.BatchNTT`).
-    """
-    try:
-        return _BACKENDS[method](q)
-    except KeyError:
-        raise ParameterError(f"unknown NTT backend {method!r}") from None
+        return self.red.mul_prepared(x, parts)
 
 
 class NegacyclicNTT:
@@ -371,15 +298,14 @@ class NegacyclicNTT:
         elif pow(psi, n, q) != q - 1:
             raise ParameterError(f"psi={psi} is not a primitive {2*n}-th root")
         self.psi = psi
-        self.backend = make_ntt_backend(method, q)
+        red = make_reducer(method, q)
+        self.backend = (_SmrBackend if red.contract.signed else _UnsignedBackend)(red)
 
         brv = bit_reverse_permutation(n)
-        self._fwd = self.backend.prepare_twiddles(_power_table(psi, q, n)[brv])
+        self._fwd = red.prepare(_power_table(psi, q, n)[brv])
         psi_inv = pow(psi, -1, q)
-        self._inv = self.backend.prepare_twiddles(_power_table(psi_inv, q, n)[brv])
-        self._n_inv = self.backend.prepare_twiddles(
-            np.array([pow(n, -1, q)], dtype=np.uint64)
-        )
+        self._inv = red.prepare(_power_table(psi_inv, q, n)[brv])
+        self._n_inv = red.prepare(np.array([pow(n, -1, q)], dtype=np.uint64))
 
     # -- transforms --------------------------------------------------------
     def forward(self, a: np.ndarray) -> np.ndarray:
@@ -435,7 +361,7 @@ class NegacyclicNTT:
 
     # -- NTT-domain arithmetic ---------------------------------------------
     def prepare_operand(self, b_hat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Backend-prepared form of an NTT-domain operand, for reuse.
+        """The reducer-prepared form of an NTT-domain operand, for reuse.
 
         Shoup's companion is a full per-element division and the Montgomery
         family pays an extra ``to_form`` pass; preparing once and passing
@@ -447,7 +373,7 @@ class NegacyclicNTT:
             raise ParameterError(
                 f"expected a ({self.n},) vector, got {np.shape(b_hat)}"
             )
-        return self.backend.prepare_twiddles(b_hat)
+        return self.backend.red.prepare(b_hat)
 
     def pointwise_prepared(
         self, a_hat: np.ndarray, prepared: tuple[np.ndarray, ...]

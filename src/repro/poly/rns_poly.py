@@ -36,7 +36,14 @@ from repro.errors import LayoutError, LevelError, ParameterError
 from repro.poly.batch_ntt import BatchNTT
 from repro.poly.lazy import LazyAccumulator
 from repro.rns.primes import Prime, PrimePool
-from repro.rns.reduction import NUMPY, rescale_constants, rescale_limb
+from repro.rns.reduction import (
+    NUMPY,
+    mod_add,
+    mod_neg,
+    mod_sub,
+    rescale_constants,
+    rescale_limb,
+)
 
 COEFF = "coeff"
 NTT = "ntt"
@@ -70,13 +77,10 @@ def data_fingerprint(arr: np.ndarray) -> int:
 class LimbState:
     """Explicit domain / level / scale state for one ring element.
 
-    Earlier PRs kept this state implicit and scattered: the domain string
-    and the two derived-data caches (the backend-prepared operand and the
-    coeff/NTT transform *twin*) lived as private attributes on
-    :class:`RnsPolynomial` with ad-hoc invalidation, and level/scale did
-    not exist at all.  ``LimbState`` lifts that bookkeeping into one
-    explicit object that :class:`RnsPolynomial` and the scheme layer's
-    :class:`~repro.scheme.ciphertext.Ciphertext` both carry, and
+    One explicit object holds the domain, level and scale and the two
+    derived-data caches (the reducer-prepared operand and the coeff/NTT
+    transform *twin*); :class:`RnsPolynomial` and the scheme layer's
+    :class:`~repro.scheme.ciphertext.Ciphertext` both carry it, and
     :meth:`invalidate` is the *single* path that drops every cache
     derived from the limb values.
 
@@ -93,7 +97,7 @@ class LimbState:
             Passive metadata at the polynomial layer (linear ops keep it,
             products multiply it, rescaling divides it by the dropped
             prime); the scheme layer enforces its semantics.
-        prepared: cached backend-prepared operand handle (or ``None``).
+        prepared: cached reducer-prepared operand tuple (or ``None``).
         twin: the cached transform twin polynomial (or ``None``); the
             link is bidirectional, ``twin.state.twin`` points back
             (weakly from the NTT side).
@@ -139,7 +143,8 @@ class LimbState:
         The prepared handle is derived data; the twin link is
         bidirectional, so the twin's back-pointer is severed too — the
         twin's own limbs stay valid, it just no longer mirrors this
-        element.  Every in-place mutation funnels through here.
+        element.  Code that writes into ``limbs`` (the fault injector's
+        bit flip) must call it after the write.
         """
         self.prepared = None
         twin = self.twin
@@ -465,14 +470,14 @@ class RnsPolynomial:
 
     Limbs are treated as immutable once constructed (every operation
     returns a new polynomial); this is what lets an NTT-domain operand
-    cache its backend-prepared form for repeated pointwise products and
+    cache its reducer-prepared form for repeated pointwise products and
     lets ``to_ntt``/``to_coeff`` cache each other's result (the *twin*):
-    transforming the same polynomial twice costs one transform.  The
-    sanctioned exception is the in-place mutator family (``add_`` /
-    ``sub_`` / ``negate_``), which writes into ``limbs`` and funnels
-    through :meth:`LimbState.invalidate` — mutating ``limbs`` behind the
-    object's back instead leaves stale prepared/twin handles serving
-    wrong answers.
+    transforming the same polynomial twice costs one transform.  A write
+    into ``limbs`` must be followed by :meth:`LimbState.invalidate`;
+    without it, stale prepared/twin handles serve wrong answers.  The
+    limb-wise ring ops run the shared definitions of
+    :mod:`repro.rns.reduction` (``mod_add`` / ``mod_sub`` / ``mod_neg``)
+    into fresh limb matrices.
 
     Domain, level, scale and the cache handles all live in one explicit
     :class:`LimbState` (``self.state``) shared structurally with the
@@ -522,9 +527,8 @@ class RnsPolynomial:
         words, mixed with the interpretation state — the same limbs in
         the other domain fingerprint differently.  Used by the serving
         layer's fault injector and circuit breaker to detect silent
-        corruption: any mutation of ``limbs`` that bypasses the public
-        mutator family (``add_`` / ``sub_`` / ``negate_``) leaves the
-        cached prepared/twin handles stale — such a mutation must call
+        corruption: a write into ``limbs`` leaves the cached prepared/twin
+        handles stale — such a write must call
         :meth:`LimbState.invalidate`, and a fingerprint mismatch is how
         the one that didn't gets caught.
         """
@@ -544,33 +548,24 @@ class RnsPolynomial:
             )
 
     # -- limb-wise linear ops (valid in either domain) ---------------------
+    def _limbwise(self, op, *operands: np.ndarray) -> RnsPolynomial:
+        """Run one limb-wise ring op of :mod:`repro.rns.reduction` into a
+        fresh limb matrix, against the context's modulus column."""
+        out = np.empty_like(self.limbs)
+        op(NUMPY, out, *operands, self.ctx.moduli, np.empty_like(out))
+        return RnsPolynomial(self.ctx, out, self.domain, scale=self.state.scale)
+
     def add(self, other: RnsPolynomial) -> RnsPolynomial:
-        """Limb-wise modular addition (one conditional subtract, no div)."""
+        """Limb-wise modular addition (one fold, no division)."""
         self._check(other)
-        q = self.ctx.moduli
-        s = self.limbs + other.limbs
-        return RnsPolynomial(
-            self.ctx,
-            np.where(s >= q, s - q, s),
-            self.domain,
-            scale=self.state.scale,
-        )
+        return self._limbwise(mod_add, self.limbs, other.limbs)
 
     def sub(self, other: RnsPolynomial) -> RnsPolynomial:
         self._check(other)
-        q = self.ctx.moduli
-        d = self.limbs + q - other.limbs
-        return RnsPolynomial(
-            self.ctx,
-            np.where(d >= q, d - q, d),
-            self.domain,
-            scale=self.state.scale,
-        )
+        return self._limbwise(mod_sub, self.limbs, other.limbs)
 
     def negate(self) -> RnsPolynomial:
-        q = self.ctx.moduli
-        neg = np.where(self.limbs == 0, self.limbs, q - self.limbs)
-        return RnsPolynomial(self.ctx, neg, self.domain, scale=self.state.scale)
+        return self._limbwise(mod_neg, self.limbs)
 
     def __add__(self, other: RnsPolynomial) -> RnsPolynomial:
         return self.add(other)
@@ -580,40 +575,6 @@ class RnsPolynomial:
 
     def __neg__(self) -> RnsPolynomial:
         return self.negate()
-
-    # -- in-place mutation (invalidates caches) ----------------------------
-    def add_(self, other: RnsPolynomial) -> RnsPolynomial:
-        """In-place :meth:`add`: accumulate ``other`` into this limb matrix.
-
-        Returns ``self``; drops the cached prepared handle and domain
-        twin through the single :meth:`LimbState.invalidate` path.
-        """
-        self._check(other)
-        self.state.invalidate()
-        q = self.ctx.moduli
-        np.add(self.limbs, other.limbs, out=self.limbs)
-        np.minimum(self.limbs, self.limbs - q, out=self.limbs)
-        return self
-
-    def sub_(self, other: RnsPolynomial) -> RnsPolynomial:
-        """In-place :meth:`sub`."""
-        self._check(other)
-        self.state.invalidate()
-        q = self.ctx.moduli
-        np.add(self.limbs, q, out=self.limbs)
-        np.subtract(self.limbs, other.limbs, out=self.limbs)
-        np.minimum(self.limbs, self.limbs - q, out=self.limbs)
-        return self
-
-    def negate_(self) -> RnsPolynomial:
-        """In-place :meth:`negate`."""
-        self.state.invalidate()
-        q = self.ctx.moduli
-        np.copyto(
-            self.limbs,
-            np.where(self.limbs == 0, self.limbs, q - self.limbs),
-        )
-        return self
 
     # -- domain switches ---------------------------------------------------
     def to_ntt(self) -> RnsPolynomial:
@@ -664,7 +625,7 @@ class RnsPolynomial:
 
     # -- multiplication ----------------------------------------------------
     def prepared_operand(self) -> tuple[np.ndarray, ...]:
-        """This polynomial's backend-prepared form, computed once.
+        """This polynomial's reducer-prepared form, computed once.
 
         Shoup's companion is a per-element division and the Montgomery
         family pays a ``to_form`` pass; the handle is cached on the
@@ -760,7 +721,7 @@ class RnsPolynomial:
         shape = (ctx.num_limbs, ctx.ring_degree)
         if acc is not None and (
             acc.acc.shape != shape
-            or type(acc.reducer) is not type(batch.backend.red)
+            or type(acc.reducer) is not type(batch.reducer)
             or list(acc.reducer.q_ints) != ctx.primes
         ):
             raise ParameterError(
@@ -770,10 +731,9 @@ class RnsPolynomial:
                 f"{ctx.method} reducer over its {shape} limb matrix"
             )
         hooks.emit("rns_poly.mac")
-        shoup = ctx.method == "shoup"
         if acc is None:
             acc = LazyAccumulator(
-                batch.backend.red,
+                batch.reducer,
                 shape,
                 checked=ctx.checked,
                 backend=ctx.backend,
@@ -781,10 +741,7 @@ class RnsPolynomial:
         else:
             acc.reset()
         for a, b in zip(a_polys, b_polys):
-            parts = b.prepared_operand()
-            acc.accumulate_product(
-                a.limbs, parts[0], b_shoup=parts[1] if shoup else None
-            )
+            acc.accumulate_product(a.limbs, b.prepared_operand())
         # Scale follows the product convention (pointwise_multiply /
         # multiply): terms of one inner product share a common scale, so
         # the first pair's product scale is the sum's.

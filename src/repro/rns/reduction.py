@@ -7,16 +7,25 @@ is written once, below, as a straight-line run of the 32-bit primitives a
 GPU int32 core provides (``mulwide32``, ``mullo32``, ``mulhi32``, 32- and
 64-bit adds, word shifts, the ``min(s, s - q)`` fold and SMR's sign fold)
 on explicit typed registers.  So are the NTT butterfly bodies for both
-stage-state kinds and ``exact_rescale``'s constant chain.
+stage-state kinds, the limb-wise add, subtract and negate, and
+``exact_rescale``'s constant chain.
+
+This module also decides what a residue looks like everywhere else: each
+reducer's :meth:`~_Reducer.canonical` is the one fold from its output
+range into ``[0, q)``, and its :meth:`~_Reducer.prepare` builds the one
+operand form (``(w,)``, or Shoup's ``(w, w')``) that
+:meth:`~_Reducer.mul_prepared`, the NTT tables, the lazy accumulator and
+the C kernels consume.
 
 A *primitive set* runs those definitions.  :data:`NUMPY` executes every
 primitive as an in-place ufunc on the caller's arrays, and every numpy
 caller runs the definitions through it: the reducer classes here, the
-batched NTT's stage kernels, the basis converter, ModDown, the rescale and
-the lazy accumulator.  :mod:`repro.analysis.ranges` interprets the same
-functions over exact intervals, so the range certificate is about the op
-sequence that runs; the tests count each definition's primitives against
-Table 3 (:data:`REDUCTION_COSTS`, the data the plan pricing reads).
+batched NTT's stage kernels, the polynomial layer's limb-wise ops, the
+basis converter, ModDown, the rescale and the lazy accumulator.
+:mod:`repro.analysis.ranges` interprets the same functions over exact
+intervals, so the range certificate is about the op sequence that runs;
+the tests count each definition's primitives against Table 3
+(:data:`REDUCTION_COSTS`, the data the plan pricing reads).
 """
 
 from __future__ import annotations
@@ -426,6 +435,32 @@ def gs_butterfly(P, twiddle, yu, yv, u, v, tw, k, r):
     twiddle(P, yv, yv, tw, k, r)
 
 
+# -- limb-wise ring ops: canonical residues in, canonical residues out -----
+#
+# ``t`` is the fold's scratch and must not alias ``out``.
+
+
+def mod_add(P, out, a, b, q, t):
+    """``out = a + b mod q``: the sum lies below ``2q``, one fold."""
+    P.add(out, a, b)
+    P.fold(out, out, q, t)
+
+
+def mod_sub(P, out, a, b, q, t):
+    """``out = a - b mod q``: ``a + q - b`` lies in ``(0, 2q)``, one fold.
+    ``out`` must not alias ``b``."""
+    P.add(out, a, q)
+    P.sub(out, out, b)
+    P.fold(out, out, q, t)
+
+
+def mod_neg(P, out, a, q, t):
+    """``out = -a mod q``: ``q - a`` lies in ``(0, q]``, and the fold
+    takes ``q`` (a negated zero) to 0."""
+    P.sub(out, q, a)
+    P.fold(out, out, q, t)
+
+
 @dataclass(frozen=True)
 class StageKind:
     """How one family's NTT stage kernels hold their state.
@@ -537,19 +572,38 @@ class _Reducer:
         shape = np.broadcast_shapes(*(np.shape(a) for a in (*arrays, *consts)))
         return shape, consts
 
-    def reduce_strict(self, r: np.ndarray) -> np.ndarray:
-        """Fold ``[0, 2q)`` into ``[0, q)``, widened to the modulus dtype
-        (word results too, so the dtype does not hang on promotion rules)."""
-        r = np.asarray(r, dtype=self.q.dtype)
-        q = align_rows(self.q, r.ndim)
-        return np.where(r >= q, r - q, r)
+    def canonical(self, r) -> np.ndarray:
+        """Fold the contract's output range into canonical ``[0, q)`` uint64.
+
+        ``min(s, s - q)`` from the unsigned ``[0, 2q)``, the sign fold
+        from SMR's ``(-q, q)``.  ``r`` widens to the modulus dtype first
+        (word results too, so the dtype does not hang on promotion rules).
+        """
+        x = np.asarray(r, dtype=self.q.dtype)
+        q = align_rows(self.q, x.ndim)
+        out = np.empty(np.broadcast_shapes(x.shape, q.shape), x.dtype)
+        fold = NUMPY.sign_fold if self.contract.signed else NUMPY.fold
+        fold(out, x, q, out)
+        return out.view(np.uint64)
+
+    def prepare(self, w) -> tuple[np.ndarray, ...]:
+        """The operand form :meth:`mul_prepared` consumes, for canonical
+        ``w``: ``(w,)`` as it is here (Barrett); the Montgomery family
+        stores ``w`` in its form and Shoup adds the companion.  Preparing
+        once lets every product against ``w`` skip that work."""
+        return (np.asarray(w, dtype=np.uint64),)
+
+    def mul_prepared(self, a, parts: tuple) -> np.ndarray:
+        """``a`` times an operand from :meth:`prepare`, in the contract's
+        output range."""
+        return self.mulmod(a, *parts)
 
 
 class BarrettReducer(_Reducer):
     """Classical Barrett reduction for a 64-bit product of 31-bit operands.
 
     Precomputes mu = floor(2^64 / q).  ``mulmod`` returns the product mod
-    q in [0, 2q) (Table 3); ``reduce_strict`` folds into [0, q).
+    q in [0, 2q) (Table 3); ``canonical`` folds into [0, q).
 
     ``q`` may be one prime or a sequence of L primes; batched mode stores
     ``q``/``mu`` as ``(L, 1)`` columns broadcasting against ``(L, N)``
@@ -630,10 +684,14 @@ class MontgomeryReducer(_Reducer):
 
     def to_form(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.uint64)
-        return self.reduce_strict(self.mulmod(a, align_rows(self.r2, a.ndim)))
+        return self.canonical(self.mulmod(a, align_rows(self.r2, a.ndim)))
 
     def from_form(self, a: np.ndarray) -> np.ndarray:
-        return self.reduce_strict(self.mulmod(a, 1))
+        return self.canonical(self.mulmod(a, 1))
+
+    def prepare(self, w) -> tuple[np.ndarray, ...]:
+        """``(w*2^32 mod q,)``: the form cancels each product's ``2^-32``."""
+        return (self.to_form(w),)
 
 
 class ShoupReducer(_Reducer):
@@ -678,6 +736,14 @@ class ShoupReducer(_Reducer):
             )
         # w < q < 2^31, so w << 32 < 2^63 stays inside uint64.
         return (w_u << np.uint64(32)) // q
+
+    def prepare(self, w) -> tuple[np.ndarray, ...]:
+        """``(w, w')``: the constant and its :meth:`precompute` companion."""
+        w = np.asarray(w, dtype=np.uint64)
+        return (w, self.precompute(w))
+
+    def mul_prepared(self, a, parts: tuple) -> np.ndarray:
+        return self.mulmod_const(a, *parts)
 
     def mulmod_const(
         self,
@@ -807,17 +873,10 @@ class SignedMontgomeryReducer(_Reducer):
         """Drop the 2^32 factor: Montgomery form -> canonical [0, q)."""
         return self.canonical(self.mulmod(a, 1))
 
-    def canonical(self, a: np.ndarray) -> np.ndarray:
-        """Fold signed representatives (-q, q) into canonical [0, q)."""
-        a = a.astype(np.int64, copy=False)
-        q = align_rows(self.q, a.ndim)
-        return np.where(a < 0, a + q, a).astype(np.uint64)
-
-    def center(self, a: np.ndarray) -> np.ndarray:
-        """Fold canonical residues [0, q) into centered (-q/2, q/2]."""
-        a = a.astype(np.int64, copy=False)
-        q = align_rows(self.q, a.ndim)
-        return np.where(a > q // 2, a - q, a)
+    def prepare(self, w) -> tuple[np.ndarray, ...]:
+        """``(w*2^32 mod q,)`` signed in ``(-q, q)``: the form cancels
+        each product's ``2^-32``."""
+        return (self.to_form(w),)
 
 
 def make_reducer(method: str, q):

@@ -22,13 +22,16 @@ generalizes the discipline to *whole programs*:
   **bit-identical** to the eager evaluator (the property tests replay
   seeded random DAGs both ways and compare limbs).
 * The **executor** (:meth:`CircuitPlan.run`) replays the step list
-  against fresh inputs with zero per-call planning or allocation: the
-  key switchers, automorphism permutations, hoist tensors, lazy
-  accumulators and encoded (transformed, backend-prepared) plaintexts
-  are all captured once per plan.  Every step runs the op table's entry
-  (:mod:`repro.scheme.ops`) — the arithmetic and the scale and noise
-  rules the eager evaluator runs — so noise estimates, computed at run
-  time because they depend on the inputs, match eager float for float.
+  against fresh inputs with no per-call planning or encoding: the key
+  switchers, automorphism permutations, hoist tensors, lazy
+  accumulators and encoded (transformed, reducer-prepared) plaintexts
+  are all captured once per plan.  Replay still allocates: each step
+  builds fresh output polynomials and its kernels' temporaries (ROADMAP
+  item 4 measures the per-request peak and plans plan-owned buffers).
+  Every step runs the op table's entry (:mod:`repro.scheme.ops`) — the
+  arithmetic and the scale and noise rules the eager evaluator runs —
+  so noise estimates, computed at run time because they depend on the
+  inputs, match eager float for float.
 
 :class:`CircuitPlan` satisfies the :class:`repro.plan.Plan` protocol:
 ``build`` / ``run`` / ``cost`` / ``validate``.
@@ -298,7 +301,9 @@ class CircuitPlan:
     Satisfies the :class:`repro.plan.Plan` protocol.  Build once
     (through :meth:`CircuitTracer.compile` / :meth:`build`), run many:
     every :meth:`run` replays the same schedule against fresh inputs —
-    no planning, no plaintext encoding, no scratch allocation.
+    no planning and no plaintext encoding; the captured scratch (hoist
+    tensors, accumulators) is reused, while step outputs and kernel
+    temporaries are allocated per run.
     """
 
     def __init__(
@@ -546,7 +551,7 @@ class CircuitPlan:
             while lvl_ctx.num_limbs > level:
                 lvl_ctx = lvl_ctx.drop_last()
             self._accs[level] = LazyAccumulator(
-                lvl_ctx.batch_ntt.backend.red,
+                lvl_ctx.batch_ntt.reducer,
                 (level, n_ring),
                 checked=lvl_ctx.checked,
                 backend=lvl_ctx.backend,
@@ -597,7 +602,7 @@ class CircuitPlan:
         """Checksum over every captured plaintext constant in the plan.
 
         Folds, per step, the fingerprints of the encoded plaintext
-        polynomials, their NTT-domain copies, *and* the backend-prepared
+        polynomials, their NTT-domain copies, *and* the reducer-prepared
         operand arrays the pointwise kernels actually consume (a
         corrupted prepared handle would otherwise poison every product
         while the source limbs still checksum clean), mixed with the

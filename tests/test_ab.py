@@ -1,4 +1,5 @@
-"""benchmarks/ab.py's summary: medians, parent quartiles, wins and bounds."""
+"""benchmarks/ab.py's summary: medians, parent quartiles, wins, bounds and
+the failure counts."""
 
 import importlib.util
 import sys
@@ -65,3 +66,35 @@ def test_summary_skips_metrics_a_run_lacks():
     assert list(s) == ["latency_p5_ms"]
     assert s["latency_p5_ms"]["parent_quartiles"] == [10, 10]
     assert s["latency_p5_ms"]["within_bound"]  # +10% < 25%
+
+
+def test_failures_counted_and_wrong_runs_left_out():
+    """A wrong-answer run (perfbench exits 1 but prints its line) is
+    counted per side and its pair leaves the metrics; failed operations
+    sum over every run."""
+    rows = [
+        ({"latency_p5_ms": 100}, {"latency_p5_ms": 90}),
+        ({"latency_p5_ms": 104}, {"latency_p5_ms": 10}),  # the wrong run
+        ({"latency_p5_ms": 108}, {"latency_p5_ms": 98}),
+    ]
+    pairs = _pairs(rows)
+    counts = [((200, 2), (210, 0)), ((190, 0), (205, 5)), ((180, 1), (220, 3))]
+    for pair, (parent, change) in zip(pairs, counts):
+        for side, (attempted, failed) in (("parent", parent), ("change", change)):
+            pair[side].update(attempted=attempted, failed=failed, exit=0)
+    pairs[1]["change"].update(correct=False, exit=1)
+    f = ab.failures(pairs)
+    assert f["parent"] == {
+        "attempted": 570, "failed": 3, "failed_share": 3 / 570, "bad_runs": 0,
+    }
+    assert f["change"] == {
+        "attempted": 635, "failed": 8, "failed_share": 8 / 635, "bad_runs": 1,
+    }
+    lat = ab.summarize(pairs, METRICS)["latency_p5_ms"]
+    assert lat["pairs"] == 2
+    assert lat["parent_median"] == 104 and lat["change_median"] == 94
+    # A nonzero exit alone also leaves the pair out, on either side.
+    pairs[1]["change"].update(correct=True, exit=0)
+    pairs[0]["parent"]["exit"] = 2
+    assert ab.failures(pairs)["parent"]["bad_runs"] == 1
+    assert ab.summarize(pairs, METRICS)["latency_p5_ms"]["pairs"] == 2

@@ -198,7 +198,7 @@ def test_tier_parity(parity_pools, method, n, num_limbs, c_calls):
     def mac_twice(ctx, tier, xs, ys):
         """Two 3-term inner products through one reused accumulator."""
         acc = LazyAccumulator(
-            ctx.batch_ntt.backend.red, (num_limbs, n),
+            ctx.batch_ntt.reducer, (num_limbs, n),
             checked=ctx.checked, backend=tier,
         )
         first = RnsPolynomial.multiply_accumulate(xs, ys, acc=acc)
@@ -282,10 +282,9 @@ def _compiled_acc(pool64, method, checked):
     a = ctx.random(rng).to_ntt().limbs
     parts = ctx.random(rng).to_ntt().prepared_operand()
     acc = LazyAccumulator(
-        ctx.batch_ntt.backend.red, a.shape, checked=checked, backend="compiled"
+        ctx.batch_ntt.reducer, a.shape, checked=checked, backend="compiled"
     )
-    b_shoup = parts[1] if method == "shoup" else None
-    return acc, (a, parts[0]), b_shoup
+    return acc, (a, parts)
 
 
 #: per family: operand edges its contract's precondition admits — the
@@ -321,12 +320,14 @@ def test_lazy_terms_at_precondition_edges(pool64, method, c_calls):
     if method != "smr":
         b = b.astype(np.uint64)
     red = make_reducer(method, primes)
-    b_shoup = red.precompute(b) if method == "shoup" else None
+    # the raw operand, whose R factor the big-int check divides out;
+    # Shoup's prepared pair adds the companions
+    parts = red.prepare(b) if method == "shoup" else (b,)
     runs = {}
     for tier in ("numpy", "compiled"):
         acc = LazyAccumulator(red, (len(primes), n), checked=False, backend=tier)
         for _ in range(3):
-            acc.accumulate_product(a, b, b_shoup=b_shoup)
+            acc.accumulate_product(a, parts)
         runs[tier] = (acc.acc.copy(), acc.fold())
     assert c_calls["product"] == 3 and c_calls["fold"] == 1
     assert np.array_equal(runs["numpy"][0], runs["compiled"][0])
@@ -342,14 +343,14 @@ def test_lazy_terms_at_precondition_edges(pool64, method, c_calls):
 def test_compiled_overflow_raises_before_kernel_writes(pool64, method):
     """The tracker charges in Python before the C product runs: an
     overflowing term raises and leaves the accumulator untouched."""
-    acc, ops, b_shoup = _compiled_acc(pool64, method, checked=False)
-    assert acc._tier_impl().product(*ops, b_shoup, None) is not None
-    acc.accumulate_product(*ops, b_shoup=b_shoup)
+    acc, ops = _compiled_acc(pool64, method, checked=False)
+    assert acc._tier_impl().product(*ops, None) is not None
+    acc.accumulate_product(*ops)
     before = acc.acc.copy()
     assert before.any()
     acc.bound = acc.limit - acc._per_term + 1  # one more term overflows
     with pytest.raises(AccumulatorOverflowError, match="fold first"):
-        acc.accumulate_product(*ops, b_shoup=b_shoup)
+        acc.accumulate_product(*ops)
     assert np.array_equal(acc.acc, before)
     assert acc.terms == 1
 
@@ -361,11 +362,11 @@ def test_compiled_checked_accumulator_declines_to_numpy(pool64, method):
     numpy fold's soundness assert still sees a tampered bound; unchecked,
     the C fold runs and the tampering goes unnoticed."""
     for checked in (True, False):
-        acc, ops, b_shoup = _compiled_acc(pool64, method, checked)
+        acc, ops = _compiled_acc(pool64, method, checked)
         impl = acc._tier_impl()
         assert impl is not None
-        assert (impl.product(*ops, b_shoup, None) is None) == checked
-        acc.accumulate_product(*ops, b_shoup=b_shoup)
+        assert (impl.product(*ops, None) is None) == checked
+        acc.accumulate_product(*ops)
         acc.bound = 0  # tamper behind the tracker
         out = np.empty(acc.acc.shape, np.uint64)
         if checked:

@@ -158,7 +158,7 @@ class TestSanitizerTrips:
         )
         r = np.random.default_rng(7)
         a = np.stack([r.integers(0, q, N, dtype=np.uint64) for q in qs])
-        acc.accumulate_product(a, a)
+        acc.accumulate_product(a, (a,))
         acc.acc[0, 0] = np.int64(2**62)  # corrupt behind the tracker
         with pytest.raises(SanitizerError, match="static bound tracking"):
             acc.fold()
@@ -204,12 +204,12 @@ class TestOverflowHeadroomMessage:
         acc = LazyAccumulator(SignedMontgomeryReducer(qs), (len(qs), N))
         r = np.random.default_rng(11)
         a = np.stack([r.integers(0, q, N, dtype=np.uint64) for q in qs])
-        acc.accumulate_product(a, a)
+        acc.accumulate_product(a, (a,))
         # The tracked bound sits two worst-case terms below the limit.
         acc.bound = acc.limit - 2 * (max(qs) - 1)
         with pytest.raises(AccumulatorOverflowError) as e:
             for _ in range(acc.headroom + 1):
-                acc.accumulate_product(a, a)
+                acc.accumulate_product(a, (a,))
         assert acc.terms == 3 and acc.headroom == 0
         msg = str(e.value)
         assert "statically safe headroom at the current bound is 0" in msg

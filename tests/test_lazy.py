@@ -32,7 +32,7 @@ def test_smr_lazy_dot_is_exact(rng):
     acc = LazyAccumulator(red, LANES)
     for a, b in zip(av, bv):
         # Montgomery-form operand cancels Alg. 2's 2^-32, as in the NTT.
-        acc.accumulate_product(a.astype(np.int64), red.to_form(b))
+        acc.accumulate_product(a.astype(np.int64), red.prepare(b))
     assert acc.terms == k
     assert np.array_equal(acc.fold(), _dot_reference(av, bv, q))
 
@@ -45,7 +45,7 @@ def test_unsigned_lazy_dot_is_exact(rng):
     bv = rng.integers(0, q, (k, LANES), dtype=np.uint64)
     acc = LazyAccumulator(red, LANES)
     for a, b in zip(av, bv):
-        acc.accumulate_product(a, b)
+        acc.accumulate_product(a, red.prepare(b))
     assert np.array_equal(acc.fold(), _dot_reference(av, bv, q))
 
 
@@ -54,11 +54,13 @@ def test_shoup_lazy_uses_precomputed_companions(rng):
     red = make_reducer("shoup", q)
     a = rng.integers(0, q, LANES, dtype=np.uint64)
     acc = LazyAccumulator(red, LANES)
-    acc.accumulate_product(a, 12345)
-    acc.accumulate_product(a, q - 1)
-    # A caller-supplied companion (amortized across terms) must agree
-    # with the on-the-fly path.
-    acc.accumulate_product(a, 12345, b_shoup=red.precompute(12345))
+    w = red.prepare(12345)
+    acc.accumulate_product(a, w)
+    acc.accumulate_product(a, red.prepare(q - 1))
+    # The prepared pair is the constant and its precomputed companion,
+    # amortized across terms.
+    assert int(w[1]) == int(red.precompute(12345))
+    acc.accumulate_product(a, w)
     expect = (a.astype(object) * (2 * 12345 + q - 1)) % q
     assert np.array_equal(acc.fold(), expect.astype(np.uint64))
 
@@ -67,7 +69,7 @@ def test_overflow_raises_before_wraparound(rng):
     q = Q_MAIN
     red = make_reducer("smr", q)
     a = rng.integers(0, q, 4, dtype=np.uint64).astype(np.int64)
-    b = red.to_form(rng.integers(0, q, 4, dtype=np.uint64))
+    b = red.prepare(rng.integers(0, q, 4, dtype=np.uint64))
     acc = LazyAccumulator(red, 4)
     # Preload the tracked bound to three worst-case terms below the int64
     # carrier's limit, as if ~2^33 products had already been summed.
@@ -87,7 +89,7 @@ def test_overflow_raises_before_wraparound(rng):
     # The tracker refused while the live sum is still far from a wrap, so
     # after the refusal the accumulator still folds correctly.
     expect = (
-        a.astype(object) * red.from_form(b).astype(object)
+        a.astype(object) * red.from_form(b[0]).astype(object)
     ) * acc.terms % q
     assert np.array_equal(acc.fold(), expect.astype(np.uint64))
 
@@ -130,7 +132,7 @@ def test_shoup_accumulation_casts_to_acc_dtype(rng):
     red = make_reducer("shoup", Q_MAIN)
     acc = LazyAccumulator(red, LANES)
     a = rng.integers(0, Q_MAIN, LANES, dtype=np.uint64)
-    acc.accumulate_product(a, 7)
+    acc.accumulate_product(a, red.prepare(7))
     assert acc.acc.dtype == np.uint64
 
 
@@ -149,7 +151,7 @@ def test_batched_reducer_accumulator(rng):
     ]
     acc = LazyAccumulator(red, (len(qs), LANES))
     for a, b in zip(av, bv):
-        acc.accumulate_product(a, b)
+        acc.accumulate_product(a, red.prepare(b))
     got = acc.fold()
     for i, q in enumerate(qs):
         expect = _dot_reference(
@@ -166,7 +168,7 @@ def test_fold_into_matches_fold(rng):
     lanes = rng.integers(0, Q_TERMINAL, 8, dtype=np.uint64).astype(np.int64)
     build = lambda: (  # noqa: E731
         LazyAccumulator(smr, 8)
-        .accumulate_product(lanes, np.int64(12345))
+        .accumulate_product(lanes, (np.int64(12345),))
     )
     expect = build().fold()
     out = np.empty(8, np.uint64)
@@ -189,13 +191,18 @@ def test_fold_into_unsigned_and_validation(rng):
         acc2.fold_into(np.empty(8, np.int64))  # wrong dtype
 
 
-def test_fold_into_consumes_accumulator(rng):
-    """fold_into documents destructive semantics: reset before reuse."""
+def test_fold_into_leaves_accumulator_intact(rng):
+    """fold_into reads the deferred sum without writing it: the
+    accumulator folds again to the same residues, and reset clears it."""
     red = make_reducer("barrett", Q_TERMINAL)
     acc = LazyAccumulator(red, 4)
-    acc.accumulate_value(np.full(4, 7, np.uint64), 7)
+    acc.accumulate_value(np.full(4, Q_TERMINAL + 7, np.uint64), Q_TERMINAL + 7)
+    before = acc.acc.copy()
     out = np.empty(4, np.uint64)
     acc.fold_into(out)
+    assert np.array_equal(acc.acc, before)
+    assert np.array_equal(out, np.full(4, 7, np.uint64))
+    assert np.array_equal(acc.fold(), out)
     acc.reset()
     assert acc.terms == 0 and acc.bound == 0
     assert np.all(acc.acc == 0)
@@ -203,8 +210,8 @@ def test_fold_into_consumes_accumulator(rng):
 
 def test_fold_into_rejects_aliased_scratch(rng):
     """Regression (scratch-reuse audit): folding into a buffer that
-    aliases the accumulator would read half-folded state through the
-    alias — the guard refuses both full and partial overlap."""
+    aliases the accumulator would overwrite the deferred sum it reads —
+    the guard refuses both full and partial overlap."""
     red = make_reducer("barrett", Q_TERMINAL)
     acc = LazyAccumulator(red, 8)
     acc.accumulate_value(rng.integers(0, Q_TERMINAL, 8, np.uint64),

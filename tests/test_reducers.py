@@ -50,7 +50,7 @@ def test_barrett_exact_and_range(q, rng):
     r = red.mulmod(a, b)
     assert int(r.max()) < 2 * q, "Table 3: Barrett output range [0, 2q)"
     expect = (a.astype(object) * b.astype(object)) % q
-    assert np.array_equal(red.reduce_strict(r), expect.astype(np.uint64))
+    assert np.array_equal(red.canonical(r), expect.astype(np.uint64))
 
 
 def test_montgomery_exact_and_range(q, rng):
@@ -59,7 +59,7 @@ def test_montgomery_exact_and_range(q, rng):
     lazy = red.mulmod(red.to_form(a), b)  # cancels the 2^-32 factor
     assert int(lazy.max()) < 2 * q, "Table 3: Montgomery output range [0, 2q)"
     expect = (a.astype(object) * b.astype(object)) % q
-    assert np.array_equal(red.reduce_strict(lazy), expect.astype(np.uint64))
+    assert np.array_equal(red.canonical(lazy), expect.astype(np.uint64))
 
 
 def test_montgomery_form_round_trip(q, rng):
@@ -76,14 +76,14 @@ def test_shoup_exact_and_range(q, rng):
         r = red.mulmod_const(a, w, w_shoup)
         assert int(r.max()) < 2 * q, "Table 3: Shoup output range [0, 2q)"
         expect = (a.astype(object) * w) % q
-        assert np.array_equal(red.reduce_strict(r), expect.astype(np.uint64))
+        assert np.array_equal(red.canonical(r), expect.astype(np.uint64))
 
 
 def test_shoup_vectorized_constants(q, rng):
     red = make_reducer("shoup", q)
     a = rng.integers(0, q, SIZE, dtype=np.uint64)
     w = rng.integers(0, q, SIZE, dtype=np.uint64)
-    r = red.reduce_strict(red.mulmod_const(a, w, red.precompute(w)))
+    r = red.canonical(red.mulmod_const(a, w, red.precompute(w)))
     expect = (a.astype(object) * w.astype(object)) % q
     assert np.array_equal(r, expect.astype(np.uint64))
 
@@ -114,7 +114,8 @@ def test_smr_exact_and_range(q, rng):
 def test_smr_signed_representatives(q, rng):
     red = make_reducer("smr", q)
     a = rng.integers(0, q, SIZE, dtype=np.uint64)
-    centered = red.center(a)
+    signed = a.astype(np.int64)
+    centered = np.where(signed > q // 2, signed - q, signed)
     assert int(centered.max()) <= q // 2
     assert int(centered.min()) > -q // 2 - 1
     assert np.array_equal(red.canonical(centered), a)
@@ -137,18 +138,24 @@ def test_reducers_from_generated_primes(rng):
         mont = make_reducer("montgomery", q)
         shoup = make_reducer("shoup", q)
         smr = make_reducer("smr", q)
-        assert np.array_equal(barrett.reduce_strict(barrett.mulmod(a, b)), expect)
+        assert np.array_equal(barrett.canonical(barrett.mulmod(a, b)), expect)
         assert np.array_equal(
-            mont.reduce_strict(mont.mulmod(mont.to_form(a), b)), expect
+            mont.canonical(mont.mulmod(mont.to_form(a), b)), expect
         )
         assert np.array_equal(
-            shoup.reduce_strict(shoup.mulmod_const(a, b, shoup.precompute(b))),
+            shoup.canonical(shoup.mulmod_const(a, b, shoup.precompute(b))),
             expect,
         )
         assert np.array_equal(
             smr.canonical(smr.mulmod(a.astype(np.int64), smr.to_form(b))),
             expect,
         )
+        # The prepared-operand path every caller takes, at the edges.
+        for w in (0, 1, q - 1):
+            expect = ((a.astype(object) * w) % q).astype(np.uint64)
+            for red in (barrett, mont, shoup, smr):
+                got = red.canonical(red.mul_prepared(a, red.prepare(w)))
+                assert np.array_equal(got, expect), (red.contract.name, w)
 
 
 def test_cost_table_claims():
@@ -190,11 +197,11 @@ def test_batched_reducers_match_per_row_scalars(method, rng):
     red = make_reducer(method, MODULI)
     assert red.batched and red.q_ints == MODULI
     if method == "barrett":
-        got = red.reduce_strict(red.mulmod(a, b))
+        got = red.canonical(red.mulmod(a, b))
     elif method == "montgomery":
-        got = red.reduce_strict(red.mulmod(red.to_form(a), b))
+        got = red.canonical(red.mulmod(red.to_form(a), b))
     elif method == "shoup":
-        got = red.reduce_strict(red.mulmod_const(a, b, red.precompute(b)))
+        got = red.canonical(red.mulmod_const(a, b, red.precompute(b)))
     else:
         got = red.canonical(red.mulmod(a.astype(np.int64), red.to_form(b)))
     assert np.array_equal(got, expect)
@@ -205,7 +212,7 @@ def test_batched_reducers_broadcast_3d_stage_views(rng):
     a, b, expect = _batched_operands(rng)
     shape3 = (len(MODULI), 64, SIZE // 64)
     red = make_reducer("barrett", MODULI)
-    got = red.reduce_strict(red.mulmod(a.reshape(shape3), b.reshape(shape3)))
+    got = red.canonical(red.mulmod(a.reshape(shape3), b.reshape(shape3)))
     assert np.array_equal(got.reshape(a.shape), expect)
     smr = make_reducer("smr", MODULI)
     got = smr.canonical(
@@ -231,7 +238,7 @@ def test_batched_shoup_range_checks_per_row(rng):
     comp = red.precompute(w)
     assert comp.shape == (len(MODULI), 1)
     a = np.stack([rng.integers(0, q, SIZE, dtype=np.uint64) for q in MODULI])
-    got = red.reduce_strict(red.mulmod_const(a, w, comp))
+    got = red.canonical(red.mulmod_const(a, w, comp))
     expect = np.stack(
         [
             ((a[i].astype(object) * w) % q).astype(np.uint64)
