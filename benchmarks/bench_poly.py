@@ -627,7 +627,7 @@ def _storage_bytes(n: int, method: str, tier: str) -> tuple[int, int]:
     reads — 32-bit words on the compiled tier, up to 64 on numpy."""
     batch = PolyContext(n, _limbs_for(n, 1), method, backend=tier).batch_ntt
     word = batch.forward(np.zeros((1, n), np.uint64)).itemsize
-    return word, sum(p.itemsize for p in batch._transformer().fwd_n)
+    return word, sum(p.itemsize for p in batch._impl.fwd_n)
 
 
 def _roofline_s(op: str, n: int, L: int, K: int, word: int, tw: int,
@@ -1051,7 +1051,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="committed BENCH_poly.json to compare against; exits "
         "non-zero on a >25%% batched-median regression in any "
-        "previously-recorded cell",
+        "previously-recorded cell (needs an --out other than this file)",
     )
     parser.add_argument(
         "--methods",
@@ -1071,6 +1071,18 @@ def main(argv: list[str] | None = None) -> int:
         "(default: numpy,compiled)",
     )
     args = parser.parse_args(argv)
+
+    # Read the baseline before anything runs, and never write over it:
+    # the gate would then compare the run with itself.
+    baseline = None
+    if args.baseline is not None:
+        if args.out.resolve() == args.baseline.resolve():
+            parser.error(
+                f"--out {args.out} is the --baseline file; the run would "
+                "overwrite the baseline it is gated against (pass another "
+                "--out)"
+            )
+        baseline = json.loads(args.baseline.read_text())
 
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     for m in methods:
@@ -1208,8 +1220,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {len(results)} cells to {args.out}")
 
-    if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
+    if baseline is not None:
         matched = matched_cells(results, baseline)
         if not matched:
             print(

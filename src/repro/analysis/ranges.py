@@ -198,14 +198,12 @@ def _point(c) -> Reg:
 
 
 def _tables(method: str, q: int) -> tuple[Reg, ...]:
-    """The twiddle tables' ranges, as each reducer's ``prepare`` builds
-    them: canonical residues (Montgomery's canonical forms too), Shoup's
-    companions of canonical constants, SMR's signed forms in (-q, q)."""
-    if method == "smr":
-        return (Reg("int64", -(q - 1), q - 1),)
-    if method == "shoup":
-        return (Reg("uint32", 0, q - 1), Reg("uint64", 0, ((q - 1) << 32) // q))
-    return (Reg("uint64", 0, q - 1),)
+    """The twiddle tables' registers: the parts of the reducer's prepared
+    operand over canonical constants (``ReducerContract.prepared``)."""
+    return tuple(
+        Reg(part.dtype, *part.span(q))
+        for part in REDUCER_CONTRACTS[method].prepared
+    )
 
 
 def _analyze_limb(method: str, q: int, p: _Prover) -> int:

@@ -32,12 +32,22 @@ constructor argument wins, else the ``REPRO_BACKEND`` environment
 variable, else ``numpy``.  Dispatch is *transparent*:
 ``RnsPolynomial`` / ``BasisConverter`` / ``KeySwitcher`` /
 ``CircuitPlan`` never branch on tier — they hand their context's tier
-and ``checked`` flag to the kernels they build — and the sanitizer
+and ``checked`` flag to the kernels they build.
+
+Each kernel object (``BatchNTT``, ``BasisConverter`` with ModDown's
+combine, ``LazyAccumulator``) fixes its implementation once, on first
+use: the C kernels when its tier is ``compiled`` and
+:func:`compiled_library` loads, else numpy.  Construction stays lazy,
+so an engine that never transforms builds nothing.  No call falls back
+per call: the compiled entry points take every operand the numpy
+kernels take (copying strided, broadcast or overlapping operands into
+contiguous words first) and raise where numpy raises.  The sanitizer
 (``REPRO_CHECKED=1``) plus the PR 7 certified stage bounds apply
-identically to both tiers (the compiled NTT kernels re-check the
+identically to both tiers: the compiled NTT kernels re-check the
 per-stage invariant in C and surface violations as
-:class:`~repro.errors.SanitizerError`; the accumulator, converter and
-combine decline to the instrumented numpy path).
+:class:`~repro.errors.SanitizerError`, while a checked accumulator,
+converter or combine is built on numpy, so the accumulator's
+fold-soundness instrumentation runs.
 
 Bit-exactness is the acceptance bar, not an aspiration: both tiers'
 NTT outputs are *canonical exact* transforms over the same bit-reversed
@@ -57,9 +67,7 @@ from repro.errors import ParameterError
 __all__ = [
     "BACKEND_TIERS",
     "BackendFallbackWarning",
-    "make_convert_impl",
-    "make_lazy_impl",
-    "make_ntt_impl",
+    "compiled_library",
     "resolve_backend",
 ]
 
@@ -96,52 +104,12 @@ def resolve_backend(override: str | None = None) -> str:
     return name
 
 
-def make_ntt_impl(engine, tier: str):
-    """Build the tier implementation for one ``BatchNTT``, or ``None``.
-
-    ``None`` means "use the numpy kernels" — either because the numpy
-    tier was selected or because the compiled tier is unavailable
-    (which will already have warned once).  The returned impl object
-    exposes ``forward(a, out)`` / ``inverse(a_hat, out)``, which always
-    return the result array.
-    """
+def compiled_library(tier: str):
+    """The C kernel library for a kernel object on ``tier``; ``None`` (run
+    numpy) on the numpy tier, or when the library cannot be built here
+    (which :func:`~repro.poly.backends.compiled.get_lib` warns once)."""
     if tier != "compiled":
         return None
-    from repro.poly.backends.compiled import make_compiled_ntt
+    from repro.poly.backends.compiled import get_lib
 
-    return make_compiled_ntt(engine)
-
-
-def make_convert_impl(converter, tier: str):
-    """Tier implementation for one ``BasisConverter``, or ``None``.
-
-    The impl exposes ``scale_core(x, out)``,
-    ``convert_core(x_hat, v_row, out)`` and ModDown's
-    ``combine_core(x_base, conv, w, w_sh, out)``, each returning ``None``
-    to decline a call (checked mode, non-contiguous input) so the numpy
-    path runs it instead.  The exact v-correction term always runs in
-    Python (its guard needs big ints); the tier takes over the scale
-    step, the ``(L_out, L_in, N)`` tensor pass + fold and the combine.
-    """
-    if tier != "compiled":
-        return None
-    from repro.poly.backends.compiled import make_compiled_convert
-
-    return make_compiled_convert(converter)
-
-
-def make_lazy_impl(acc, tier: str):
-    """Tier implementation for one ``LazyAccumulator``, or ``None``.
-
-    The impl exposes ``product(a, parts, perm)`` — ``parts`` the
-    reducer's prepared operand tuple; the validated product-accumulate as
-    a ready call, run only after the accumulator has charged its bound
-    tracker — and ``fold(out)``.  Each returns
-    ``None`` to decline a call (checked mode, operands that are
-    non-contiguous or do not match), and numpy runs it instead.
-    """
-    if tier != "compiled":
-        return None
-    from repro.poly.backends.compiled import make_compiled_lazy
-
-    return make_compiled_lazy(acc)
+    return get_lib()

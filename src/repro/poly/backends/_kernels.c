@@ -28,8 +28,8 @@
  * the n^-1 scale), limb, coefficient} through `err`, and the function
  * returns 1.  The Python wrapper raises SanitizerError from that
  * tuple.  The accumulator, converter and combine kernels carry no
- * checks: under checked mode their Python wrappers decline and the
- * instrumented numpy path runs instead.
+ * checks: a checked accumulator, converter or combine runs the
+ * instrumented numpy kernels instead.
  *
  * Layout: data is one contiguous (L, n) row-major matrix of 64-bit words
  * and per-limb constants are length-L vectors.  A transform is one call:

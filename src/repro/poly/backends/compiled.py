@@ -18,8 +18,14 @@ for another.
 
 No toolchain — or a failing build — is *not* an error: :func:`get_lib`
 warns once per process with :class:`~repro.poly.backends.
-BackendFallbackWarning` and every subsequent call silently uses the
-numpy tier.  ``_reset()`` clears that latch for tests.
+BackendFallbackWarning`, and every kernel object then built on the
+compiled tier runs numpy.  ``_reset()`` clears that latch for tests.
+
+Each class here is the one implementation of a kernel object that chose
+C: it never hands a call back to numpy.  Its entry points take the
+operands numpy takes (strided, broadcast, narrower or overlapping ones
+are copied into contiguous 64-bit words; slot permutations follow numpy's
+indexing rules) and raise where numpy raises.
 
 Checked mode runs *inside* the C NTT kernels: each (limb, stage) pass
 re-scans the live row against the certified stage bound (canonical
@@ -27,10 +33,9 @@ re-scans the live row against the certified stage bound (canonical
 for Barrett) in one vectorizable OR pass, walking the row again only
 to locate a violation, and a violation surfaces as the same
 :class:`~repro.errors.SanitizerError` shape the numpy kernels raise.
-The accumulator, the converter and ModDown's combine are the
-exceptions: under ``checked`` they decline, so the numpy path runs with
-the LazyAccumulator's fold-soundness instrumentation (not just the
-output bound) engaged.
+The accumulator, the converter and ModDown's combine carry no checks: a
+checked one is built on numpy, so the LazyAccumulator's fold-soundness
+instrumentation (not just the output bound) runs.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import shutil
 import subprocess
 import tempfile
 import warnings
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -249,19 +254,59 @@ def _ptr_or_null(a: np.ndarray | None) -> ctypes.c_void_p:
     return ctypes.c_void_p(None) if a is None else _ptr(a)
 
 
-def _words(x, shape: tuple[int, ...], size: int = 8) -> bool:
-    """``x`` is a contiguous array of ``size``-byte integers shaped ``shape``.
+def _words(x, shape: tuple[int, ...]) -> np.ndarray:
+    """``x`` as the kernels read an operand: C-contiguous 64-bit words of
+    ``shape``.  ``x`` itself when it is one (signed and unsigned words
+    carry the same bits); else a copy, widened and broadcast as numpy
+    would.  A ctypes pointer does not keep a copy alive: hold it until the
+    C call returns."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu" or x.dtype.itemsize != 8:
+        x = x.astype(np.uint64)
+    if x.shape != shape:
+        x = np.broadcast_to(x, shape)
+    return np.ascontiguousarray(x)
 
-    Signed and unsigned words are equally good: the numpy reducers cast
-    either way with the same bits, and so do the C kernels.
-    """
-    return (
-        isinstance(x, np.ndarray)
-        and x.shape == shape
-        and x.dtype.kind in "iu"
-        and x.dtype.itemsize == size
-        and x.flags.c_contiguous
-    )
+
+def _target(out, shape: tuple[int, ...], *reads: np.ndarray) -> np.ndarray:
+    """Where a kernel writes a ``shape`` result bound for ``out``: ``out``
+    itself when it is a writable C-contiguous uint64 array of that shape
+    that overlaps none of ``reads``, else a fresh buffer for
+    :func:`_deliver` to copy out."""
+    if (
+        isinstance(out, np.ndarray)
+        and out.shape == shape
+        and out.dtype == np.uint64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+        and not any(np.may_share_memory(out, r) for r in reads)
+    ):
+        return out
+    return np.empty(shape, np.uint64)
+
+
+def _deliver(res: np.ndarray, out) -> np.ndarray:
+    """``res`` copied into ``out``; ``res`` itself if it is ``out`` or none."""
+    if out is None or res is out:
+        return res
+    np.copyto(out, res, casting="unsafe")
+    return out
+
+
+def _slots(perm, n: int) -> np.ndarray:
+    """``perm`` as the product kernels' gather: ``n`` contiguous int64
+    slot indices in ``[0, n)``, read by the rules of the numpy tier's
+    ``np.take`` (integer indices only, a negative one counts from the
+    end, one outside ``[-n, n)`` raises :class:`IndexError`)."""
+    perm = np.asarray(perm)
+    if perm.dtype != np.int64 or perm.shape != (n,):
+        perm = perm.astype(np.int64, casting="same_kind", copy=False)
+        perm = np.broadcast_to(perm, (n,))
+    lo, hi = int(perm.min()), int(perm.max())
+    if lo < -n or hi >= n:
+        bad = lo if lo < -n else hi
+        raise IndexError(f"slot index {bad} is out of bounds for {n} slots")
+    return np.ascontiguousarray(perm + n * (perm < 0) if lo < 0 else perm)
 
 
 def _limb_const(red, attr: str | None) -> np.ndarray | None:
@@ -278,7 +323,7 @@ def _u32(a: np.ndarray) -> np.ndarray:
     return _c(np.asarray(a).astype(np.uint32))
 
 
-def _part_ptrs(parts: tuple) -> tuple[ctypes.c_void_p, ctypes.c_void_p]:
+def _part_ptrs(parts) -> tuple[ctypes.c_void_p, ctypes.c_void_p]:
     """A prepared operand ``(w,)`` or ``(w, w')`` as the kernels' pointer
     pair; one-part forms pass a NULL companion."""
     ptrs = tuple(_ptr(p) for p in parts)
@@ -286,27 +331,31 @@ def _part_ptrs(parts: tuple) -> tuple[ctypes.c_void_p, ctypes.c_void_p]:
 
 
 class CompiledNtt:
-    """C-kernel implementation bound to one :class:`BatchNTT` engine.
+    """C-kernel implementation of one :class:`BatchNTT` engine.
 
     Holds the engine's prepared twiddle tables and ``n^-1`` as 32-bit
     words (built once per engine — ``take``/``extend`` clones get their
-    own impl) plus one persistent uint32 state buffer, so a transform is
-    one C call: range-check and narrow, every stage, widen into ``out``.
+    own) plus one persistent uint32 state buffer, so a transform is one C
+    call: range-check and narrow, every stage, widen into ``out``.  A
+    checked engine's stages are scanned in C against the bound column of
+    its numpy stage kernel.
     """
 
     def __init__(self, engine, lib: ctypes.CDLL) -> None:
-        self.engine = engine
+        #: the numpy stage kernel, whose live certified bound column a
+        #: checked transform scans against
+        self.kernel = engine._kernel
+        self.method = engine.method
+        self.reducer = engine.reducer
         self.n = engine.n
         self.num_limbs = len(engine.primes)
         shape = (self.num_limbs, self.n)
-        red = engine.reducer
-        name, const = _FAMILIES[type(red)]
+        name, const = _FAMILIES[type(self.reducer)]
         self._q = _c(np.array(engine.primes, dtype=np.uint64))
         self._q_col = self._q.reshape(-1, 1)
-        self._const = _limb_const(red, const)
+        self._const = _limb_const(self.reducer, const)
         self._state = np.empty(shape, np.uint32)
         self._err = np.zeros(4, dtype=np.uint64)
-        self._products = None  # pointwise accumulator, built on first use
         # (twiddles[, Shoup companions]) as 32-bit words, named like the
         # numpy kernel's tables and kept alive for the pointers below
         self.fwd_n, self.inv_n, self.n_inv = (
@@ -325,14 +374,14 @@ class CompiledNtt:
 
     def _transform(self, call, a, out, direction):
         fn, args = call
-        shape = self._state.shape
         a = np.ascontiguousarray(a, dtype=np.uint64)
-        writable = _words(out, shape) and out.dtype == np.uint64
-        res = out if writable else np.empty(shape, np.uint64)
+        # the kernel narrows the input into its state before any write,
+        # so ``out`` may alias ``a``
+        res = _target(out, self._state.shape)
         # Read the *live* bound column each call: it is the same certified
         # per-stage bound the numpy kernel asserts, and tests tighten it
         # in place to prove the asserts run inside the hot loop.
-        kernel = self.engine._kernel
+        kernel = self.kernel
         bound_col = None
         if kernel.checked:
             bound_col = _c(np.asarray(kernel._bound_col, dtype=np.uint64).reshape(-1))
@@ -345,14 +394,11 @@ class CompiledNtt:
             m = int(err[1])
             stage = f"{direction} stage m={m}" if m else "n^-1 scale"
             raise SanitizerError(
-                f"checked mode: {self.engine.method} NTT {stage} produced "
+                f"checked mode: {self.method} NTT {stage} produced "
                 f"{int(err[0])} outside [0, {int(bound_col[limb])}] at row "
                 f"{limb}, coefficient index {int(err[3])}"
             )
-        if out is None or res is out:
-            return res
-        np.copyto(out, res, casting="unsafe")
-        return out
+        return _deliver(res, out)
 
     def forward(self, a, out=None):
         return self._transform(self._fwd, a, out, "forward")
@@ -360,17 +406,19 @@ class CompiledNtt:
     def inverse(self, a_hat, out=None):
         return self._transform(self._inv, a_hat, out, "inverse")
 
+    @cached_property
+    def _products(self):
+        from repro.poly.lazy import LazyAccumulator
+
+        return LazyAccumulator(
+            self.reducer, (self.num_limbs, self.n),
+            checked=self.kernel.checked, backend="compiled",
+        )
+
     def pointwise(self, a, prepared):
         """NTT-domain product of range-checked uint64 ``a`` through the
         lazy product kernel: one term into a zeroed accumulator, then its
         fold (canonical residues)."""
-        from repro.poly.lazy import LazyAccumulator
-
-        if self._products is None:
-            self._products = LazyAccumulator(
-                self.engine.reducer, (self.num_limbs, self.n),
-                checked=self.engine.checked, backend="compiled",
-            )
         acc = self._products
         acc.reset()
         acc.accumulate_product(a, prepared)
@@ -378,131 +426,91 @@ class CompiledNtt:
 
 
 class CompiledConvert:
-    """C CRT tensor pass bound to one :class:`BasisConverter`.
+    """C scale step, CRT tensor pass and ModDown combine over one
+    :class:`BasisConverter`'s constants.
 
-    Takes over the scale step and ``convert``'s ``(L_out, L_in, N)``
-    cross-product + fold; the exact ``v`` correction stays in the caller
-    (the v guard needs Python big ints).  Declines (returns ``None``)
-    under checked mode so the accumulator instrumentation stays engaged,
-    and on non-contiguous input.
+    The exact ``v`` correction stays in the converter (the v guard needs
+    Python big ints).  Each method takes operands of any layout (copied
+    into contiguous words first), writes its result to ``out`` and
+    returns it.
     """
 
     def __init__(self, converter, lib: ctypes.CDLL) -> None:
-        self.converter = converter
         self.lib = lib
-        # the kernels read the word constants as uint32_t
-        self._m = _c(converter._m, np.uint32)
-        self._msh = _c(converter._m_sh)
-        self._corr = _c(converter._corr.reshape(-1), np.uint32)
-        self._corrsh = _c(converter._corr_sh.reshape(-1))
-        self._p = _c(np.array(converter.dst, dtype=np.uint64))
-        self._mu = _c(
-            np.array([(1 << 64) // p for p in converter.dst], dtype=np.uint64)
+        self.n = converter.n
+        self.l_in, self.l_out = len(converter.src), len(converter.dst)
+        # The kernels read the word constants as uint32_t.  The tables live
+        # as long as this impl, so their addresses are taken once.
+        self._tables = (
+            _c(converter._w.reshape(-1), np.uint32),  # scale step
+            _c(converter._w_sh.reshape(-1)),
+            _c(converter._q_src.reshape(-1), np.uint32),
+            _c(converter._m, np.uint32),  # tensor pass
+            _c(converter._m_sh),
+            _c(converter._corr.reshape(-1), np.uint32),
+            _c(converter._corr_sh.reshape(-1)),
+            _c(np.array(converter.dst, dtype=np.uint64)),
+            _c(np.array([(1 << 64) // p for p in converter.dst], np.uint64)),
         )
-        self._w = _c(converter._w.reshape(-1), np.uint32)
-        self._wsh = _c(converter._w_sh.reshape(-1))
-        self._q_src = _c(converter._q_src.reshape(-1), np.uint32)
+        ptrs = tuple(_ptr(t) for t in self._tables)
+        self._scale_args, self._cross_args = ptrs[:3], ptrs[3:5]
+        self._corr_args, self._p = ptrs[5:], ptrs[7]
 
     def scale_core(self, x, out):
-        """The per-row Shoup scale in C; caller has already range-checked."""
-        if self.converter.checked:
-            return None
-        if not (
-            x.flags.c_contiguous
-            and x.dtype == np.uint64
-            and out.flags.c_contiguous
-            and out.dtype == np.uint64
-        ):
-            return None
-        self.lib.crt_scale(
-            _ptr(x),
-            _ptr(self._w),
-            _ptr(self._wsh),
-            _ptr(self._q_src),
-            ctypes.c_int64(len(self.converter.src)),
-            ctypes.c_int64(self.converter.n),
-            _ptr(out),
-        )
-        return out
+        """The per-row Shoup scale of range-checked ``x``."""
+        shape = (self.l_in, self.n)
+        x = _words(x, shape)
+        res = _target(out, shape, x)
+        self.lib.crt_scale(_ptr(x), *self._scale_args, self.l_in, self.n, _ptr(res))
+        return _deliver(res, out)
 
     def convert_core(self, x_hat, v_row, out):
-        conv = self.converter
-        if conv.checked:
-            return None
-        if not (
-            x_hat.flags.c_contiguous
-            and v_row.flags.c_contiguous
-            and out.flags.c_contiguous
-            and out.dtype == np.uint64
-        ):
-            return None
+        """The tensor pass and fold of canonical ``x_hat`` with the exact
+        correction multiplicities ``v_row``."""
+        x_hat = _words(x_hat, (self.l_in, self.n))
+        v_row = _words(v_row, (1, self.n))
+        res = _target(out, (self.l_out, self.n), x_hat, v_row)
         self.lib.crt_convert(
-            _ptr(x_hat),
-            _ptr(self._m),
-            _ptr(self._msh),
-            _ptr(v_row),
-            _ptr(self._corr),
-            _ptr(self._corrsh),
-            _ptr(self._p),
-            _ptr(self._mu),
-            ctypes.c_int64(len(conv.src)),
-            ctypes.c_int64(len(conv.dst)),
-            ctypes.c_int64(conv.n),
-            _ptr(out),
+            _ptr(x_hat), *self._cross_args, _ptr(v_row), *self._corr_args,
+            self.l_in, self.l_out, self.n, _ptr(res),
         )
-        return out
+        return _deliver(res, out)
 
     def combine_core(self, x_base, conv, w, w_sh, out):
         """ModDown's combine ``out = (x_base - conv) * w mod p`` in one C
         loop over the converter's target basis; ``w`` / ``w_sh`` are the
-        per-limb ``P^-1`` and its Shoup companion.  Declines like
-        :meth:`convert_core`."""
-        if self.converter.checked:
-            return None
-        shape = (len(self.converter.dst), self.converter.n)
-        if not all(
-            _words(x, shape) and x.dtype == np.uint64 for x in (x_base, conv, out)
-        ) or not (_words(w, (shape[0], 1), 4) and _words(w_sh, (shape[0], 1))):
-            return None
+        per-limb ``P^-1`` column and its Shoup companion."""
+        shape = (self.l_out, self.n)
+        x_base, conv = _words(x_base, shape), _words(conv, shape)
+        w, w_sh = _c(w, np.uint32), _c(w_sh, np.uint64)
+        res = _target(out, shape, x_base, conv)
         self.lib.moddown_combine(
-            _ptr(x_base),
-            _ptr(conv),
-            _ptr(w),
-            _ptr(w_sh),
-            _ptr(self._p),
-            ctypes.c_int64(shape[0]),
-            ctypes.c_int64(shape[1]),
-            _ptr(out),
+            _ptr(x_base), _ptr(conv), _ptr(w), _ptr(w_sh), self._p,
+            self.l_out, self.n, _ptr(res),
         )
-        return out
+        return _deliver(res, out)
 
 
 class CompiledLazy:
-    """C product-accumulate and fold bound to one :class:`LazyAccumulator`.
+    """C product-accumulate and fold over one :class:`LazyAccumulator`'s
+    ``(L, N)`` store, one modulus per row.
 
-    :meth:`product` validates one ``accumulate_product`` call and returns
-    the ready C call (the accumulator charges its bound tracker before
-    running it, so an overflow raises before anything is written), or
-    ``None`` to decline; :meth:`fold` folds into ``out`` or declines.
-    Both decline under checked mode and for operands that are not
-    contiguous ``(L, N)`` 64-bit words (scalars, broadcast rows, strided
-    views), prepared tuples of the wrong length for the family,
-    non-``int64`` or out-of-range permutations, and operands that overlap
-    the accumulator.
+    :meth:`product` prepares one ``accumulate_product`` call and returns
+    it as a deferred C call, which the accumulator runs only after it has
+    charged its bound tracker, so an overflow raises before anything is
+    written.  Operands of any layout are copied into contiguous ``(L, N)``
+    words first, and so is one that overlaps the store; the deferred call
+    holds the copies until it runs.  :meth:`fold` folds into ``out``.
     """
 
     def __init__(self, acc, lib: ctypes.CDLL) -> None:
-        self.acc = acc
-        red = acc.reducer
+        red = self.reducer = acc.reducer
         self.shape = acc.acc.shape
         name, const = _FAMILIES[type(red)]
         self._mac = getattr(lib, f"lazy_mac_{name}")
         self._fold = lib.lazy_fold_signed if acc.signed else lib.lazy_fold_unsigned
-        #: parts of the family's prepared operand: Shoup's companion has
-        #: no per-limb constant to stand in for it
-        self._parts = 1 if const else 2
         # The store and the constants live as long as this impl, so their
-        # addresses are taken once (a swapped-out store declines).
+        # addresses are taken once.
         self._store = acc.acc
         self._q = _c(np.array(red.q_ints, dtype=np.uint64))
         self._mu = _c(np.array([(1 << 64) // q for q in red.q_ints], np.uint64))
@@ -512,66 +520,26 @@ class CompiledLazy:
         self._fold_args = (self._store_ptr, _ptr(self._q), _ptr(self._mu), *dims)
         self._mac_tail = (_ptr(self._q), _ptr_or_null(self._const), *dims)
 
-    def _declines(self) -> bool:
-        acc = self.acc
-        return acc.checked or acc.acc is not self._store
-
     def product(self, a, parts, perm):
-        if self._declines() or len(parts) != self._parts:
-            return None
-        if not all(
-            _words(x, self.shape) and not np.may_share_memory(x, self._store)
-            for x in (a, *parts)
-        ):
-            return None
+        ops = [
+            _words(x, self.shape)
+            for x in (a, *self.reducer.check_prepared(parts))
+        ]
+        ops = [x.copy() if np.may_share_memory(x, self._store) else x for x in ops]
         if perm is not None:
-            n = self.shape[1]
-            if not (
-                isinstance(perm, np.ndarray)
-                and perm.shape == (n,)
-                and perm.dtype == np.int64
-                and perm.flags.c_contiguous
-                and int(perm.min()) >= 0
-                and int(perm.max()) < n
-            ):
-                return None
-        return partial(
-            self._mac,
+            perm = _slots(perm, self.shape[1])
+        return partial(self._accumulate, ops, perm)
+
+    def _accumulate(self, ops, perm) -> None:
+        self._mac(
             self._store_ptr,
-            _ptr(a),
-            *_part_ptrs(parts),
+            _ptr(ops[0]),
+            *_part_ptrs(ops[1:]),
             _ptr_or_null(perm),
             *self._mac_tail,
         )
 
     def fold(self, out):
-        if self._declines() or not (_words(out, self.shape) and out.dtype == np.uint64):
-            return None
-        self._fold(*self._fold_args, _ptr(out))
-        return out
-
-
-def make_compiled_ntt(engine):
-    lib = get_lib()
-    return None if lib is None else CompiledNtt(engine, lib)
-
-
-def make_compiled_convert(converter):
-    lib = get_lib()
-    return None if lib is None else CompiledConvert(converter, lib)
-
-
-def make_compiled_lazy(acc):
-    """A :class:`CompiledLazy` for ``acc``, or ``None`` when the library
-    is absent or ``acc`` is not one ``(L, N)`` limb matrix over a batched
-    reducer with one modulus per row (the shape every caller uses)."""
-    red = acc.reducer
-    if not (
-        acc.acc.ndim == 2
-        and getattr(red, "batched", False)
-        and len(red.q_ints) == acc.acc.shape[0]
-        and type(red) in _FAMILIES
-    ):
-        return None
-    lib = get_lib()
-    return None if lib is None else CompiledLazy(acc, lib)
+        res = _target(out, self.shape)
+        self._fold(*self._fold_args, _ptr(res))
+        return _deliver(res, out)

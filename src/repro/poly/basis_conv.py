@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.analysis.sanitizer import assert_within, checked_mode
 from repro.errors import LayoutError, ParameterError
-from repro.poly.backends import make_convert_impl, resolve_backend
+from repro.poly.backends import compiled_library, resolve_backend
 from repro.poly.lazy import LazyAccumulator
 from repro.poly.ntt import _range_error
 from repro.rns.primes import digit_ranges
@@ -112,12 +112,11 @@ class BasisConverter:
         self.dst = _as_ints(dst_primes)
         self.n = int(ring_degree)
         self.checked = checked_mode(checked)
-        #: dispatch tier for the scale step and the CRT tensor pass (same
-        #: semantics as :class:`~repro.poly.batch_ntt.BatchNTT`'s
-        #: ``backend``); the exact v-term always runs in Python
+        #: dispatch tier for the scale step, the CRT tensor pass and
+        #: ModDown's combine (same semantics as
+        #: :class:`~repro.poly.batch_ntt.BatchNTT`'s ``backend``); the
+        #: exact v-term always runs in Python
         self.backend_tier = resolve_backend(backend)
-        self._impl = None
-        self._impl_ready = False
         if not self.src or not self.dst:
             raise ParameterError("basis conversion needs non-empty bases")
         if len(set(self.src)) != len(self.src):
@@ -207,15 +206,26 @@ class BasisConverter:
             )
         if x.size and np.any(x >= self._q_src):
             raise _range_error(x, self._q_src)
-        space = self._workspace()
         if out is None:
-            out = space[0]
-        impl = self._tier_impl()
-        if impl is not None:
-            res = impl.scale_core(np.ascontiguousarray(x, dtype=np.uint64), out)
-            if res is not None:
-                return res
-        x32, s, t, h = space[1:5]
+            out = self._workspace()[0]
+        return self._impl.scale_core(x, out)
+
+    @cached_property
+    def _impl(self):
+        """The scale step, tensor pass and ModDown combine, chosen once on
+        first use: :class:`~repro.poly.backends.compiled.CompiledConvert`
+        for an unchecked converter on the compiled tier when the library
+        loads, else this converter's numpy ``*_core`` methods."""
+        lib = None if self.checked else compiled_library(self.backend_tier)
+        if lib is None:
+            return self
+        from repro.poly.backends.compiled import CompiledConvert
+
+        return CompiledConvert(self, lib)
+
+    def scale_core(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The numpy scale step of range-checked ``x`` into ``out``."""
+        x32, s, t, h = self._workspace()[1:5]
         q = self._q_src
         NUMPY.lo(x32, x)  # canonical residues are words
         shoup_mul(NUMPY, s, x32, self._w, self._w_sh, q, h, t)
@@ -246,21 +256,15 @@ class BasisConverter:
             v_row[0, j] = exact // self.modulus
         return v_row
 
-    def _tier_impl(self):
-        """The lazily built compiled impl, or ``None`` for numpy."""
-        if not self._impl_ready:
-            self._impl_ready = True
-            self._impl = make_convert_impl(self, self.backend_tier)
-        return self._impl
-
-    def _convert_core(
+    def convert_core(
         self, x_hat: np.ndarray, v_row: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """The numpy-tier tensor pass: cross products + v-term + fold.
+        """The numpy tensor pass: cross products + v-term + fold.
 
-        Separated from :meth:`convert` as the dispatch seam — a backend
-        impl replaces exactly this (canonical ``x_hat`` and exact ``v``
-        in, canonical target residues out), never the scale/v steps.
+        Separated from :meth:`convert` as the dispatch seam — the
+        compiled implementation replaces exactly this (canonical ``x_hat``
+        and exact ``v`` in, canonical target residues out), never the
+        v step.
         """
         space = self._workspace()
         x32, cross, cross_t, cross_h, sums = space[1], *space[5:9]
@@ -282,6 +286,35 @@ class BasisConverter:
         acc.fold_into(out)
         return out
 
+    def combine_core(
+        self,
+        x_base: np.ndarray,
+        conv: np.ndarray,
+        w: np.ndarray,
+        w_sh: np.ndarray,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """ModDown's numpy combine ``out = (x_base - conv) * w mod p`` over
+        the target basis; ``w`` / ``w_sh`` are the per-limb ``P^-1`` word
+        column and its wide Shoup companion."""
+        s, t, d, h = self._combine_regs
+        q = self._q_dst
+        NUMPY.lo(d, conv)
+        NUMPY.sub(s, q, d)  # q - conv in (0, q]
+        NUMPY.lo(d, x_base)
+        NUMPY.add(s, s, d)  # x - conv + q in (0, 2q)
+        NUMPY.fold(d, s, q, t)  # canonical difference
+        shoup_mul(NUMPY, s, d, w, w_sh, q, h, t)
+        NUMPY.fold(out, s, q, t)
+        return out
+
+    @cached_property
+    def _combine_regs(self) -> tuple[np.ndarray, ...]:
+        """The numpy combine's registers: words s, t, d and a wide h."""
+        shape = (len(self.dst), self.n)
+        return (*(np.empty(shape, np.uint32) for _ in range(3)),
+                np.empty(shape, np.uint64))
+
     def convert(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``(L_in, N)`` residues in the source basis -> ``(L_out, N)``.
 
@@ -294,12 +327,7 @@ class BasisConverter:
         v_row = self._v_term(x_hat)
         if out is None:
             out = self._workspace()[13]
-        impl = self._tier_impl()
-        res = (
-            impl.convert_core(x_hat, v_row, out) if impl is not None else None
-        )
-        if res is None:
-            self._convert_core(x_hat, v_row, out)
+        self._impl.convert_core(x_hat, v_row, out)
         if self.checked:
             assert_within(
                 out, self.reducer.q - np.uint64(1),
@@ -363,10 +391,9 @@ class ModDown:
     convert the P-part residues back onto Q, subtract, and scale by the
     cached ``P^-1 mod q_i`` — the key-switching counterpart of
     ``exact_rescale`` (which divides by one limb; this divides by the
-    whole P-part in one pass).  Both steps dispatch through the
-    converter's tier impl: the conversion, and :meth:`combine` as one C
-    loop on the compiled tier (declined under checked mode, like the
-    converter).
+    whole P-part in one pass).  Both steps run on the converter's
+    implementation: the conversion, and :meth:`combine` as one C loop on
+    the compiled tier (numpy for a checked ModDown, like its converter).
     """
 
     def __init__(
@@ -397,43 +424,20 @@ class ModDown:
         self._pinv_sh = col(
             [(w << 32) // q for w, q in zip(pinv, self.base)], np.uint64
         )
-        shape = (len(self.base), self.n)
-        #: the numpy combine's registers: words s, t, d and a wide h
-        self._regs = (*(np.empty(shape, np.uint32) for _ in range(3)),
-                      np.empty(shape, np.uint64))
 
     def combine(
         self, x_base: np.ndarray, conv: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         """``out = (x_base - conv) * P^-1 mod q`` on ``(L, N)`` rows."""
-        q = self._q
-        impl = self.converter._tier_impl()
-        res = (
-            None
-            if impl is None
-            else impl.combine_core(x_base, conv, self._pinv, self._pinv_sh, out)
+        self.converter._impl.combine_core(
+            x_base, conv, self._pinv, self._pinv_sh, out
         )
-        if res is None:
-            self._combine_numpy(x_base, conv, out)
         if self.checked:
             assert_within(
-                out, q - np.uint32(1),
+                out, self._q - np.uint32(1),
                 kernel="ModDown", stage="combine output",
             )
         return out
-
-    def _combine_numpy(
-        self, x_base: np.ndarray, conv: np.ndarray, out: np.ndarray
-    ) -> None:
-        s, t, d, h = self._regs
-        q = self._q
-        NUMPY.lo(d, conv)
-        NUMPY.sub(s, q, d)  # q - conv in (0, q]
-        NUMPY.lo(d, x_base)
-        NUMPY.add(s, s, d)  # x - conv + q in (0, 2q)
-        NUMPY.fold(d, s, q, t)  # canonical difference
-        shoup_mul(NUMPY, s, d, self._pinv, self._pinv_sh, q, h, t)
-        NUMPY.fold(out, s, q, t)
 
     def apply(self, x_ext: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Coefficient-domain ModDown of an ``(L+K, N)`` limb matrix."""

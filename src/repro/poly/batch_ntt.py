@@ -61,13 +61,14 @@ outputs after the exit pass are bit-identical to the reference's.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from repro import hooks
 from repro.analysis.sanitizer import assert_within, checked_mode
 from repro.errors import ParameterError
-from repro.poly.backends import make_ntt_impl, resolve_backend
+from repro.poly.backends import compiled_library, resolve_backend
 from repro.poly.ntt import (
     _power_table,
     _range_error,
@@ -104,6 +105,9 @@ class BatchNTT:
             outputs); found via :func:`primitive_root_of_unity` when
             omitted — which picks the same root the per-prime engine picks,
             so the two paths agree either way.
+        checked: sanitizer override (see :attr:`checked`); ``None``
+            defers to ``REPRO_CHECKED``.  ``take``/``extend`` clones
+            inherit it.
         backend: execution tier for the hot transforms — ``"numpy"`` /
             ``"compiled"`` (:mod:`repro.poly.backends`).  ``None`` defers
             to ``REPRO_BACKEND``, then ``"numpy"``.  Both tiers are
@@ -118,6 +122,7 @@ class BatchNTT:
         method: str = "smr",
         *,
         psis: Sequence[int] | None = None,
+        checked: bool | None = None,
         backend: str | None = None,
     ) -> None:
         primes = [int(q) for q in primes]
@@ -149,11 +154,10 @@ class BatchNTT:
         #: the batched Table-3 reducer: per-limb constants, prepared
         #: operand forms and the canonical fold
         self.reducer = make_reducer(method, primes)
-        #: dispatch tier name; the impl object itself is built lazily so
-        #: engines that never transform (pure table donors) cost nothing
+        #: dispatch tier name; the implementation itself is built on
+        #: first use, so engines that never transform (pure table donors)
+        #: cost nothing
         self.backend_tier = resolve_backend(backend)
-        self._impl = None
-        self._impl_ready = False
 
         brv = bit_reverse_permutation(n)
         fwd = np.stack([_power_table(psi, q, n)[brv] for psi, q in zip(psis, primes)])
@@ -164,7 +168,7 @@ class BatchNTT:
         self._inv = self.reducer.prepare(inv)
         n_inv = np.array([[pow(n, -1, q)] for q in primes], dtype=np.uint64)
         self._n_inv = self.reducer.prepare(n_inv)
-        self._kernel = _StageKernel(primes, n, self.reducer)
+        self._kernel = _StageKernel(primes, n, self.reducer, checked_mode(checked))
         self._kernel.set_tables(self._fwd, self._inv, self._n_inv)
 
     @property
@@ -175,30 +179,18 @@ class BatchNTT:
     def checked(self) -> bool:
         return self._kernel.checked
 
-    def set_checked(self, flag: bool) -> None:
-        """Toggle sanitizer-mode per-stage assertions on this engine.
+    @cached_property
+    def _impl(self):
+        """The transforms and the pointwise product, chosen once on first
+        use: :class:`~repro.poly.backends.compiled.CompiledNtt` on the
+        compiled tier when the library loads (checked too: the C stages
+        scan the same bounds), else the numpy stage kernel."""
+        lib = compiled_library(self.backend_tier)
+        if lib is None:
+            return self._kernel
+        from repro.poly.backends.compiled import CompiledNtt
 
-        Kernels read ``REPRO_CHECKED`` at construction;
-        :class:`~repro.poly.rns_poly.PolyContext` calls this to propagate
-        an explicit ``checked=`` override onto shared/derived engines.
-        """
-        self._kernel.checked = bool(flag)
-
-    def _transformer(self):
-        """The lazily chosen transform kernels: the tier's, else numpy's.
-
-        An unavailable compiled tier (no toolchain) resolves to the numpy
-        stage kernels here, so callers never branch on tier.
-        """
-        impl = self._tier_impl()
-        return self._kernel if impl is None else impl
-
-    def _tier_impl(self):
-        """The lazily built compiled impl, or ``None`` for numpy."""
-        if not self._impl_ready:
-            self._impl_ready = True
-            self._impl = make_ntt_impl(self, self.backend_tier)
-        return self._impl
+        return CompiledNtt(self, lib)
 
     def take(self, num_limbs: int) -> BatchNTT:
         """A BatchNTT over the first ``num_limbs`` limbs, sharing tables.
@@ -261,12 +253,12 @@ class BatchNTT:
         clone.method = self.method
         clone.reducer = make_reducer(self.method, clone.primes)
         clone.backend_tier = self.backend_tier
-        clone._impl = None
-        clone._impl_ready = False
         clone._fwd = fwd
         clone._inv = inv
         clone._n_inv = n_inv
-        clone._kernel = _StageKernel(clone.primes, self.n, clone.reducer)
+        clone._kernel = _StageKernel(
+            clone.primes, self.n, clone.reducer, self.checked
+        )
         clone._kernel.set_tables(clone._fwd, clone._inv, clone._n_inv)
         return clone
 
@@ -290,7 +282,7 @@ class BatchNTT:
         """
         self._check_shape(a, "forward")
         hooks.emit("batch_ntt.forward")
-        return self._transformer().forward(a, out=out)
+        return self._impl.forward(a, out=out)
 
     def inverse(self, a_hat: np.ndarray, *, out: np.ndarray | None = None):
         """(L, N) NTT values -> (L, N) coefficients (Gentleman-Sande).
@@ -299,7 +291,7 @@ class BatchNTT:
         """
         self._check_shape(a_hat, "inverse")
         hooks.emit("batch_ntt.inverse")
-        return self._transformer().inverse(a_hat, out=out)
+        return self._impl.inverse(a_hat, out=out)
 
     # -- NTT-domain arithmetic ---------------------------------------------
     def prepare_operand(self, b_hat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -324,11 +316,7 @@ class BatchNTT:
         kernels).  Both return the canonical product residues.
         """
         self._check_shape(a_hat, "pointwise")
-        a = self._kernel.check_range(a_hat)
-        impl = self._tier_impl()
-        if impl is not None:
-            return impl.pointwise(a, prepared)
-        return self.reducer.canonical(self.reducer.mul_prepared(a, prepared))
+        return self._impl.pointwise(self._kernel.check_range(a_hat), prepared)
 
     def pointwise(self, a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
         """Element-wise product of two (L, N) NTT-domain matrices."""
@@ -402,9 +390,10 @@ class _StageKernel:
     reducer supplies the per-limb constants.
     """
 
-    def __init__(self, primes: list[int], n: int, reducer) -> None:
+    def __init__(self, primes: list[int], n: int, reducer, checked: bool) -> None:
         self.primes = primes
         self.n = n
+        self.reducer = reducer
         self.method_name = reducer.contract.name
         self.kind = STAGE_KINDS[self.method_name]
         self.chunks = n // _CHUNK if n >= _MIN_SPLIT_N else 0
@@ -413,7 +402,7 @@ class _StageKernel:
         self.q_ucol = q.reshape(-1, 1)
         #: sanitizer mode: assert the statically certified per-stage bound
         #: (q-1 canonical, 2q-1 Barrett-lazy) after every butterfly stage
-        self.checked = checked_mode()
+        self.checked = checked
         bound = q * np.uint64(self.kind.lazy) - np.uint64(1)
         self._bound_col = bound.reshape(-1, 1)
         self._bound_row = np.repeat(bound, self.chunks) if self.chunks else None
@@ -439,8 +428,8 @@ class _StageKernel:
 
     def _cast_parts(self, parts):
         return tuple(
-            np.asarray(p).astype(dt, copy=False)
-            for p, dt in zip(parts, self.kind.tables)
+            np.asarray(p).astype(part.dtype, copy=False)
+            for p, part in zip(parts, self.reducer.contract.prepared)
         )
 
     def _stage_tables(self, parts, *, inverse: bool) -> list:
@@ -522,6 +511,10 @@ class _StageKernel:
         if a.size and np.any(a >= self.q_ucol):
             raise _range_error(a, self.q_ucol)
         return a
+
+    def pointwise(self, a: np.ndarray, prepared: tuple) -> np.ndarray:
+        """Canonical product of range-checked ``a`` and a prepared operand."""
+        return self.reducer.canonical(self.reducer.mul_prepared(a, prepared))
 
     def enter(self, a: np.ndarray):
         a = self.check_range(a)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.errors import ParameterError
 from repro.rns.primes import digit_ranges
-from repro.rns.reduction import REDUCTION_COSTS
+from repro.rns.reduction import REDUCER_CONTRACTS, REDUCTION_COSTS
 
 #: int32 instructions per modular addition: one 32-bit add, then a
 #: compare-and-conditional-subtract (set-predicate + subtract-with-select
@@ -135,12 +135,14 @@ class CostModel:
     def pointwise(self) -> OpCost:
         """N element-wise modmuls on one limb.
 
-        Shoup pays an on-the-fly companion precompute per element (charged
-        as one extra modmul-equivalent each) because pointwise operands are
-        data, not constants — Table 3's "many constants" drawback.
+        Each companion part of the prepared operand (Shoup's ``w'``, see
+        ``ReducerContract.prepared``) is precomputed on the fly per
+        element, charged as one extra modmul-equivalent each, because
+        pointwise operands are data, not constants — Table 3's "many
+        constants" drawback.
         """
-        shoup_extra = self.n if self.method == "shoup" else 0
-        return OpCost(self.method, modmuls=self.n + shoup_extra, modadds=0)
+        parts = len(REDUCER_CONTRACTS[self.method].prepared)
+        return OpCost(self.method, modmuls=self.n * parts, modadds=0)
 
     # -- full RNS operations -----------------------------------------------
     def add(self) -> OpCost:

@@ -22,17 +22,38 @@ and the fold of an ``(L, N)`` limb matrix run as one C call each, for
 all four reducers.  The tracker still runs here, in Python, before the
 kernel writes; the kernels form each term exactly as the numpy reducers
 do, so the per-term charges, the accumulator state and the folded
-residues are the same on both tiers.  Checked mode stays on numpy.
+residues are the same on both tiers.  A checked accumulator runs numpy.
 """
 
 from __future__ import annotations
+
+from functools import cached_property, partial
 
 import numpy as np
 
 from repro.analysis.sanitizer import assert_fold_sound, checked_mode
 from repro.errors import AccumulatorOverflowError, ParameterError
-from repro.poly.backends import make_lazy_impl, resolve_backend
+from repro.poly.backends import compiled_library, resolve_backend
 from repro.rns.reduction import align_rows
+
+
+class _NumpyLazy:
+    """The numpy product-accumulate and fold over one accumulator's store,
+    with :class:`~repro.poly.backends.compiled.CompiledLazy`'s interface."""
+
+    def __init__(self, acc: LazyAccumulator) -> None:
+        self.store = acc.acc
+        self.reducer = acc.reducer
+        self.q = align_rows(acc.reducer.q, acc.acc.ndim)  # the carrier's dtype
+
+    def product(self, a, parts, perm):
+        """Form the term now; return the deferred add into the store."""
+        a = np.asarray(a) if perm is None else np.take(a, perm, axis=-1)
+        term = self.reducer.mul_prepared(a, parts).astype(self.store.dtype, copy=False)
+        return partial(np.add, self.store, term, out=self.store)
+
+    def fold(self, out: np.ndarray) -> np.ndarray:
+        return np.remainder(self.store, self.q, out=out, casting="unsafe")
 
 
 class LazyAccumulator:
@@ -68,8 +89,6 @@ class LazyAccumulator:
         #: data at every fold (REPRO_CHECKED=1, or an explicit override)
         self.checked = checked_mode(checked)
         self.backend_tier = resolve_backend(backend)
-        self._impl = None
-        self._impl_ready = False
         #: worst-case limb modulus — per-term bound charges use it
         self.q = max(reducer.q_ints)
         self.acc = np.zeros(shape, dtype=reducer.contract.carrier)
@@ -107,12 +126,20 @@ class LazyAccumulator:
             )
         self.bound += amount
 
-    def _tier_impl(self):
-        """The lazily built compiled impl, or ``None`` for numpy."""
-        if not self._impl_ready:
-            self._impl_ready = True
-            self._impl = make_lazy_impl(self, self.backend_tier)
-        return self._impl
+    @cached_property
+    def _impl(self):
+        """The product-accumulate and fold, chosen once on first use:
+        :class:`~repro.poly.backends.compiled.CompiledLazy` for an
+        unchecked ``(L, N)`` limb matrix with one modulus per row on the
+        compiled tier, when the library loads; else numpy."""
+        red = self.reducer
+        fits = self.acc.ndim == 2 and red.batched and len(red.q_ints) == len(self.acc)
+        lib = compiled_library(self.backend_tier) if fits and not self.checked else None
+        if lib is None:
+            return _NumpyLazy(self)
+        from repro.poly.backends.compiled import CompiledLazy
+
+        return CompiledLazy(self, lib)
 
     def accumulate_product(
         self,
@@ -136,16 +163,9 @@ class LazyAccumulator:
         nothing is written until the charge succeeds, so a failed call
         leaves both the tracker and the accumulator untouched.
         """
-        impl = self._tier_impl()
-        run = None if impl is None else impl.product(a, parts, perm)
-        if run is None:
-            a = np.asarray(a) if perm is None else np.take(a, perm, axis=-1)
-            term = self.reducer.mul_prepared(a, parts)
+        run = self._impl.product(a, parts, perm)
         self._charge(self._per_term, "accumulating a product")
-        if run is None:
-            self.acc += term.astype(self.acc.dtype, copy=False)
-        else:
-            run()
+        run()
         self.terms += 1
         return self
 
@@ -211,17 +231,12 @@ class LazyAccumulator:
                 "fold would overwrite the deferred sum it reads and leave "
                 "the accumulator corrupt; pass a distinct buffer"
             )
-        impl = self._tier_impl()
-        if impl is not None and impl.fold(out) is not None:
-            return out
         if self.checked:
             assert_fold_sound(
                 self.acc, self.bound,
                 kernel="LazyAccumulator.fold_into", signed=self.signed,
             )
-        q = align_rows(self.reducer.q, self.acc.ndim)  # the carrier's dtype
-        np.remainder(self.acc, q, out=out, casting="unsafe")
-        return out
+        return self._impl.fold(out)
 
     def reset(self) -> None:
         self.acc[...] = 0

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from repro import hooks
-from repro.analysis.sanitizer import assert_within, checked_mode
+from repro.analysis.sanitizer import assert_within
 from repro.errors import LayoutError, LevelError, ParameterError
 from repro.poly.batch_ntt import BatchNTT
 from repro.poly.lazy import LazyAccumulator
@@ -179,7 +179,9 @@ class PolyContext:
             raise ParameterError("limb primes must be pairwise distinct")
         self.method = method
         if _batch is None:
-            _batch = BatchNTT(self.primes, ring_degree, method, backend=backend)
+            _batch = BatchNTT(
+                self.primes, ring_degree, method, checked=checked, backend=backend
+            )
         elif (
             _batch.primes != self.primes
             or _batch.n != ring_degree
@@ -188,7 +190,7 @@ class PolyContext:
             raise ParameterError("batch engine does not match limb primes")
         # Internal reuse hook (drop_last, extend, base_of_extension):
         # twiddle tables are immutable, so a derived context shares the
-        # donor's engine, and with it the donor's tier.
+        # donor's engine, and with it the donor's tier and checked mode.
         self.batch_ntt = _batch
         #: execution tier for this context's hot kernels
         #: (:mod:`repro.poly.backends`)
@@ -196,8 +198,7 @@ class PolyContext:
         #: sanitizer mode (REPRO_CHECKED=1 or an explicit override): real
         #: kernels assert the statically certified bounds at runtime, and
         #: the Level-1 certificate is validated eagerly below
-        self.checked = checked_mode(checked)
-        self.batch_ntt.set_checked(self.checked)
+        self.checked = _batch.checked
         #: column vector of limb moduli, broadcasts against (L, N) limb data
         self.moduli = np.array(self.primes, dtype=np.uint64).reshape(-1, 1)
         self._certificate = None
@@ -272,7 +273,6 @@ class PolyContext:
                 self.ring_degree,
                 self.primes[:-1],
                 self.method,
-                checked=self.checked,
                 _batch=self.batch_ntt.take(self.num_limbs - 1),
             )
         return self._dropped
@@ -295,7 +295,6 @@ class PolyContext:
                 self.ring_degree,
                 self.primes + list(key),
                 self.method,
-                checked=self.checked,
                 _batch=self.batch_ntt.extend(key),
             )
             ext._ext_parent = self
@@ -324,7 +323,6 @@ class PolyContext:
                 self.ring_degree,
                 self.primes[: -num_aux],
                 self.method,
-                checked=self.checked,
                 _batch=self.batch_ntt.take(self.num_limbs - num_aux),
             )
             self._bases[num_aux] = base

@@ -93,6 +93,20 @@ class ReductionCost:
 
 
 @dataclass(frozen=True)
+class OperandPart:
+    """One part of a reducer's prepared operand for canonical ``w``: the
+    register type the multiply reads it as, and the inclusive range
+    ``span(q)`` of its values (``prepare`` keeps each in 64-bit words)."""
+
+    dtype: str
+    span: Callable[[int], tuple[int, int]] = field(repr=False, compare=False)
+
+
+#: ``w`` itself, or a Montgomery form of it: a canonical residue
+_CANONICAL = OperandPart("uint64", lambda q: (0, q - 1))
+
+
+@dataclass(frozen=True)
 class ReducerContract:
     """Machine-readable range contract of one Table-3 reducer.
 
@@ -105,7 +119,9 @@ class ReducerContract:
     precondition over the multiply's operand ranges (anything with
     ``lo``/``hi``).  Each definition names its axiom at the step where it
     applies, and the range analyzer discharges ``admits`` before assuming
-    the range.
+    the range.  ``prepared`` is the format of ``prepare``'s operand, one
+    :class:`OperandPart` per part, which the NTT tables, the C product
+    kernels, the range certificate and the pricing read.
 
     The same fields fix §4.2's lazy-accumulation rule
     (:meth:`lazy_bounds`), which the accumulator, the kernel
@@ -120,6 +136,7 @@ class ReducerContract:
     axiom_hi_q: int  # exclusive upper bound of the axiom step
     axiom: str
     admits: Callable = field(repr=False, compare=False)
+    prepared: tuple[OperandPart, ...] = field(repr=False, compare=False)
 
     def axiom_range(self, q: int) -> tuple[int, int]:
         """Inclusive ``(lo, hi)`` the axiom step's value lies in."""
@@ -153,6 +170,7 @@ REDUCER_CONTRACTS = {
               "x < 2^64; one conditional fold brings it into [0, 2q)",
         # x = v*w in [0, 2^64)
         admits=lambda q, v, w: min(v.lo, w.lo) >= 0 and v.hi * w.hi < 2**64,
+        prepared=(_CANONICAL,),
     ),
     "montgomery": ReducerContract(
         "montgomery", signed=False, carrier="uint64",
@@ -162,6 +180,7 @@ REDUCER_CONTRACTS = {
         admits=lambda q, v, w: (
             min(v.lo, w.lo) >= 0 and v.hi * w.hi < q << 32
         ),
+        prepared=(_CANONICAL,),
     ),
     "shoup": ReducerContract(
         "shoup", signed=False, carrier="uint64",
@@ -170,6 +189,11 @@ REDUCER_CONTRACTS = {
         # v a word; w in [0, q), so its companion floor(w*2^32 / q) is a word
         admits=lambda q, v, w: (
             0 <= v.lo and v.hi < 2**32 and 0 <= w.lo and w.hi < q
+        ),
+        # w as a word, then its companion floor(w * 2^32 / q)
+        prepared=(
+            OperandPart("uint32", lambda q: (0, q - 1)),
+            OperandPart("uint64", lambda q: (0, ((q - 1) << 32) // q)),
         ),
     ),
     "smr": ReducerContract(
@@ -180,6 +204,8 @@ REDUCER_CONTRACTS = {
         admits=lambda q, v, w: (
             max(-v.lo, v.hi) * max(-w.lo, w.hi) < q << 31
         ),
+        # the signed Montgomery form, in (-q, q)
+        prepared=(OperandPart("int64", lambda q: (-(q - 1), q - 1)),),
     ),
 }
 
@@ -466,35 +492,31 @@ class StageKind:
     """How one family's NTT stage kernels hold their state.
 
     ``state`` is the coefficient register type and ``lazy`` its invariant
-    (``[0, lazy*q)``); ``tables`` the twiddle parts' types; ``scratch``
-    the stage scratch registers' types, the butterfly's two first;
-    ``twiddle`` the family's product into the state.
+    (``[0, lazy*q)``); ``scratch`` the stage scratch registers' types,
+    the butterfly's two first; ``twiddle`` the family's product into the
+    state.  The twiddle tables take the types of the reducer contract's
+    ``prepared`` parts.
     """
 
     state: str
     lazy: int
-    tables: tuple[str, ...]
     scratch: tuple[str, ...]
     twiddle: Callable
 
 
 STAGE_KINDS = {
     "barrett": StageKind(
-        "uint64", 2, ("uint64",), ("uint64",) * 5,
-        _barrett_twiddle,
+        "uint64", 2, ("uint64",) * 5, _barrett_twiddle,
     ),
     "montgomery": StageKind(
-        "uint32", 1, ("uint64",),
-        ("uint32", "uint32", "uint64", "uint64", "uint32"),
+        "uint32", 1, ("uint32", "uint32", "uint64", "uint64", "uint32"),
         _montgomery_twiddle,
     ),
     "shoup": StageKind(
-        "uint32", 1, ("uint32", "uint64"), ("uint32", "uint32", "uint64"),
-        _shoup_twiddle,
+        "uint32", 1, ("uint32", "uint32", "uint64"), _shoup_twiddle,
     ),
     "smr": StageKind(
-        "uint32", 1, ("int64",),
-        ("uint32", "uint32", "int64", "int64", "int32", "int64"),
+        "uint32", 1, ("uint32", "uint32", "int64", "int64", "int32", "int64"),
         _smr_twiddle,
     ),
 }
@@ -590,13 +612,24 @@ class _Reducer:
         """The operand form :meth:`mul_prepared` consumes, for canonical
         ``w``: ``(w,)`` as it is here (Barrett); the Montgomery family
         stores ``w`` in its form and Shoup adds the companion.  Preparing
-        once lets every product against ``w`` skip that work."""
+        once lets every product against ``w`` skip that work.  The parts
+        are the contract's ``prepared``."""
         return (np.asarray(w, dtype=np.uint64),)
+
+    def check_prepared(self, parts: tuple) -> tuple:
+        """``parts``, or a :class:`ParameterError` when its length is not
+        the prepared format's (a raw ``(w,)`` handed to Shoup, say)."""
+        want = len(self.contract.prepared)
+        if len(parts) != want:
+            raise ParameterError(
+                f"{self.label} prepared operand has {want} part(s), got {len(parts)}"
+            )
+        return parts
 
     def mul_prepared(self, a, parts: tuple) -> np.ndarray:
         """``a`` times an operand from :meth:`prepare`, in the contract's
         output range."""
-        return self.mulmod(a, *parts)
+        return self.mulmod(a, *self.check_prepared(parts))
 
 
 class BarrettReducer(_Reducer):
@@ -743,7 +776,7 @@ class ShoupReducer(_Reducer):
         return (w, self.precompute(w))
 
     def mul_prepared(self, a, parts: tuple) -> np.ndarray:
-        return self.mulmod_const(a, *parts)
+        return self.mulmod_const(a, *self.check_prepared(parts))
 
     def mulmod_const(
         self,

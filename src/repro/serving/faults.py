@@ -21,7 +21,8 @@ Fault kinds (``KINDS``):
 ``corrupt-plan``
     Flip a bit inside one of the tenant plan's captured constants — the
     backend-*prepared* operand array a pointwise kernel actually reads
-    (at :meth:`on_submit`).  Detected pre-dispatch by
+    (at :meth:`before_dispatch`, when no run of the plan is in flight).
+    Detected pre-dispatch by
     :meth:`~repro.scheme._circuit.CircuitPlan.fingerprint`; the scheduler
     rebuilds the plan from the tenant's build function.
 ``bitflip-ct``
@@ -172,6 +173,16 @@ class FaultInjector:
                 bits = request.value.view(np.uint64)
                 bits[0] ^= np.uint64(1 << 3)
             self.injected[kind] += 1
+
+    def before_dispatch(self, plan, requests, attempt: int) -> None:
+        """``corrupt-plan`` for a batch whose ``requests`` drew it (while
+        ``attempt < transient_attempts``), just before the scheduler's
+        fingerprint check: no run of ``plan`` is in flight then, while at
+        submission one could be, and its flip reach a delivered answer."""
+        if attempt < self.transient_attempts and any(
+            self.planned.get(req.id) == "corrupt-plan" for req in requests
+        ):
+            self.corrupt_plan(plan)
 
     def corrupt_plan(self, plan) -> bool:
         """Flip one bit in a captured prepared operand of ``plan``.

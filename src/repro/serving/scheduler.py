@@ -558,6 +558,8 @@ class CkksServer:
             batch = live
             if not batch:
                 return
+            if self.injector is not None:
+                self.injector.before_dispatch(tenant.plan, batch, attempt)
             if tenant.plan.fingerprint() != tenant.plan_fp:
                 self.faults_detected["plan-corruption"] += 1
                 self._rebuild_plan(tenant)

@@ -22,7 +22,8 @@ The run then *asserts* the serving contract:
   (which must have fired) and the whole run is bounded by an outer
   timeout;
 * **every injected fault** was either recovered by retry (the request
-  still delivered, correctly) or surfaced as a structured rejection.
+  still delivered, correctly) or surfaced as a structured rejection, and
+  every corrupted plan constant was caught before dispatch.
 
 Run it directly::
 
@@ -236,6 +237,9 @@ def soak(
         )
     if rate > 0 and "stall" in injected and not server.metrics["watchdog_fires"]:
         failures.append("stalls were injected but the watchdog never fired")
+    if detected.get("plan-corruption", 0) < injected.get("corrupt-plan", 0):
+        failures.append(f"{injected['corrupt-plan']} plan corruptions injected, "
+                        f"{detected.get('plan-corruption', 0)} detected")
     summary["ok"] = not failures
     summary["failures"] = failures
     return summary

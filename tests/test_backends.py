@@ -13,10 +13,15 @@ The PR 9 contract has three load-bearing claims, each tested here:
   to have run), and its transforms on every ring from N = 2 to 4096;
 * checked mode reports a violation in a narrow (t < 16) stage exactly
   as the numpy kernels do;
+* each kernel object fixes its implementation once: an unchecked
+  compiled accumulator runs every call in C, whatever the operands'
+  layout, while a checked accumulator or converter is built on numpy
+  (the checked NTT stays in C and scans its stages there);
 * the compiled accumulator keeps the numpy tier's guarantees: the bound
-  tracker raises before the kernel writes, checked mode declines to the
-  instrumented numpy fold, and its C terms match numpy on operands at
-  the edges of each reducer contract's precondition;
+  tracker raises before the kernel writes, a wrong-length prepared
+  operand or an out-of-range slot index raises on both tiers, and its C
+  terms match numpy on operands at the edges of each reducer contract's
+  precondition;
 * the library is built for the host ISA, under a name that changes with
   the flags and the ISA fingerprint, and a compiler that rejects
   ``-march=native`` gets the portable retry without a warning;
@@ -152,8 +157,7 @@ def parity_pools():
 
 @pytest.fixture
 def c_calls(monkeypatch):
-    """Count the compiled accumulator / combine calls that ran in C
-    (a declined call returns ``None`` and is not counted)."""
+    """Count the compiled accumulator / combine calls; each runs in C."""
     counts = {"product": 0, "fold": 0, "combine_core": 0}
     for cls, name in (
         (compiled.CompiledLazy, "product"),
@@ -161,9 +165,8 @@ def c_calls(monkeypatch):
         (compiled.CompiledConvert, "combine_core"),
     ):
         def wrapped(self, *args, _raw=getattr(cls, name), _name=name):
-            res = _raw(self, *args)
-            counts[_name] += res is not None
-            return res
+            counts[_name] += 1
+            return _raw(self, *args)
 
         monkeypatch.setattr(cls, name, wrapped)
     return counts
@@ -344,7 +347,7 @@ def test_compiled_overflow_raises_before_kernel_writes(pool64, method):
     """The tracker charges in Python before the C product runs: an
     overflowing term raises and leaves the accumulator untouched."""
     acc, ops = _compiled_acc(pool64, method, checked=False)
-    assert acc._tier_impl().product(*ops, None) is not None
+    assert isinstance(acc._impl, compiled.CompiledLazy)
     acc.accumulate_product(*ops)
     before = acc.acc.copy()
     assert before.any()
@@ -358,14 +361,24 @@ def test_compiled_overflow_raises_before_kernel_writes(pool64, method):
 @pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
 @pytest.mark.parametrize("method", _METHODS)
 def test_compiled_checked_accumulator_declines_to_numpy(pool64, method):
-    """Under ``checked=True`` the compiled accumulator declines, so the
-    numpy fold's soundness assert still sees a tampered bound; unchecked,
-    the C fold runs and the tampering goes unnoticed."""
+    """A checked accumulator and converter on the compiled tier are built
+    on numpy, so the numpy fold's soundness assert still sees a tampered
+    bound; unchecked, the C fold runs and the tampering goes unnoticed.
+    A checked context's NTT stays in C (its stage scans run there)."""
+    aux = [p.value for p in pool64.aux]
     for checked in (True, False):
+        ctx = PolyContext.from_pool(
+            pool64, num_terminal=1, num_main=2, method=method,
+            checked=checked, backend="compiled",
+        )
+        assert isinstance(ctx.batch_ntt._impl, compiled.CompiledNtt)
+        for conv in (
+            ctx.mod_up_kernel(aux).converter,
+            ctx.extend(aux).mod_down_kernel(len(aux)).converter,
+        ):
+            assert isinstance(conv._impl, compiled.CompiledConvert) != checked
         acc, ops = _compiled_acc(pool64, method, checked)
-        impl = acc._tier_impl()
-        assert impl is not None
-        assert (impl.product(*ops, None) is None) == checked
+        assert isinstance(acc._impl, compiled.CompiledLazy) != checked
         acc.accumulate_product(*ops)
         acc.bound = 0  # tamper behind the tracker
         out = np.empty(acc.acc.shape, np.uint64)
@@ -376,6 +389,69 @@ def test_compiled_checked_accumulator_declines_to_numpy(pool64, method):
                 acc.fold_into(out)
         else:
             assert np.array_equal(acc.fold(), acc.fold_into(out))
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+@pytest.mark.parametrize("method", _METHODS)
+def test_compiled_product_takes_any_operand_layout(pool64, method, c_calls):
+    """Every product and fold of an unchecked compiled accumulator runs in
+    C, whatever its operands look like: a strided (Fortran-ordered)
+    operand under a slot permutation, an operand that is the accumulator
+    itself, narrower words with negative slot indices, a broadcast row
+    and a strided fold target.  State and fold match numpy."""
+    ctx = PolyContext.from_pool(
+        pool64, num_terminal=1, num_main=2, method=method, backend="numpy"
+    )
+    rng = np.random.default_rng(0x57D)
+    a = np.asfortranarray(ctx.random(rng).to_ntt().limbs)
+    parts = ctx.random(rng).to_ntt().prepared_operand()
+    n = ctx.ring_degree
+    perm = automorphism_tables(n, 5)[2]
+    runs = {}
+    for tier in ("numpy", "compiled"):
+        acc = LazyAccumulator(
+            ctx.batch_ntt.reducer, a.shape, checked=False, backend=tier
+        )
+        acc.accumulate_product(a, parts, perm=perm)
+        acc.accumulate_product(acc.acc, parts, perm=perm)
+        acc.accumulate_product(a.astype(np.uint32), parts, perm=perm - n)
+        acc.accumulate_product(a[:1], parts)
+        out = np.empty(a.shape[::-1], np.uint64).T
+        runs[tier] = (acc.acc.copy(), acc.fold_into(out).copy())
+    assert c_calls["product"] == 4 and c_calls["fold"] == 1
+    assert np.array_equal(runs["numpy"][0], runs["compiled"][0])
+    assert np.array_equal(runs["numpy"][1], runs["compiled"][1])
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_malformed_product_raises_on_every_tier(pool64, method):
+    """A prepared tuple of the wrong length for the family, or a slot
+    index outside ``[-N, N)``, raises on every tier before the tracker
+    charges or anything is written."""
+    ctx = PolyContext.from_pool(
+        pool64, num_terminal=1, num_main=2, method=method, backend="numpy"
+    )
+    rng = np.random.default_rng(0x7A6)
+    a = ctx.random(rng).to_ntt().limbs
+    parts = ctx.random(rng).to_ntt().prepared_operand()
+    for tier in ("numpy", *TIERS):
+        acc = LazyAccumulator(
+            ctx.batch_ntt.reducer, a.shape, checked=False, backend=tier
+        )
+        batch = PolyContext.from_pool(
+            pool64, num_terminal=1, num_main=2, method=method, backend=tier
+        ).batch_ntt
+        for wrong in (parts[:1] * 3, parts[1:] if len(parts) > 1 else ()):
+            with pytest.raises(ParameterError, match="prepared operand"):
+                acc.accumulate_product(a, wrong)
+            with pytest.raises(ParameterError, match="prepared operand"):
+                batch.pointwise_prepared(a, wrong)
+        for bad in (a.shape[1], -a.shape[1] - 1):
+            perm = np.arange(a.shape[1])
+            perm[3] = bad
+            with pytest.raises(IndexError, match="out of bounds"):
+                acc.accumulate_product(a, parts, perm=perm)
+        assert acc.terms == 0 and acc.bound == 0 and not acc.acc.any()
 
 
 @pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
@@ -422,7 +498,7 @@ def test_transform_parity_sweep(method):
         n = 1 << log_n
         ref = BatchNTT(primes, n, method, backend="numpy")
         got = BatchNTT(primes, n, method, backend="compiled")
-        assert got._tier_impl() is not None
+        assert isinstance(got._impl, compiled.CompiledNtt)
         a = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
         hat = ref.forward(a)
         assert np.array_equal(hat, got.forward(a)), f"N={n} forward"

@@ -2,13 +2,16 @@
 
 The timing loops themselves are exercised by CI's bench-smoke job; here
 the pure comparison logic is pinned — cell matching, the noise floor,
-the whole-run drift normalization, the >25% threshold, and tolerance of
-baselines recorded before medians existed.
+the whole-run drift normalization, the >25% threshold, tolerance of
+baselines recorded before medians existed, and a gate run that never
+writes over its own baseline.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 _BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_poly.py"
 _spec = importlib.util.spec_from_file_location("bench_poly", _BENCH)
@@ -177,3 +180,23 @@ def test_roofline_widths_follow_tier_storage():
             assert bench_poly._storage_bytes(64, method, "compiled") == expect
     ntt = bench_poly._roofline_s("ntt_forward", 64, 2, 1, 8, 4, copy_bw=1.0)
     assert ntt == 2 * 64 * (2 * 8 + 4)
+
+
+def test_gate_refuses_to_overwrite_its_baseline(tmp_path, monkeypatch):
+    """`--out` naming the `--baseline` file (however spelled) exits
+    non-zero before anything is timed and leaves the baseline intact."""
+    baseline = tmp_path / "BENCH_poly.json"
+    baseline.write_text('{"results": []}\n')
+    before = baseline.read_bytes()
+
+    def timed(*args, **kwargs):
+        raise AssertionError("the gate timed a cell")
+
+    monkeypatch.setattr(bench_poly, "bench_config", timed)
+    monkeypatch.setattr(bench_poly, "bench_backend_config", timed)
+    monkeypatch.chdir(tmp_path)
+    for out in (str(baseline), "BENCH_poly.json"):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_poly.main(["--smoke", "--baseline", str(baseline), "--out", out])
+        assert exit_info.value.code != 0
+        assert baseline.read_bytes() == before

@@ -145,6 +145,20 @@ def test_corrupt_plan_detected_and_rebuilt(cc):
     assert verify_delivered(server) == 0
 
 
+def test_corrupt_plan_injected_before_dispatch(cc):
+    """A request that draws ``corrupt-plan`` has its tenant plan corrupted
+    just before dispatch; the fingerprint check catches it, the plan is
+    rebuilt, and the delivered answer is correct."""
+    injector = FaultInjector(9, forced={0: "corrupt-plan"})
+    server = make_server(cc, injector)
+    value = serve(server, server.submit("affine", 0.3))
+    assert math.isclose(value.real, 0.5 * 0.3 + 0.25, abs_tol=1e-4)
+    assert injector.injected["corrupt-plan"] == 1
+    assert server.faults_detected["plan-corruption"] == 1
+    assert server.metrics["plan_rebuilds"] == 1
+    assert verify_delivered(server) == 0
+
+
 def test_stall_trips_watchdog_then_recovers(cc):
     """An injected stall blows the per-attempt watchdog; the batch is
     retried on a rebuilt plan and still delivers correctly."""

@@ -156,6 +156,18 @@ def test_reducers_from_generated_primes(rng):
             for red in (barrett, mont, shoup, smr):
                 got = red.canonical(red.mul_prepared(a, red.prepare(w)))
                 assert np.array_equal(got, expect), (red.contract.name, w)
+        # Its parts have the format the contract declares: the count, and
+        # each part's values inside its range, which its type holds.
+        ws = np.concatenate([[0, 1, q - 1], b]).astype(np.uint64)
+        for red in (barrett, mont, shoup, smr):
+            parts = red.prepare(ws)
+            assert len(parts) == len(red.contract.prepared)
+            for part, spec in zip(parts, red.contract.prepared):
+                lo, hi = spec.span(q)
+                info = np.iinfo(spec.dtype)
+                assert info.min <= lo and hi <= info.max
+                assert part.dtype.itemsize == 8
+                assert lo <= int(part.min()) and int(part.max()) <= hi
 
 
 def test_cost_table_claims():
