@@ -16,20 +16,33 @@ nothing.
 Usage::
 
     python benchmarks/ab.py --parent DIR --change DIR --workload W \\
-        --pairs N --seed S [--out FILE]
+        --pairs N --seed S [--out FILE] [--record FILE --label TEXT]
 
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``; that file and its
-metric declarations are read from the change checkout.
+metric declarations are read from the change checkout.  ``--record``
+appends the run's summary as one row (:func:`record_row`) to an
+end-to-end trajectory file such as the repo's ``BENCH_e2e.json``: a
+JSON list holding one row per line (:func:`append_row`), whose earlier
+rows are never rewritten.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
+
+#: what a trajectory row keeps of each metric's summary
+ROW_METRIC_KEYS = (
+    "parent_median", "change_median", "parent_quartiles", "change_wins",
+    "pairs", "within_bound",
+)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -121,6 +134,83 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def host_info() -> dict:
+    """The measuring host: CPU count and model, Python and NumPy."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            models = [ln for ln in fh if ln.startswith("model name")]
+    except OSError:
+        models = []
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": models[0].split(":", 1)[1].strip() if models else platform.processor(),
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+    }
+
+
+def commit(checkout: Path) -> str | None:
+    """The checkout's HEAD commit, suffixed ``-dirty`` when its tracked
+    files differ from it; ``None`` outside a git work tree."""
+    git = ["git", "-C", str(checkout)]
+    try:
+        head = subprocess.run(
+            [*git, "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        changed = subprocess.run(
+            [*git, "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return head + ("-dirty" if changed else "")
+
+
+def record_row(doc: dict, label: str, host: dict, commits: dict) -> dict:
+    """One trajectory row from an A/B document: the label, workload,
+    seed and pair count, the host, both commits, per metric the
+    :data:`ROW_METRIC_KEYS` of its summary, and per side the failed
+    share of operations."""
+    return {
+        "label": label,
+        "workload": doc["workload"],
+        "seed": doc["seed"],
+        "pairs": len(doc["pairs"]),
+        "host": host,
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
+        "metrics": {
+            name: {key: summary[key] for key in ROW_METRIC_KEYS}
+            for name, summary in doc["summary"].items()
+        },
+        "failed_share": {
+            side: counts["failed_share"]
+            for side, counts in doc["failures"].items()
+        },
+    }
+
+
+def append_row(path: Path, row: dict) -> None:
+    """Append ``row`` to the JSON list at ``path`` (created if missing).
+
+    One row per line, the first opening the list and every later one
+    led by its comma, so an append overwrites only the closing ``]``
+    line: the bytes of earlier rows never change.
+    """
+    line = json.dumps(row)
+    if not path.exists():
+        path.write_text(f"[{line}\n]\n")
+        return
+    with path.open("r+b") as fh:
+        fh.seek(-2, os.SEEK_END)
+        if fh.read() != b"]\n":
+            raise ValueError(f"{path} does not end in a row list's ']' line")
+        fh.seek(-2, os.SEEK_END)
+        fh.write(f",{line}\n]\n".encode())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -129,7 +219,12 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", type=Path)
+    ap.add_argument("--record", type=Path,
+                    help="append the summary as one row to this file")
+    ap.add_argument("--label", help="the row's label, e.g. the change's name")
     args = ap.parse_args(argv)
+    if (args.record is None) != (args.label is None):
+        ap.error("--record and --label go together")
     decl = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = decl["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -156,6 +251,9 @@ def main(argv=None) -> int:
         args.out.write_text(text + "\n")
     else:
         print(text)
+    if args.record:
+        commits = {side: commit(path) for side, path in sides.items()}
+        append_row(args.record, record_row(doc, args.label, host_info(), commits))
     return 0
 
 

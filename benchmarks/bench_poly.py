@@ -19,7 +19,7 @@ BSGS polynomial evaluation (PR 5) — in two implementations each:
   pipeline eliminated.
 
 Every cell is cross-checked for bit-equality before it is timed (the
-conversion cells additionally against an exact big-int CRT reference;
+conversion cells additionally against an exact mixed-radix CRT reference;
 the ``hoisted_rotate`` cell against per-index independent rotations —
 the shared-ModUp fast path must be bit-identical, not just close),
 the grid spans ``N in {1024, 4096} x L in {4, 12}`` across all four
@@ -200,9 +200,10 @@ def _looped_rescale(ctx: PolyContext, limbs: np.ndarray) -> np.ndarray:
 
 def _v_floor(x_hat: np.ndarray, src: list[int], q_hat: list[int],
              modulus: int) -> np.ndarray:
-    """The conversion correction ``v`` — same float path and exact
-    boundary guard as ``BasisConverter._v_term`` so the looped and
-    batched conversions are bit-identical by construction."""
+    """The conversion correction ``v`` — the float path of
+    ``BasisConverter._v_term``, with a big-int resolution of the
+    boundary columns where the converter compares digits; both give the
+    exact ``v``, so the looped and batched conversions are bit-identical."""
     inv_q = 1.0 / np.array(src, dtype=np.float64).reshape(-1, 1)
     s = np.sum(x_hat * inv_q, axis=0)
     dist = np.abs(s - np.rint(s))
@@ -723,12 +724,13 @@ def bench_config(n: int, num_limbs: int, method: str, repeats: int, rng) -> list
     up = a.mod_up(aux)
     looped_up = _looped_mod_up(ctx.primes, aux, a.limbs)
     assert np.array_equal(up.limbs, looped_up), "mod_up paths disagree"
-    # Exact big-int CRT reference: row j must be X mod p_j exactly.
+    # Exact CRT reference (to_int_coeffs' mixed-radix ints): row j must
+    # be X mod p_j exactly.
     coeffs = a.to_int_coeffs(centered=False)
     expect = np.array(
         [[x % p for x in coeffs] for p in ext_ctx.primes], dtype=np.uint64
     )
-    assert np.array_equal(up.limbs, expect), "mod_up != big-int reference"
+    assert np.array_equal(up.limbs, expect), "mod_up != CRT reference"
     cell(
         "mod_up",
         lambda: a.mod_up(aux),
@@ -746,7 +748,7 @@ def bench_config(n: int, num_limbs: int, method: str, repeats: int, rng) -> list
         [[(x // p_mod) % q for x in up_coeffs] for q in ctx.primes],
         dtype=np.uint64,
     )
-    assert np.array_equal(down.limbs, expect), "mod_down != big-int reference"
+    assert np.array_equal(down.limbs, expect), "mod_down != CRT reference"
     cell(
         "mod_down",
         lambda: up.mod_down(len(aux)),

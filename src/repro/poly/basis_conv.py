@@ -16,9 +16,10 @@ product is one ``(L_out, L_in, N)`` pass through
 :meth:`~repro.rns.reduction.ShoupReducer.mulmod_cross` summed through a
 batched :class:`~repro.poly.lazy.LazyAccumulator` (deferred folds, one
 terminal fold per lane), and ``v`` is the floating-point correction term
-— guarded by an exact big-int resolution of the (measure-zero) boundary
-coefficients so every output *bit-matches* a big-int CRT reference, not
-just approximates it.
+— guarded by an exact resolution of the (measure-zero) boundary
+coefficients from the source residues' mixed-radix digits
+(:class:`~repro.rns.crt.CrtReconstructor`), so every output *bit-matches*
+a big-int CRT reference, not just approximates it.
 
 On top of the converter sit the key-switching kernels:
 
@@ -59,15 +60,17 @@ from repro.errors import LayoutError, ParameterError
 from repro.poly.backends import compiled_library, resolve_backend
 from repro.poly.lazy import LazyAccumulator
 from repro.poly.ntt import _range_error
+from repro.rns.crt import CrtReconstructor
 from repro.rns.primes import digit_ranges
 from repro.rns.reduction import NUMPY, ShoupReducer, shoup_mul
 
-#: coefficients whose fractional CRT weight lies this close to an integer
-#: are resolved with exact big-int arithmetic instead of trusting the
-#: float64 correction term.  float64 accumulates < L * 2^-52 of error
-#: over the sum, so 2^-30 is ~4 million times wider than the worst case —
-#: the guard fires only when the true value genuinely straddles a
-#: boundary (x within ~Q * 2^-30 of 0 or Q), where floats cannot decide.
+#: coefficients whose fractional CRT weight lies this close to a nonzero
+#: integer are resolved exactly instead of trusting the float64
+#: correction term.  float64 accumulates < L * 2^-52 of error over the
+#: sum, so 2^-30 is ~4 million times wider than the worst case — the
+#: guard fires only when the true value genuinely straddles a boundary
+#: (x within ~Q * 2^-30 of 0 or Q), where floats cannot decide but the
+#: half-compare of x's mixed-radix digits against Q/2 can.
 _V_GUARD = 2.0**-30
 
 
@@ -86,7 +89,7 @@ class BasisConverter:
     residues through the shared Shoup multiply
     (:func:`~repro.rns.reduction.shoup_mul`, on word registers) — so one
     converter serves every NTT backend, and its output bit-matches the
-    big-int CRT reference by construction (see the module docstring's
+    big-int CRT reference by construction (see :meth:`_v_term`'s
     exactness guard).
 
     Scratch registers (three ``(L_out, L_in, N)`` tensors, a few
@@ -115,7 +118,7 @@ class BasisConverter:
         #: dispatch tier for the scale step, the CRT tensor pass and
         #: ModDown's combine (same semantics as
         #: :class:`~repro.poly.batch_ntt.BatchNTT`'s ``backend``); the
-        #: exact v-term always runs in Python
+        #: v-term and its boundary guard run in numpy on both tiers
         self.backend_tier = resolve_backend(backend)
         if not self.src or not self.dst:
             raise ParameterError("basis conversion needs non-empty bases")
@@ -126,12 +129,11 @@ class BasisConverter:
                 raise ParameterError(f"basis prime {q} out of 32-bit range")
         l_in, l_out = len(self.src), len(self.dst)
 
-        #: Q = prod q_i and the big-int CRT weights (kept for the exact
-        #: resolution of boundary coefficients).
+        #: Q = prod q_i
         self.modulus = 1
         for q in self.src:
             self.modulus *= q
-        self._q_hat = [self.modulus // q for q in self.src]
+        q_hat = [self.modulus // q for q in self.src]
 
         # Moduli and multiplicands are word columns, Shoup companions wide
         # ones; both tiers read these.
@@ -139,15 +141,15 @@ class BasisConverter:
         wide = lambda v: np.array(v, dtype=np.uint64).reshape(-1, 1)  # noqa: E731
         self._q_src, self._q_dst = col(self.src), col(self.dst)
         # Scale step: w_i = q_i_hat^-1 mod q_i with Shoup companions.
-        w = [pow(h, -1, q) for h, q in zip(self._q_hat, self.src)]
+        w = [pow(h, -1, q) for h, q in zip(q_hat, self.src)]
         self._w = col(w)
         self._w_sh = wide([(wi << 32) // q for wi, q in zip(w, self.src)])
         # CRT matrix M[j, i] = q_i_hat mod p_j with per-row companions.
         self._m = np.array(
-            [[h % p for h in self._q_hat] for p in self.dst], dtype=np.uint32
+            [[h % p for h in q_hat] for p in self.dst], dtype=np.uint32
         )
         self._m_sh = np.array(
-            [[(h % p << 32) // p for h in self._q_hat] for p in self.dst],
+            [[(h % p << 32) // p for h in q_hat] for p in self.dst],
             dtype=np.uint64,
         )
         # v-correction constant (-Q) mod p_j, with companions.
@@ -232,15 +234,19 @@ class BasisConverter:
         NUMPY.fold(out, s, q, t)
         return out
 
-    def _v_term(self, x_hat: np.ndarray) -> np.ndarray:
+    def _v_term(self, x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
         """The correction multiplicities ``v = floor(sum x_hat_i / q_i)``.
 
-        Float64 with an exact big-int fallback: coefficients whose
-        fractional weight lies within :data:`_V_GUARD` of an integer are
-        recomputed as ``(sum x_hat_i * q_i_hat) // Q`` in Python ints, so
-        the returned ``v`` is *always* the exact integer the CRT identity
-        needs — conversion stays bit-identical to the big-int reference
-        even for adversarial inputs like ``X = Q - 1``.
+        The sum is ``v + X/Q``, taken in float64.  A column whose sum lies
+        within :data:`_V_GUARD` of a nonzero integer ``k`` has ``X``
+        within ``~Q * 2^-30`` of 0 or of ``Q``, so ``v`` is ``k`` when
+        ``X < Q/2`` and ``k - 1`` otherwise; the mixed-radix digits of
+        those columns' source residues ``x`` decide which
+        (:meth:`~repro.rns.crt.CrtReconstructor.upper_half`).  A sum that
+        rounds to 0 needs no guard: its nonnegative terms sum below 1, so
+        ``v`` is 0.  The returned ``v`` is *always* the exact integer the
+        CRT identity needs — conversion stays bit-identical to the
+        big-int reference even for adversarial inputs like ``X = Q - 1``.
         """
         fw, fs, fr, v_row = self._workspace()[9:13]
         np.multiply(x_hat, self._inv_q, out=fw)
@@ -248,13 +254,20 @@ class BasisConverter:
         np.rint(fs, out=fr)
         np.subtract(fs, fr, out=fr)
         np.abs(fr, out=fr)
-        ambiguous = np.nonzero(fr < _V_GUARD)[0]
+        near = np.nonzero(fr < _V_GUARD)[0]
+        k = np.rint(fs[near])
         np.floor(fs, out=fs)
         np.copyto(v_row[0], fs, casting="unsafe")
-        for j in ambiguous:
-            exact = sum(int(x_hat[i, j]) * self._q_hat[i] for i in range(len(self.src)))
-            v_row[0, j] = exact // self.modulus
+        boundary = near[k != 0]
+        if boundary.size:
+            upper = self._crt.upper_half(self._crt.digits(x[:, boundary]))
+            v_row[0, boundary] = k[k != 0].astype(np.uint64) - upper
         return v_row
+
+    @cached_property
+    def _crt(self) -> CrtReconstructor:
+        """The source basis's CRT reconstruction, for the boundary guard."""
+        return CrtReconstructor(self.src, checked=self.checked)
 
     def convert_core(
         self, x_hat: np.ndarray, v_row: np.ndarray, out: np.ndarray
@@ -324,7 +337,7 @@ class BasisConverter:
         overwritten by the next call.
         """
         x_hat = self.scale(x)
-        v_row = self._v_term(x_hat)
+        v_row = self._v_term(x, x_hat)
         if out is None:
             out = self._workspace()[13]
         self._impl.convert_core(x_hat, v_row, out)

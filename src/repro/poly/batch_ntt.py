@@ -168,8 +168,10 @@ class BatchNTT:
         self._inv = self.reducer.prepare(inv)
         n_inv = np.array([[pow(n, -1, q)] for q in primes], dtype=np.uint64)
         self._n_inv = self.reducer.prepare(n_inv)
-        self._kernel = _StageKernel(primes, n, self.reducer, checked_mode(checked))
-        self._kernel.set_tables(self._fwd, self._inv, self._n_inv)
+        self._kernel = _StageKernel(
+            primes, n, self.reducer, checked_mode(checked),
+            (self._fwd, self._inv, self._n_inv),
+        )
 
     @property
     def num_limbs(self) -> int:
@@ -257,9 +259,8 @@ class BatchNTT:
         clone._inv = inv
         clone._n_inv = n_inv
         clone._kernel = _StageKernel(
-            clone.primes, self.n, clone.reducer, self.checked
+            clone.primes, self.n, clone.reducer, self.checked, (fwd, inv, n_inv)
         )
-        clone._kernel.set_tables(clone._fwd, clone._inv, clone._n_inv)
         return clone
 
     def _check_shape(self, a, label: str) -> None:
@@ -387,10 +388,15 @@ class _StageKernel:
 
     The family's :class:`~repro.rns.reduction.StageKind` fixes the state
     and scratch register types and the twiddle product; the batched
-    reducer supplies the per-limb constants.
+    reducer supplies the per-limb constants.  The engine's prepared
+    tables are cast and rearranged into the kernel's layouts on the
+    first numpy transform: an engine whose implementation is C reads
+    only the bound column, :meth:`check_range` and :attr:`q_ucol`.
     """
 
-    def __init__(self, primes: list[int], n: int, reducer, checked: bool) -> None:
+    def __init__(
+        self, primes: list[int], n: int, reducer, checked: bool, tables: tuple
+    ) -> None:
         self.primes = primes
         self.n = n
         self.reducer = reducer
@@ -413,18 +419,32 @@ class _StageKernel:
             if self.chunks
             else None
         )
+        #: the engine's prepared (forward, inverse, n^-1) tables
+        self._tables = tables
         self._space: tuple | None = None
         self._views: dict = {}
 
-    # -- tables ------------------------------------------------------------
-    def set_tables(self, fwd, inv, n_inv) -> None:
-        """Adopt the reducer's prepared twiddle tables, in kernel dtypes
-        plus the precomputed transposed-phase layout."""
-        self.fwd_n = self._cast_parts(fwd)
-        self.inv_n = self._cast_parts(inv)
-        self.n_inv = self._cast_parts(n_inv)
-        self.fwd_t = self._stage_tables(self.fwd_n, inverse=False)
-        self.inv_t = self._stage_tables(self.inv_n, inverse=True)
+    # -- tables: the prepared parts in kernel dtypes, and the transposed
+    # tail phase's per-stage layout, each built on first use -----------------
+    @cached_property
+    def fwd_n(self) -> tuple:
+        return self._cast_parts(self._tables[0])
+
+    @cached_property
+    def inv_n(self) -> tuple:
+        return self._cast_parts(self._tables[1])
+
+    @cached_property
+    def n_inv(self) -> tuple:
+        return self._cast_parts(self._tables[2])
+
+    @cached_property
+    def fwd_t(self) -> list:
+        return self._stage_tables(self.fwd_n, inverse=False)
+
+    @cached_property
+    def inv_t(self) -> list:
+        return self._stage_tables(self.inv_n, inverse=True)
 
     def _cast_parts(self, parts):
         return tuple(

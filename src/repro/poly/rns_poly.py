@@ -35,6 +35,7 @@ from repro.analysis.sanitizer import assert_within
 from repro.errors import LayoutError, LevelError, ParameterError
 from repro.poly.batch_ntt import BatchNTT
 from repro.poly.lazy import LazyAccumulator
+from repro.rns.crt import CrtReconstructor
 from repro.rns.primes import Prime, PrimePool
 from repro.rns.reduction import (
     NUMPY,
@@ -263,6 +264,12 @@ class PolyContext:
         for q in self.primes:
             prod *= q
         return prod
+
+    @cached_property
+    def crt(self) -> CrtReconstructor:
+        """The exact, vectorized CRT reconstruction over this basis,
+        built once (:mod:`repro.rns.crt`)."""
+        return CrtReconstructor(self.primes, checked=self.checked)
 
     def drop_last(self) -> PolyContext:
         """The context one rescale down (last limb removed), cached."""
@@ -843,24 +850,22 @@ class RnsPolynomial:
         """
         return self.ctx.key_switcher(ksk.aux_primes, ksk.dnum).run(self, ksk)
 
-    # -- CRT reconstruction (reference/tests; Python-int arithmetic) -------
+    # -- CRT reconstruction ------------------------------------------------
     def to_int_coeffs(self, *, centered: bool = True) -> list[int]:
         """CRT-reconstruct coefficients as Python ints mod Q.
 
         With ``centered`` the representatives lie in ``(-Q/2, Q/2]``,
         matching the signed plaintext convention; otherwise ``[0, Q)``.
+        Built from the context's mixed-radix magnitude words
+        (:attr:`PolyContext.crt`), the ones :meth:`to_float_coeffs` rounds.
         """
         if self.domain != COEFF:
             raise LayoutError("CRT reconstruction requires coefficient domain")
-        big_q = self.ctx.modulus
-        acc = [0] * self.ctx.ring_degree
-        for i, q in enumerate(self.ctx.primes):
-            m_i = big_q // q
-            lift = m_i * pow(m_i, -1, q)
-            row = self.limbs[i]
-            for j in range(self.ctx.ring_degree):
-                acc[j] = (acc[j] + int(row[j]) * lift) % big_q
-        if centered:
-            half = big_q // 2
-            acc = [c - big_q if c > half else c for c in acc]
-        return acc
+        return self.ctx.crt.to_ints(self.limbs, centered=centered)
+
+    def to_float_coeffs(self) -> np.ndarray:
+        """The centered coefficients as float64, each exactly
+        ``float(c)`` of the centered integer ``c`` — the decoders' input."""
+        if self.domain != COEFF:
+            raise LayoutError("CRT reconstruction requires coefficient domain")
+        return self.ctx.crt.to_float(self.limbs)

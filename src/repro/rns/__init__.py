@@ -1,5 +1,7 @@
-"""RNS layer: NTT-friendly primes, Table-3 reducers, rescaling cycles."""
+"""RNS layer: NTT-friendly primes, Table-3 reducers, rescaling cycles and
+the exact CRT reconstruction."""
 
+from repro.rns.crt import CrtReconstructor
 from repro.rns.cycle import (
     CycleMove,
     RescalingCycle,
@@ -27,6 +29,7 @@ from repro.rns.reduction import (
 __all__ = [
     "REDUCTION_COSTS",
     "BarrettReducer",
+    "CrtReconstructor",
     "CycleMove",
     "MontgomeryReducer",
     "Prime",

@@ -110,8 +110,7 @@ class Plaintext:
 
     def decode(self) -> np.ndarray:
         """Centered CRT reconstruction divided by the scale."""
-        ints = self.poly.to_coeff().to_int_coeffs(centered=True)
-        return np.array(ints, dtype=np.float64) / self.scale
+        return self.poly.to_coeff().to_float_coeffs() / self.scale
 
 
 class Ciphertext:

@@ -243,8 +243,7 @@ class CanonicalEncoder:
             )
         if num_slots is None:
             num_slots = pt.slots if pt.slots is not None else self.slots
-        ints = pt.poly.to_coeff().to_int_coeffs(centered=True)
-        coeffs = np.array([float(c) for c in ints], dtype=np.float64)
+        coeffs = pt.poly.to_coeff().to_float_coeffs()
         return self.project(coeffs / pt.scale, num_slots)
 
     def roundtrip_precision(

@@ -14,8 +14,9 @@ Fault kinds (``KINDS``):
 
 ``corrupt-payload``
     Flip a low bit of the request's submitted value *after* its payload
-    fingerprint was taken (at :meth:`on_submit`).  Detected at batch-cut
-    time by the payload checksum; the request is rejected alone with a
+    fingerprint was taken (drawn at :meth:`on_submit`, flipped when the
+    request reaches a batch cut, at :meth:`on_cut`).  Detected there by
+    the payload checksum; the request is rejected alone with a
     structured ``corrupted-payload`` error while its co-batched
     neighbours proceed untouched.
 ``corrupt-plan``
@@ -41,8 +42,9 @@ Fault kinds (``KINDS``):
     scratch) and retries.
 ``noise``
     Exhaust the result's noise budget (a large post-run
-    ``noise_bits`` penalty); the scheduler's budget guard refuses to
-    deliver the result and retries.
+    ``noise_bits`` penalty, counted when the scheduler applies it with
+    :meth:`penalize`); the scheduler's budget guard refuses to deliver
+    the result and retries.
 
 Faults fire only while ``attempt < transient_attempts``, so by
 construction every injected fault is *transient* and a correctly
@@ -55,7 +57,9 @@ kind, overriding the seeded draw; ``transient_attempts`` still applies).
 The injector installs itself as the process-wide :mod:`repro.hooks`
 handler only inside an :meth:`arm` window around a single batch
 execution, and uninstalls on exit — the no-fault path never sees a
-handler.
+handler.  A run the watchdog gave up on is :meth:`disarm`-ed before the
+scheduler drains its thread, so that zombie fires nothing: every fault
+counted in :attr:`FaultInjector.injected` is one a detector can see.
 """
 
 from __future__ import annotations
@@ -156,23 +160,25 @@ class FaultInjector:
         return kind
 
     def on_submit(self, request) -> None:
-        """Submission-time corruption (after the payload fingerprint).
+        """Submission-time draw: marks the request with its fault kind,
+        which fires later (at the batch cut or during execution)."""
+        self.draw(request.id)
 
-        ``corrupt-payload`` flips a low bit of the request's value here,
-        modelling data corrupted in the queue; every other kind only
-        marks the request and fires later, during execution.
-        """
-        kind = self.draw(request.id)
-        if kind == "corrupt-payload":
-            if np.ndim(request.value) == 0:
-                request.value = float(
-                    np.float64(request.value).view(np.uint64)
-                    ^ np.uint64(1 << 3)
-                )
-            else:  # vector tenant: flip a mantissa bit of element 0 in place
-                bits = request.value.view(np.uint64)
-                bits[0] ^= np.uint64(1 << 3)
-            self.injected[kind] += 1
+    def on_cut(self, request) -> None:
+        """``corrupt-payload``: flip a low bit of the request's value just
+        before the batch cut's payload check, modelling data corrupted in
+        the queue.  A request shed or expired before any cut is never
+        corrupted, so each injection meets the check."""
+        if self.planned.get(request.id) != "corrupt-payload":
+            return
+        if np.ndim(request.value) == 0:
+            request.value = float(
+                np.float64(request.value).view(np.uint64) ^ np.uint64(1 << 3)
+            )
+        else:  # vector tenant: flip a mantissa bit of element 0 in place
+            bits = request.value.view(np.uint64)
+            bits[0] ^= np.uint64(1 << 3)
+        self.injected["corrupt-payload"] += 1
 
     def before_dispatch(self, plan, requests, attempt: int) -> None:
         """``corrupt-plan`` for a batch whose ``requests`` drew it (while
@@ -214,9 +220,9 @@ class FaultInjector:
         ``requests`` are the batch's packed requests; the union of their
         planned fault kinds (each gated on ``attempt <
         transient_attempts``) plus any active tenant outage decides what
-        the hook does.  Yields the armed-state object; after the block,
-        ``noise_penalty_bits`` holds any drawn noise-exhaustion penalty
-        to apply to the result.
+        the hook does.  Yields the armed-state object; its
+        ``noise_penalty_bits`` holds any drawn noise-exhaustion penalty,
+        which :meth:`penalize` applies to the result.
         """
         kinds: set[str] = set()
         lo, hi = self.outages.get(tenant, (0, -1))
@@ -231,13 +237,28 @@ class FaultInjector:
         armed = _Armed(kinds, ct)
         if "noise" in kinds:
             armed.noise_penalty_bits = 500.0
-            self.injected["noise"] += 1
         if kinds & {"bitflip-ct", "kernel-error", "stall"}:
             install(self._handler(armed))
         try:
             yield armed
         finally:
             uninstall()
+
+    def disarm(self, armed: _Armed) -> None:
+        """End ``armed``'s window early: its hook fires nothing more.
+
+        For a run the watchdog gave up on, before its thread is drained:
+        a fault that thread fired would meet no detector.
+        """
+        armed.kinds.clear()
+        uninstall()
+
+    def penalize(self, armed: _Armed, out) -> None:
+        """Apply the window's noise penalty to the result ``out`` and
+        count the ``noise`` fault: the budget guard reads ``out`` next."""
+        if armed.noise_penalty_bits:
+            out.noise_bits += armed.noise_penalty_bits
+            self.injected["noise"] += 1
 
     def _handler(self, armed: _Armed):
         def handle(site: str, payload: object) -> None:

@@ -24,7 +24,8 @@ room, else the new submission is rejected (code ``queue-full``).
 **Recovery** is layered per batch execution:
 
 * a *watchdog* (:func:`asyncio.wait_for`) bounds each ``plan.run``; on
-  timeout the orphaned worker thread is drained, the plan is rebuilt
+  timeout the fault injector (if any) is disarmed, the orphaned worker
+  thread is drained, the plan is rebuilt
   (the zombie may still be writing into the old plan's scratch
   accumulators — retrying into fresh scratch makes the race harmless),
   and the batch retried;
@@ -502,6 +503,8 @@ class CkksServer:
                 ))
                 self.metrics["expired"] += 1
                 continue
+            if self.injector is not None:
+                self.injector.on_cut(req)
             if data_fingerprint(np.asarray(req.value)) != req.payload_fp:
                 self.faults_detected["corrupted-payload"] += 1
                 self._reject(req, ServingError(
@@ -592,6 +595,8 @@ class CkksServer:
                     self.metrics["watchdog_fires"] += 1
                     self.faults_detected["watchdog-timeout"] += 1
                     fault = "watchdog-timeout"
+                    if armed is not None:
+                        self.injector.disarm(armed)
                     await self._drain_zombie(fut)
                     self._rebuild_plan(tenant)
                 except PlanExecutionError as exc:
@@ -605,13 +610,15 @@ class CkksServer:
                     fault = "kernel-fault"
                 except CheddarError as exc:
                     return self._fail_batch(tenant, batch, exc)
+            # Checked after every run, a faulted one too: a bit flipped
+            # before a later kernel fault is still a corruption seen.
+            if ct.fingerprint() != in_fp:
+                self.faults_detected["input-corruption"] += 1
+                fault = fault or "input-corruption"
             if fault is None:
-                if armed is not None and armed.noise_penalty_bits:
-                    out.noise_bits += armed.noise_penalty_bits
-                if ct.fingerprint() != in_fp:
-                    self.faults_detected["input-corruption"] += 1
-                    fault = "input-corruption"
-                elif out.noise_budget_bits <= cfg.min_budget_bits:
+                if armed is not None:
+                    self.injector.penalize(armed, out)
+                if out.noise_budget_bits <= cfg.min_budget_bits:
                     self.faults_detected["budget-exhausted"] += 1
                     fault = "budget-exhausted"
                 else:

@@ -23,7 +23,8 @@ The run then *asserts* the serving contract:
   timeout;
 * **every injected fault** was either recovered by retry (the request
   still delivered, correctly) or surfaced as a structured rejection, and
-  every corrupted plan constant was caught before dispatch.
+  met its detector: per kind in :data:`DETECTORS`, the detections are
+  no fewer than the injections.
 
 Run it directly::
 
@@ -50,13 +51,24 @@ from repro.serving.faults import FaultInjector
 from repro.serving.loadgen import draw_specs, run_load, verify_delivered
 from repro.serving.scheduler import CkksServer, ServingConfig
 
-__all__ = ["build_server", "main", "soak"]
+__all__ = ["DETECTORS", "build_server", "main", "soak"]
 
 #: encoding scale Delta, matched to the 30-bit rescale primes so one
 #: rescale lands back near Delta with full precision
 SCALE_BITS = 30
 SCALE = 2.0**SCALE_BITS
 
+
+#: fault kind -> the detection (``CkksServer.faults_detected``) that
+#: must account for each injection of it
+DETECTORS = {
+    "corrupt-payload": "corrupted-payload",
+    "corrupt-plan": "plan-corruption",
+    "bitflip-ct": "input-corruption",
+    "kernel-error": "kernel-fault",
+    "stall": "watchdog-timeout",
+    "noise": "budget-exhausted",
+}
 
 #: tenant name -> plaintext reference function (the unbatched oracle)
 TENANTS = {
@@ -237,9 +249,12 @@ def soak(
         )
     if rate > 0 and "stall" in injected and not server.metrics["watchdog_fires"]:
         failures.append("stalls were injected but the watchdog never fired")
-    if detected.get("plan-corruption", 0) < injected.get("corrupt-plan", 0):
-        failures.append(f"{injected['corrupt-plan']} plan corruptions injected, "
-                        f"{detected.get('plan-corruption', 0)} detected")
+    for kind, detector in DETECTORS.items():
+        if detected.get(detector, 0) < injected.get(kind, 0):
+            failures.append(
+                f"{injected[kind]} {kind} faults injected, "
+                f"{detected.get(detector, 0)} {detector} detected"
+            )
     summary["ok"] = not failures
     summary["failures"] = failures
     return summary

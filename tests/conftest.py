@@ -38,3 +38,22 @@ def negacyclic_schoolbook(a, b, q: int) -> np.ndarray:
         else:
             out[i % n] -= c  # x^N = -1: degree >= N wraps negated
     return np.array([int(x) % q for x in out], dtype=np.uint64)
+
+
+def crt_oracle(primes, limbs, *, centered: bool = True) -> list[int]:
+    """The sum-of-lifts CRT reconstruction in Python ints, one coefficient
+    at a time: ``X = sum_i x_i * (Q/q_i) * ((Q/q_i)^-1 mod q_i) mod Q``,
+    centered into ``(-Q/2, Q/2]`` on request.  Independent of the
+    mixed-radix reconstruction the library runs."""
+    big_q = 1
+    for q in primes:
+        big_q *= q
+    acc = [0] * limbs.shape[1]
+    for i, q in enumerate(primes):
+        m_i = big_q // q
+        lift = m_i * pow(m_i, -1, q)
+        for j, x in enumerate(limbs[i].tolist()):
+            acc[j] = (acc[j] + x * lift) % big_q
+    if centered:
+        acc = [c - big_q if c > big_q // 2 else c for c in acc]
+    return acc

@@ -1,7 +1,8 @@
 """benchmarks/ab.py's summary: medians, parent quartiles, wins, bounds and
-the failure counts."""
+the failure counts; and the trajectory row ``--record`` appends."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -98,3 +99,61 @@ def test_failures_counted_and_wrong_runs_left_out():
     pairs[0]["parent"]["exit"] = 2
     assert ab.failures(pairs)["parent"]["bad_runs"] == 1
     assert ab.summarize(pairs, METRICS)["latency_p5_ms"]["pairs"] == 2
+
+
+def _doc(rows, workload="circuit-n4096"):
+    pairs = _pairs(rows)
+    for pair in pairs:
+        for side in ("parent", "change"):
+            pair[side].update(attempted=100, failed=1, exit=0)
+    return {
+        "workload": workload,
+        "seed": 1,
+        "failures": ab.failures(pairs),
+        "summary": ab.summarize(pairs, METRICS),
+        "pairs": pairs,
+    }
+
+
+HOST = {"nproc": 2, "cpu": "test cpu", "python": "3.11.7", "numpy": "2.4.6"}
+COMMITS = {"parent": "a" * 40, "change": "b" * 40 + "-dirty"}
+
+
+def test_record_row_format():
+    rows = [({"latency_p5_ms": 100, "peak_rss_mb": 90},
+             {"latency_p5_ms": 90, "peak_rss_mb": 91})] * 3
+    row = ab.record_row(_doc(rows), "change A", HOST, COMMITS)
+    assert list(row) == [
+        "label", "workload", "seed", "pairs", "host", "parent_commit",
+        "change_commit", "metrics", "failed_share",
+    ]
+    assert (row["label"], row["workload"], row["seed"], row["pairs"]) == (
+        "change A", "circuit-n4096", 1, 3,
+    )
+    assert row["host"] == HOST
+    assert (row["parent_commit"], row["change_commit"]) == (
+        COMMITS["parent"], COMMITS["change"],
+    )
+    assert list(row["metrics"]) == ["latency_p5_ms", "peak_rss_mb"]
+    assert row["metrics"]["latency_p5_ms"] == {
+        "parent_median": 100, "change_median": 90,
+        "parent_quartiles": [100, 100], "change_wins": 3, "pairs": 3,
+        "within_bound": True,
+    }
+    assert row["failed_share"] == {"parent": 0.01, "change": 0.01}
+
+
+def test_append_keeps_earlier_rows_byte_identical(tmp_path):
+    path = tmp_path / "BENCH_e2e.json"
+    rows = [({"latency_p5_ms": 100}, {"latency_p5_ms": 90})]
+    first = ab.record_row(_doc(rows), "change A", HOST, COMMITS)
+    second = ab.record_row(_doc(rows, "serve-mix"), "change B", HOST, COMMITS)
+    ab.append_row(path, first)
+    before = path.read_bytes()
+    ab.append_row(path, second)
+    after = path.read_bytes()
+    head = before[: -len(b"]\n")]
+    assert after.startswith(head)
+    assert head == b"[" + json.dumps(first).encode() + b"\n"
+    assert after[len(head):] == b"," + json.dumps(second).encode() + b"\n]\n"
+    assert json.loads(after) == [first, second]

@@ -510,6 +510,30 @@ def test_transform_parity_sweep(method):
 
 @pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
 @pytest.mark.parametrize("method", _METHODS)
+def test_compiled_engines_build_no_numpy_stage_tables(method):
+    """The numpy stage kernel casts and transposes its twiddle tables on
+    its first transform.  Compiled engines, their ``take`` clones and
+    ``extend`` clones transform in C without them; a numpy engine builds
+    them, and both bit-match."""
+    primes = _sweep_primes()
+    n = 1024
+    tables = {"fwd_n", "inv_n", "n_inv", "fwd_t", "inv_t"}
+    rng = np.random.default_rng(0x7AB)
+    a = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in primes])
+    ref = BatchNTT(primes, n, method, backend="numpy")
+    got = BatchNTT(primes, n, method, backend="compiled")
+    extended = BatchNTT(primes[:1], n, method, backend="compiled").extend(primes[1:])
+    for eng, want in ((got, ref), (got.take(2), ref.take(2)), (extended, ref)):
+        rows = a[: eng.num_limbs]
+        assert np.array_equal(eng.forward(rows), want.forward(rows))
+        assert np.array_equal(eng.inverse(rows), want.inverse(rows))
+        assert isinstance(eng._impl, compiled.CompiledNtt)
+        assert not tables & set(vars(eng._kernel))
+    assert tables <= set(vars(ref._kernel))
+
+
+@pytest.mark.skipif("compiled" not in TIERS, reason="no C toolchain")
+@pytest.mark.parametrize("method", _METHODS)
 def test_checked_violation_in_narrow_stage(pool64, method):
     """A first violation inside a t < 16 stage is reported with the same
     value, stage, limb and index on both tiers.  With the bound column

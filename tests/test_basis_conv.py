@@ -12,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import crt_oracle
 from repro.errors import (
     LayoutError,
     LevelError,
@@ -53,21 +54,6 @@ def ctx(base_primes) -> PolyContext:
     return PolyContext(N, base_primes, "smr")
 
 
-def crt_lift(primes: list[int], limbs: np.ndarray) -> list[int]:
-    """Canonical big-int CRT reconstruction of an (L, N) limb matrix."""
-    modulus = 1
-    for q in primes:
-        modulus *= q
-    out = []
-    for j in range(limbs.shape[1]):
-        x = 0
-        for i, q in enumerate(primes):
-            m = modulus // q
-            x = (x + int(limbs[i, j]) * m * pow(m, -1, q)) % modulus
-        out.append(x)
-    return out
-
-
 def residues(values: list[int], primes: list[int]) -> np.ndarray:
     return np.array([[v % p for v in values] for p in primes], np.uint64)
 
@@ -82,19 +68,31 @@ class TestBasisConverter:
         conv = BasisConverter(base_primes, aux_primes, N)
         x = np.stack([rng.integers(0, q, N, dtype=np.uint64) for q in base_primes])
         got = conv.convert(x)
-        expect = residues(crt_lift(base_primes, x), aux_primes)
+        expect = residues(crt_oracle(base_primes, x, centered=False), aux_primes)
         assert np.array_equal(got, expect)
 
-    @pytest.mark.parametrize("offset", [0, 1, -1, 12345])
-    def test_boundary_representatives_exact(self, base_primes, aux_primes, offset):
+    @pytest.mark.parametrize(
+        "columns",
+        [pytest.param([(0, d)], id=str(d)) for d in (0, 1, -1, 12345)]
+        + [
+            pytest.param(
+                [(0, 0), (0, 1), (0, 0), (1, 0), (1, 1), (0, 0), (0, -1)],
+                id="zero-columns-mixed",
+            )
+        ],
+    )
+    def test_boundary_representatives_exact(self, base_primes, aux_primes, columns):
         """X near 0 and near Q exercises the exact-v guard: the float
-        correction alone cannot decide these, the big-int fallback must."""
+        correction alone cannot decide these, the half-compare of their
+        digits must.  Columns repeat ``(h, d) -> h * floor(Q/2) + d mod
+        Q``; the last case puts all-zero columns, whose float sum is
+        exactly 0 and needs no guard, among 0, 1, Q/2, Q/2 + 1 and Q - 1."""
         conv = BasisConverter(base_primes, aux_primes, N)
-        value = offset % conv.modulus
-        x = residues([value] * N, base_primes)
-        got = conv.convert(x)
-        expect = np.array([[value % p] * N for p in aux_primes], dtype=np.uint64)
-        assert np.array_equal(got, expect)
+        half = conv.modulus // 2
+        values = [(h * half + d) % conv.modulus for h, d in columns]
+        values = (values * N)[:N]
+        got = conv.convert(residues(values, base_primes))
+        assert np.array_equal(got, residues(values, aux_primes))
 
     def test_scale_step_is_inverse_crt_weights(self, base_primes, rng):
         conv = BasisConverter(base_primes, base_primes[:1], N)
@@ -179,7 +177,7 @@ class TestModUpDown:
     def test_mod_up_extends_exactly(self, ctx, aux_primes, rng):
         a = ctx.random(rng)
         up = a.mod_up(aux_primes)
-        lift = crt_lift(ctx.primes, a.limbs)
+        lift = crt_oracle(ctx.primes, a.limbs, centered=False)
         assert np.array_equal(up.limbs, residues(lift, up.ctx.primes))
         assert up.ctx.primes == ctx.primes + aux_primes
 
@@ -190,7 +188,7 @@ class TestModUpDown:
         digit = np.stack([rng.integers(0, q, N, dtype=np.uint64) for q in ext[lo:hi]])
         out = np.empty((len(ext), N), np.uint64)
         up.apply(digit, out)
-        lift = crt_lift(ext[lo:hi], digit)
+        lift = crt_oracle(ext[lo:hi], digit, centered=False)
         expect = residues(lift, ext)
         expect[lo:hi] = digit  # digit rows are verbatim copies
         assert np.array_equal(out, expect)
@@ -216,7 +214,7 @@ class TestModUpDown:
         p_mod = 1
         for p in aux_primes:
             p_mod *= p
-        lift = crt_lift(mixed.ctx.primes, mixed.limbs)
+        lift = crt_oracle(mixed.ctx.primes, mixed.limbs, centered=False)
         expect = residues([x // p_mod for x in lift], ctx.primes)
         assert np.array_equal(down.limbs, expect)
         assert down.ctx is ctx  # found its way back to the base context
@@ -224,7 +222,7 @@ class TestModUpDown:
     def test_mod_down_round_trip_recovers(self, ctx, aux_primes, rng):
         a = ctx.random(rng)
         up = a.mod_up(aux_primes)
-        lift = crt_lift(ctx.primes, a.limbs)
+        lift = crt_oracle(ctx.primes, a.limbs, centered=False)
         p_mod = 1
         for p in aux_primes:
             p_mod *= p
@@ -295,7 +293,7 @@ def composed_reference(ctx, ksk, poly):
     ext = ksk.ext_ctx
     acc = [None, None]
     for d, (lo, hi) in enumerate(digit_ranges(ctx.num_limbs, ksk.dnum)):
-        lift = crt_lift(ctx.primes[lo:hi], poly.limbs[lo:hi])
+        lift = crt_oracle(ctx.primes[lo:hi], poly.limbs[lo:hi], centered=False)
         ext_poly = RnsPolynomial(ext, residues(lift, ext.primes), COEFF)
         a_hat = ext_poly.to_ntt()
         for half in range(2):

@@ -17,9 +17,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from conftest import crt_oracle
+from repro.context import CkksContext
 from repro.errors import LayoutError, ParameterError
 from repro.poly.ntt import canonical_slot_tables, complex_root_powers
-from repro.poly.rns_poly import PolyContext
+from repro.poly.rns_poly import PolyContext, RnsPolynomial
 from repro.rns.primes import PrimePool, ntt_friendly_primes
 from repro.scheme import (
     CanonicalEncoder,
@@ -238,3 +240,30 @@ def test_decode_context_and_defaults():
     other = CanonicalEncoder(_ctx(512))
     with pytest.raises(ParameterError, match="ring degree"):
         other.decode(pt)
+
+
+def test_decode_equals_big_int_floats_then_projection():
+    """Decode is ``project(float(c) / scale)`` of the centered big-int
+    coefficients, bit for bit, also at a scale stacked past 2^53."""
+    n = 256
+    ctx = _ctx(n, limbs=4)
+    enc = CanonicalEncoder(ctx)
+    for scale, num in ((SCALE, 8), (2.0**70, n // 2)):
+        pt = enc.encode(_slots(n, num), scale, num_slots=num)
+        ints = crt_oracle(ctx.primes, pt.poly.to_coeff().limbs)
+        want = enc.project(np.array([float(c) for c in ints]) / scale, num)
+        got = enc.decode(pt)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_decrypt_needs_no_python_int_reconstruction(monkeypatch):
+    """``cc.decrypt`` decodes from the vectorized reconstruction alone."""
+    cc = CkksContext(ring_degree=64, num_main=3, num_aux=3, dnum=2, seed=3)
+    v = np.array([0.25, -0.5, 0.75, 1.0])
+    ct = cc.encrypt(v, num_slots=4)
+
+    def refuse(self, *, centered=True):
+        raise AssertionError("decrypt reached to_int_coeffs")
+
+    monkeypatch.setattr(RnsPolynomial, "to_int_coeffs", refuse)
+    assert np.abs(cc.decrypt(ct, num_slots=4) - v).max() < 1e-4

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.context import CkksContext
-from repro.errors import ServingError
+from repro.errors import DeadlineExceededError, ServingError
 from repro.serving import (
     CkksServer,
     FaultInjector,
@@ -102,6 +102,19 @@ def test_corrupted_payload_fails_alone_others_deliver(cc):
     assert verify_delivered(server) == 0
 
 
+def test_expired_request_carries_no_payload_corruption(cc):
+    """A ``corrupt-payload`` draw fires at the batch cut: a request that
+    expires first is rejected on its deadline and never corrupted, so
+    the injection count still meets the checksum's detections."""
+    injector = FaultInjector(1, forced={0: "corrupt-payload"})
+    server = make_server(cc, injector)
+    with pytest.raises(DeadlineExceededError):  # due at once: expired at the cut
+        serve(server, server.submit("square", 0.1, deadline_s=0.0))
+    assert injector.planned[0] == "corrupt-payload"
+    assert injector.injected["corrupt-payload"] == 0
+    assert server.faults_detected["corrupted-payload"] == 0
+
+
 def test_retry_recovers_after_transient_kernel_faults(cc):
     """Satellite (b): N transient kernel faults, then success via backoff."""
     injector = FaultInjector(
@@ -179,8 +192,59 @@ def test_noise_exhaustion_guard_retries(cc):
     server = make_server(cc, injector)
     value = serve(server, server.submit("affine", 0.9))
     assert math.isclose(value.real, 0.5 * 0.9 + 0.25, abs_tol=1e-4)
+    assert injector.injected["noise"] == 1
     assert server.faults_detected["budget-exhausted"] == 1
     assert server.metrics["retries"] == 1
+    assert verify_delivered(server) == 0
+
+
+def test_co_drawn_noise_and_kernel_error_reconcile(cc):
+    """Two requests of one batch draw ``noise`` and ``kernel-error``: the
+    kernel fault ends the run before any result exists, so no noise
+    penalty is applied or counted, and each count meets its detector's."""
+    injector = FaultInjector(10, forced={0: "noise", 1: "kernel-error"})
+    server = make_server(cc, injector)
+    results = gather_batch(server, "square", [0.3, -0.7])
+    for v, got in zip([0.3, -0.7], results):
+        assert math.isclose(got.real, v * v, abs_tol=1e-4), (v, got)
+    assert injector.injected["kernel-error"] == 1
+    assert server.faults_detected["kernel-fault"] == 1
+    assert injector.injected["noise"] == 0
+    assert server.faults_detected["budget-exhausted"] == 0
+    assert server.metrics["retries"] == 1
+    assert verify_delivered(server) == 0
+
+
+def test_bitflip_before_a_kernel_fault_is_detected(cc):
+    """On the affine tenant the bit flip (second step) lands before the
+    first forward NTT (in the rescale, third step) raises: the input
+    fingerprint is re-checked after the faulted run as well."""
+    injector = FaultInjector(12, forced={0: "bitflip-ct", 1: "kernel-error"})
+    server = make_server(cc, injector)
+    results = gather_batch(server, "affine", [0.2, -0.4])
+    for v, got in zip([0.2, -0.4], results):
+        assert math.isclose(got.real, 0.5 * v + 0.25, abs_tol=1e-4), (v, got)
+    assert injector.injected["bitflip-ct"] == 1
+    assert server.faults_detected["input-corruption"] == 1
+    assert injector.injected["kernel-error"] == 1
+    assert server.faults_detected["kernel-fault"] == 1
+    assert verify_delivered(server) == 0
+
+
+def test_timed_out_run_is_disarmed_before_its_drain(cc):
+    """A stall co-drawn with ``kernel-error``: the watchdog gives up on
+    the run and disarms the hook, so the drained zombie thread reaches
+    its first forward NTT without firing the kernel fault."""
+    injector = FaultInjector(11, forced={0: "stall", 1: "kernel-error"},
+                             stall_s=0.6)
+    server = make_server(cc, injector, watchdog_s=0.2)
+    results = gather_batch(server, "square", [0.5, 0.25])
+    for v, got in zip([0.5, 0.25], results):
+        assert math.isclose(got.real, v * v, abs_tol=1e-4), (v, got)
+    assert injector.injected["stall"] == 1
+    assert server.faults_detected["watchdog-timeout"] == 1
+    assert injector.injected["kernel-error"] == 0
+    assert server.faults_detected["kernel-fault"] == 0
     assert verify_delivered(server) == 0
 
 

@@ -6,16 +6,20 @@ point: the (num_limbs, N) limb layout must be *algebraically invisible*.
 """
 
 import gc
+import random
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import negacyclic_schoolbook
-from repro.errors import LayoutError, LevelError, ParameterError
+from conftest import crt_oracle, negacyclic_schoolbook
+from repro.errors import LayoutError, LevelError, ParameterError, SanitizerError
+from repro.poly.backends import compiled
 from repro.poly.ntt import NegacyclicNTT
 from repro.poly.rns_poly import COEFF, NTT, PolyContext
+from repro.rns.crt import CrtReconstructor
 from repro.rns.primes import PrimePool, ntt_friendly_primes
+from repro.scheme import Plaintext
 
 N = 16  # tiny ring keeps the exact big-int references fast
 
@@ -24,6 +28,25 @@ N = 16  # tiny ring keeps the exact big-int references fast
 def ctx():
     small = PrimePool.generate(N, num_main=2, num_terminal=1, num_aux=0)
     return PolyContext.from_pool(small, num_terminal=1, num_main=2)
+
+
+def crt_edge_values(big_q: int, seed: int) -> list[int]:
+    """0, +-1, the neighbours of +-Q/2, Q-1, and float64 rounding ties
+    (an even and an odd 53-bit mantissa plus half an ulp, and their +-1
+    neighbours) at every exponent from 2^53 up to Q/2, both signs; then
+    uniform values."""
+    half = big_q // 2
+    values = [
+        0, 1, -1, 2, -2, half, half - 1, -half, 1 - half, half + 1, big_q - 1
+    ]
+    for e in range(53, half.bit_length()):
+        for mantissa in (1 << 52, (1 << 52) + 1):
+            tie = (mantissa << (e - 52)) + (1 << (e - 53))
+            values += [
+                s * (tie + d) for s in (1, -1) for d in (-1, 0, 1) if tie + d <= half
+            ]
+    rng = random.Random(seed)
+    return values + [rng.randrange(-half, half + 1) for _ in range(256)]
 
 
 def test_context_properties(ctx):
@@ -38,6 +61,69 @@ def test_int_coeffs_round_trip(ctx):
     assert poly.to_int_coeffs(centered=True) == coeffs
     uncentered = poly.to_int_coeffs(centered=False)
     assert uncentered == [c % ctx.modulus for c in coeffs]
+
+
+@pytest.fixture(scope="module")
+def wide_primes():
+    """Eleven limbs from ~2^25 to ~2^30, the spread of the circuit
+    workload's basis."""
+    pool = PrimePool.generate(N, num_main=8, num_terminal=3, num_aux=0)
+    return [p.value for p in pool.limb_primes(3, 8)]
+
+
+@pytest.mark.parametrize("tier", ["numpy", "compiled"])
+@pytest.mark.parametrize(
+    "num_limbs, reverse",
+    [(1, False), (2, False), (5, False), (11, False), (11, True)],
+)
+def test_crt_reconstruction_matches_sum_of_lifts(
+    wide_primes, tier, num_limbs, reverse
+):
+    """``to_int_coeffs`` equals the big-int oracle and the decoded floats
+    equal ``float(c) / scale`` bit for bit, on edge values of bases of
+    1 to 11 limbs in both prime orders.  Each polynomial is first
+    multiplied by one, so the residues decoded are the tier's forward
+    NTT, pointwise product and inverse NTT output."""
+    if tier == "compiled" and compiled.get_lib() is None:
+        pytest.skip("no C toolchain")
+    primes = wide_primes[:num_limbs]
+    if reverse:
+        primes = primes[::-1]
+    ctx = PolyContext(N, primes, "smr", backend=tier)
+    one = ctx.from_int_coeffs([1] + [0] * (N - 1))
+    values = crt_edge_values(ctx.modulus, seed=num_limbs)
+    scale = 2.0**40
+    for start in range(0, len(values), N):
+        chunk = values[start : start + N]
+        base = ctx.from_int_coeffs(chunk + [0] * (N - len(chunk)))
+        poly = base * one
+        assert np.array_equal(poly.limbs, base.limbs)
+        expect = crt_oracle(primes, poly.limbs)
+        assert poly.to_int_coeffs() == expect
+        assert poly.to_int_coeffs(centered=False) == crt_oracle(
+            primes, poly.limbs, centered=False
+        )
+        poly.state.scale = scale
+        got = Plaintext(poly).decode()
+        want = np.array([float(c) for c in expect]) / scale
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    in_c = isinstance(ctx.batch_ntt._impl, compiled.CompiledNtt)
+    assert in_c == (tier == "compiled")
+
+
+def test_crt_digits_range_checked():
+    """Checked mode asserts the mixed-radix digit rows: a residue at q
+    (outside canonical range) under the smallest prime, whose digit is
+    the residue itself, is a digit out of range."""
+    primes = [p.value for p in ntt_friendly_primes(30, 3, N)]
+    low = int(np.argmin(primes))
+    crt = CrtReconstructor(primes, checked=True)
+    bad = np.zeros((3, N), np.uint64)
+    bad[low, 5] = primes[low]
+    with pytest.raises(SanitizerError, match="CRT mixed-radix digits"):
+        crt.digits(bad)
+    unchecked = CrtReconstructor(primes, checked=False).digits(bad)
+    assert unchecked[0, 5] == primes[low]
 
 
 def test_add_sub_negate_match_crt(ctx, rng):
