@@ -18,7 +18,6 @@ Everything underscore-prefixed is internal.
 """
 
 from repro.errors import CheddarError, ModelPlanError
-from repro.plan import Plan
 
 __all__ = [
     "CheddarError",
@@ -49,6 +48,11 @@ def __getattr__(name):
         from repro.context import CkksContext
 
         return CkksContext
+    if name == "Plan":
+        # what cc.compile returns; its type lives in a private module
+        from repro.scheme import CircuitPlan
+
+        return CircuitPlan
     if name == "ml":
         import repro.ml as ml
 

@@ -51,10 +51,11 @@ Warnings (suspicious but not statically fatal):
 * ``dead-hoist`` — a hoisted ModUp tensor no Galois step consumes.
 * ``redundant-ntt-roundtrip`` — a step materializes coefficient-domain
   components although every consumer accepts (and will re-transform to)
-  the NTT domain; the planner's rule over the table's ``keeps_ntt`` /
-  ``ntt_operand`` flags, so planner-produced plans never trip it —
-  firing means the schedule pays an inverse/forward transform pair for
-  nothing.
+  the NTT domain; the planner's own predicate over the table's
+  ``keeps_ntt`` / ``ntt_operand`` flags
+  (:func:`~repro.scheme.ops.persists_ntt`), so planner-produced plans
+  never trip it — firing means the schedule pays an inverse/forward
+  transform pair for nothing.
 """
 
 from __future__ import annotations
@@ -71,7 +72,13 @@ from repro.errors import (
     StaticAnalysisError,
 )
 from repro.rns.reduction import REDUCER_CONTRACTS
-from repro.scheme.ops import MAC, OPS, RESCALE, NoiseModel, check_key_level
+from repro.scheme.ops import (
+    OPS,
+    RESCALE,
+    NoiseModel,
+    check_key_level,
+    persists_ntt,
+)
 
 #: diagnostic code for each operand-check failure the table raises
 _CODES = {
@@ -173,7 +180,7 @@ class _Checker:
 
     # -- reporting helpers -------------------------------------------------
     def _where(self, i, step) -> str:
-        label = getattr(step, "label", "") or step.kind
+        label = step.label or step.kind
         reg = f"->r{step.dst}" if step.dst >= 0 else ""
         return f"step {i} ({label}{reg})"
 
@@ -205,60 +212,60 @@ class _Checker:
         cts = [self._src(i, step, s) for s in step.srcs]
         if any(ct is None for ct in cts):
             return
-        arg, key = step.operands()
         try:
-            op.validate(cts, arg)
+            op.validate(cts, step.arg)
         except (LevelError, ScaleMismatchError, ParameterError) as exc:
             self.error(_CODES.get(type(exc), "invalid-step"), i, step, str(exc))
-            if op is RESCALE:
-                return  # no limb left to drop: nothing to propagate
         else:
-            if op.ctx(cts).num_limbs != step.level:
+            if cts[0].level != step.level:
                 self.error(
                     "level-mismatch", i, step,
                     f"{step.kind} operands at level {cts[0].level} but the "
                     f"step declares level {step.level}",
                 )
-        if key is not None:
+        if step.key is not None:
             at = self.chain.get(step.level)
             try:
                 check_key_level(
-                    key, () if at is None else at.primes, step.level, op.name
+                    step.key, () if at is None else at.primes, step.level,
+                    op.name,
                 )
             except KeyError_ as exc:
                 self.error("key-level-mismatch", i, step, str(exc))
-        if op is MAC:
+        if "acc" in op.binds:
             self._check_mac_headroom(i, step, len(cts))
+        try:
+            st = self._rule(op, cts, step.arg, step.key)
+        except LevelError:
+            return  # no limb left to drop: nothing to propagate
         raised = op.raises_scale or any(ct.raised for ct in cts)
         exhausted = any(ct.exhausted for ct in cts)
-        rescales = step.rescales
-        if op is RESCALE:
-            # a lone rescale is the identity plus one fused rescale
-            st = cts[0]
-            rescales += 1
-        else:
-            st = replace(
-                cts[0],
-                scale=op.scale(cts, arg),
-                noise_bits=op.noise(cts, arg, key, self.model),
-            )
-        self._finish(i, step, st, rescales, raised, exhausted)
+        self._finish(i, step, cts[0], st, raised, exhausted)
 
-    def _finish(self, i, step, st, rescales, raised, src_exhausted) -> None:
-        """Apply ``rescales`` rescales to ``st``, check it, store it."""
-        if rescales:
-            scale_before = st.scale
-            for _ in range(rescales):
-                one = (st,)
-                ctx = RESCALE.ctx(one)
-                st = replace(
-                    st,
-                    level=ctx.num_limbs,
-                    ctx=ctx,
-                    scale=RESCALE.scale(one, None),
-                    noise_bits=RESCALE.noise(one, None, None, self.model),
-                )
-            self._rescale_quality(i, step, scale_before, st.scale, raised)
+    def _rule(self, op, cts, arg, key) -> NodeState:
+        """``op``'s ctx, scale and noise rules applied to ``cts``."""
+        ctx = op.ctx(cts)
+        return replace(
+            cts[0],
+            level=ctx.num_limbs,
+            ctx=ctx,
+            scale=op.scale(cts, arg),
+            noise_bits=op.noise(cts, arg, key, self.model),
+        )
+
+    def _finish(self, i, step, src, st, raised, src_exhausted) -> None:
+        """Apply the step's fused rescales to ``st``, check it, store it.
+
+        ``src`` is the first operand's state.  A result below its level
+        was rescaled, by the step's fused rescales or by a lone rescale
+        step, and gets the rescale checks from the scale entering that
+        chain to the scale leaving it.
+        """
+        before = src.scale if st.level < src.level else st.scale
+        for _ in range(step.rescales):
+            st = self._rule(RESCALE, (st,), None, None)
+        if st.level < src.level:
+            self._rescale_quality(i, step, before, st.scale, raised)
             raised = False
         level, scale, noise = st.level, st.scale, st.noise_bits
         budget = self._budget(level, noise)
@@ -287,7 +294,7 @@ class _Checker:
             noise_bits=noise,
             budget_bits=budget,
             step=i,
-            label=getattr(step, "label", "") or step.kind,
+            label=step.label or step.kind,
             raised=raised,
             exhausted=exhausted,
             ctx=st.ctx,
@@ -321,8 +328,8 @@ class _Checker:
     def run(self) -> PlanReport:
         plan = self.plan
         steps = plan._steps
-        hoist_groups: dict[int, int] = {}  # gidx -> step index
-        hoist_uses: dict[int, int] = {}
+        hoists: list[tuple[int, object]] = []  # (step index, hoist step)
+        consumed: set[int] = set()  # ids of the hoist tensors Galois reads
         consumers: dict[int, list] = {}
         for step in steps:
             for s in step.srcs:
@@ -331,26 +338,22 @@ class _Checker:
         for i, step in enumerate(steps):
             kind = step.kind
             if kind == "input":
-                name, scale = step.payload
                 fresh = self.model.fresh_bits
                 self.states[step.dst] = NodeState(
                     level=step.level,
-                    scale=scale,
+                    scale=step.scale,
                     noise_bits=fresh,
                     budget_bits=self._budget(step.level, fresh),
                     step=i,
-                    label=getattr(step, "label", "") or f"input:{name}",
+                    label=step.label or f"input:{step.arg}",
                     ctx=self.chain[step.level],
                 )
             elif kind == "hoist":
-                gidx = step.payload[0]
-                hoist_groups[gidx] = i
-                hoist_uses.setdefault(gidx, 0)
+                hoists.append((i, step))
                 self._src(i, step, step.srcs[0])
             elif kind in OPS:
-                if kind == "galois":
-                    gidx = step.payload[3]
-                    hoist_uses[gidx] = hoist_uses.get(gidx, 0) + 1
+                if "hoisted" in step.res:
+                    consumed.add(id(step.res["hoisted"]))
                 self._op_step(i, step, OPS[kind])
             else:
                 self.error(
@@ -359,12 +362,11 @@ class _Checker:
 
             self._check_ntt_roundtrip(i, step, consumers)
 
-        for gidx, at in hoist_groups.items():
-            if not hoist_uses.get(gidx):
-                step = steps[at]
+        for group, (at, step) in enumerate(hoists):
+            if id(step.res.get("hoisted")) not in consumed:
                 self.warn(
                     "dead-hoist", at, step,
-                    f"hoisted ModUp tensor (group {gidx}) is never "
+                    f"hoisted ModUp tensor (group {group}) is never "
                     "consumed by a Galois step",
                 )
 
@@ -381,7 +383,9 @@ class _Checker:
         )
 
     def _check_mac_headroom(self, i, step, terms) -> None:
-        ctx = self.chain[step.level]
+        ctx = self.chain.get(step.level)
+        if ctx is None:
+            return  # no such level: reported as a level mismatch
         qmax = max(ctx.primes)
         capacity = REDUCER_CONTRACTS[ctx.method].lazy_headroom(qmax)
         if terms > capacity:
@@ -394,16 +398,10 @@ class _Checker:
 
     def _check_ntt_roundtrip(self, i, step, consumers) -> None:
         """The planner's NTT-persistence rule, replayed as a lint."""
-        if step.dst < 0 or step.emit_ntt or step.rescales:
-            return
-        op = OPS.get(step.kind)
-        if op is None or not op.keeps_ntt:
-            return
-        if step.dst in self.plan._outputs.values():
-            return
-        users = consumers.get(step.dst, ())
-        if users and all(
-            u.kind in OPS and OPS[u.kind].ntt_operand for u in users
+        users = [u.kind for u in consumers.get(step.dst, ())]
+        outputs = self.plan._outputs.values()
+        if not step.emit_ntt and persists_ntt(
+            step.kind, step.rescales, step.dst in outputs, users
         ):
             self.warn(
                 "redundant-ntt-roundtrip", i, step,

@@ -22,25 +22,29 @@ generalizes the discipline to *whole programs*:
   **bit-identical** to the eager evaluator (the property tests replay
   seeded random DAGs both ways and compare limbs).
 * The **executor** (:meth:`CircuitPlan.run`) replays the step list
-  against fresh inputs with no per-call planning or encoding: the key
-  switchers, automorphism permutations, hoist tensors, lazy
-  accumulators and encoded (transformed, reducer-prepared) plaintexts
-  are all captured once per plan.  Replay still allocates: each step
-  builds fresh output polynomials and its kernels' temporaries (ROADMAP
-  item 4 measures the per-request peak and plans plan-owned buffers).
-  Every step runs the op table's entry (:mod:`repro.scheme.ops`) — the
+  against fresh inputs with no per-call planning or encoding.  Each
+  step is a named record binding, once per plan, what its op-table
+  entry (:mod:`repro.scheme.ops`) needs: the constants the entry's
+  ``capture`` derives (key switchers, automorphism permutations,
+  transformed and reducer-prepared plaintexts) and the plan scratch it
+  names (hoist tensors, lazy accumulators).  Replay still allocates:
+  each step builds fresh output polynomials and its kernels'
+  temporaries (ROADMAP item 4 measures the per-request peak and plans
+  plan-owned buffers).  Every step runs the entry's ``apply`` — the
   arithmetic and the scale and noise rules the eager evaluator runs —
   so noise estimates, computed at run time because they depend on the
-  inputs, match eager float for float.
+  inputs, match eager float for float.  :meth:`CircuitPlan.cost` adds
+  up the entries' ``price``.
 
-:class:`CircuitPlan` satisfies the :class:`repro.plan.Plan` protocol:
-``build`` / ``run`` / ``cost`` / ``validate``.
+:class:`CircuitPlan` is the public ``repro.Plan``: ``run`` / ``cost`` /
+``validate``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +57,6 @@ from repro.errors import (
 )
 from repro.poly.cost import CostModel, OpCost, _merge
 from repro.poly.lazy import LazyAccumulator
-from repro.poly.ntt import automorphism_tables
 from repro.poly.rns_poly import (
     _FP_MIX,
     COEFF,
@@ -67,6 +70,7 @@ from repro.scheme.ops import (
     RESCALE,
     Op,
     materialize,
+    persists_ntt,
     scales_match,
 )
 
@@ -263,43 +267,39 @@ class CircuitTracer(Evaluator):
         return CircuitPlan(self, out_nodes, single)
 
 
+@dataclass(eq=False, slots=True)
 class _Step:
-    """One executor step of a compiled plan."""
+    """One executor step of a compiled plan, its arguments bound by name.
 
-    __slots__ = ("kind", "dst", "srcs", "payload", "rescales", "emit_ntt",
-                 "level", "label")
+    ``arg`` and ``key`` follow the op table's convention (an input
+    step's ``arg`` is its name; a hoist step's ``key`` is its group's
+    switching key).  ``res`` holds the keyword arguments the entry's
+    ``apply`` takes: the constants its ``capture`` derived plus the plan
+    scratch its ``binds`` names.  ``consts`` are the captured plaintext
+    polynomials, ``level`` the operands' level (an input's own) and
+    ``scale`` the traced scale of the value the step writes.
+    """
 
-    def __init__(self, kind, dst=-1, srcs=(), payload=None, rescales=0,
-                 emit_ntt=False, level=0, label=""):
-        self.kind = kind
-        self.dst = dst
-        self.srcs = tuple(srcs)
-        self.payload = payload
-        self.rescales = rescales
-        self.emit_ntt = emit_ntt
-        self.level = level
-        #: trace-node provenance ("n<id>:<op>") for analyzer diagnostics
-        self.label = label
-
-    def operands(self):
-        """The op table's ``(arg, key)`` for this step, from its payload."""
-        kind, payload = self.kind, self.payload
-        if kind == "add_plain":
-            return payload, None
-        if kind in ("multiply_plain", "mac"):
-            return payload[0], None
-        if kind == "multiply":
-            return None, payload[0]
-        if kind == "galois":
-            return payload[0], payload[1]
-        return None, None
+    kind: str
+    dst: int = -1
+    srcs: tuple = ()
+    arg: object = None
+    key: object = None
+    res: dict = field(default_factory=dict)
+    consts: tuple = ()
+    rescales: int = 0
+    emit_ntt: bool = False
+    level: int = 0
+    scale: float | None = None
+    #: trace-node provenance ("n<id>:<op>") for analyzer diagnostics
+    label: str = ""
 
 
 class CircuitPlan:
     """A compiled evaluator program: step list + captured constants.
 
-    Satisfies the :class:`repro.plan.Plan` protocol.  Build once
-    (through :meth:`CircuitTracer.compile` / :meth:`build`), run many:
+    Public as ``repro.Plan``.  Build once (through
+    :meth:`CircuitTracer.compile`), run many:
     every :meth:`run` replays the same schedule against fresh inputs —
     no planning and no plaintext encoding; the captured scratch (hoist
     tensors, accumulators) is reused, while step outputs and kernel
@@ -320,11 +320,6 @@ class CircuitPlan:
         # caller feeding the full batch must not be punished for that
         self._declared = frozenset(tracer._input_names)
         self._plan(tracer, out_nodes)
-
-    @classmethod
-    def build(cls, tracer: CircuitTracer, outputs) -> CircuitPlan:
-        """Plan-protocol constructor (same as ``tracer.compile``)."""
-        return tracer.compile(outputs)
 
     # -- planning ----------------------------------------------------------
     def _plan(self, tracer: CircuitTracer, out_nodes: dict[str, _Node]):
@@ -407,160 +402,80 @@ class CircuitPlan:
                 base_of[n.id] = (src, 1)
                 inlined.add(src.id)
 
-        # -- NTT persistence: a value stays in the NTT domain when every
-        # consumer accepts it there (and it is not an output and carries
-        # no fused rescale).  Conversions are exact either way; this
-        # only removes inverse/forward transform pairs.
-        def _keeps_ntt(value_node: _Node, produced_op: str, rescales: int):
-            if rescales or value_node.id in out_ids:
-                return False
-            op = OPS.get(produced_op)
-            if op is None or not op.keeps_ntt:
-                return False
-            users = cons[value_node.id]
-            if not users:
-                return False
-            return all(OPS[c.op].ntt_operand for c in users)
-
-        # -- hoist grouping: Galois ops are grouped by (source value,
-        # key configuration); each group shares one ModUp + forward
-        # transform of every digit.
-        hoist_groups: dict[tuple, int] = {}
-        hoist_specs: list[tuple[_Node, object]] = []  # (src node, switcher)
-
-        def _galois_group(gnode: _Node) -> int:
-            ksk = gnode.key
-            src = gnode.args[0]
-            key = (src.id, tuple(ksk.aux_primes), ksk.dnum)
-            idx = hoist_groups.get(key)
-            if idx is None:
-                idx = len(hoist_specs)
-                hoist_groups[key] = idx
-                switcher = gnode.ctx.key_switcher(ksk.aux_primes, ksk.dnum)
-                hoist_specs.append((src, switcher))
-            return idx
-
-        # -- step emission in trace order --------------------------------
+        # -- step emission in trace order: each step binds its op-table
+        # entry's captured constants and the plan scratch the entry
+        # names.  Galois ops are grouped by (source value, key
+        # configuration); each group shares one ModUp + forward
+        # transform of every digit, run by a hoist step ahead of the
+        # group's first Galois step.
         slot_of: dict[int, int] = {}
         steps: list[_Step] = []
         inputs: list[tuple[str, int, float]] = []
-        hoisted_emitted: set[int] = set()
-        n_ring = self.ctx.ring_degree
-        levels_used: set[int] = set()
-
-        def _slot(node: _Node) -> int:
-            return slot_of[node.id]
+        self._accs: dict[int, LazyAccumulator] = {}
+        hoisted: dict[tuple, np.ndarray] = {}
 
         for n in live:
             if n.id in absorbed or n.id in inlined:
                 continue
             # Resolve what this value node actually computes.
-            if n.id in base_of:
-                base, rescales = base_of[n.id]
-            else:
-                base, rescales = n, 0
-            op = _eff_op(base)
-            dst = len(slot_of)
-            slot_of[n.id] = dst
-            emit_ntt = _keeps_ntt(n, op, rescales)
-            level = base.ctx.num_limbs
-            levels_used.add(level)
-            if op == "input":
+            base, rescales = base_of.get(n.id, (n, 0))
+            kind = _eff_op(base)
+            dst = slot_of[n.id] = len(slot_of)
+            label = f"n{n.id}:{kind}"
+            if kind == "input":
                 inputs.append((base.arg, dst, base.scale))
-                steps.append(_Step("input", dst, (),
-                                   (base.arg, base.scale), level=level))
-            elif op in ("add", "sub", "negate"):
-                steps.append(_Step(
-                    op, dst, [_slot(a) for a in base.args],
-                    emit_ntt=emit_ntt, level=level,
-                ))
-            elif op == "add_plain":
-                pt = base.arg
-                steps.append(_Step(
-                    "add_plain", dst, (_slot(base.args[0]),), pt,
-                    level=level,
-                ))
-            elif op == "multiply_plain":
-                pt = base.arg
-                p_ntt = pt.poly.to_ntt()
-                p_ntt.prepared_operand()
-                steps.append(_Step(
-                    "multiply_plain", dst, (_slot(base.args[0]),),
-                    (pt, p_ntt), rescales, emit_ntt, level,
-                ))
-            elif op == "mac":
-                terms = mac_terms[base.id]
-                pts = [pt for _, pt in terms]
-                p_ntts = []
-                for pt in pts:
-                    p = pt.poly.to_ntt()
-                    p.prepared_operand()
-                    p_ntts.append(p)
-                steps.append(_Step(
-                    "mac", dst, [_slot(src) for src, _ in terms],
-                    (pts, p_ntts), rescales, emit_ntt, level,
-                ))
-            elif op == "multiply":
-                relin = base.key  # resolved at the node's level
-                switcher = base.ctx.key_switcher(relin.aux_primes, relin.dnum)
-                steps.append(_Step(
-                    "multiply", dst,
-                    (_slot(base.args[0]), _slot(base.args[1])),
-                    (relin, switcher), rescales,
-                    level=level,
-                ))
-            elif op == "galois":
-                k, ksk = base.arg, base.key
-                gidx = _galois_group(base)
-                if gidx not in hoisted_emitted:
-                    hoisted_emitted.add(gidx)
-                    src_node, switcher = hoist_specs[gidx]
+                steps.append(_Step("input", dst, arg=base.arg, level=base.level,
+                                   scale=base.scale, label=label))
+                continue
+            op = OPS[kind]
+            emit_ntt = persists_ntt(
+                kind, rescales, n.id in out_ids, [c.op for c in cons[n.id]]
+            )
+            srcs, arg = base.args, base.arg
+            if base.id in mac_terms:
+                srcs, arg = zip(*mac_terms[base.id])
+            src = srcs[0]
+            res, consts = op.capture(src.ctx, arg, base.key)
+            if "acc" in op.binds:
+                res["acc"] = self._acc(src.ctx)
+            if "ntt" in op.binds:
+                res["ntt"] = emit_ntt
+            if "hoisted" in op.binds:
+                group = (src.id, tuple(base.key.aux_primes), base.key.dnum)
+                if group not in hoisted:
+                    sw = res["switcher"]
+                    hoisted[group] = np.empty(
+                        (sw.dnum, sw.num_ext, self.ctx.ring_degree), np.uint64
+                    )
                     steps.append(_Step(
-                        "hoist", -1, (_slot(src_node),),
-                        (gidx, switcher), level=level,
+                        "hoist", -1, (slot_of[src.id],), key=base.key,
+                        res={"switcher": sw, "hoisted": hoisted[group]},
+                        level=src.level, label=f"n{n.id}:hoist",
                     ))
-                perm = automorphism_tables(n_ring, k)[2]
-                _, switcher = hoist_specs[gidx]
-                steps.append(_Step(
-                    "galois", dst, (_slot(base.args[0]),),
-                    (k, ksk, perm, gidx, switcher), rescales,
-                    level=level,
-                ))
-            elif op == "rescale":
-                steps.append(_Step(
-                    "rescale", dst, (_slot(base.args[0]),), level=level,
-                ))
-            else:  # pragma: no cover - tracer and planner move together
-                raise ParameterError(f"unknown traced op {base.op!r}")
-            steps[-1].label = f"n{n.id}:{op}"
-            if op == "galois" and steps[-2].kind == "hoist":
-                if not steps[-2].label:
-                    steps[-2].label = f"n{n.id}:hoist"
+                res["hoisted"] = hoisted[group]
+            steps.append(_Step(
+                kind, dst, tuple(slot_of[a.id] for a in srcs), arg=arg,
+                key=base.key, res=res, consts=consts, rescales=rescales,
+                emit_ntt=emit_ntt, level=src.level, scale=n.scale, label=label,
+            ))
 
         self._steps = steps
         self._n_slots = len(slot_of)
         self._inputs = inputs
         self._outputs = {name: slot_of[n.id] for name, n in out_nodes.items()}
 
-        # -- per-plan scratch ---------------------------------------------
-        # One lazy accumulator per live level serves every MAC in the
-        # plan (steps run sequentially; multiply_accumulate resets it).
-        self._accs: dict[int, LazyAccumulator] = {}
-        for level in levels_used:
-            lvl_ctx = self.ctx
-            while lvl_ctx.num_limbs > level:
-                lvl_ctx = lvl_ctx.drop_last()
+    def _acc(self, ctx: PolyContext) -> LazyAccumulator:
+        """The lazy accumulator every MAC at ``ctx``'s level shares (steps
+        run sequentially; multiply_accumulate resets it)."""
+        level = ctx.num_limbs
+        if level not in self._accs:
             self._accs[level] = LazyAccumulator(
-                lvl_ctx.batch_ntt.reducer,
-                (level, n_ring),
-                checked=lvl_ctx.checked,
-                backend=lvl_ctx.backend,
+                ctx.batch_ntt.reducer,
+                (level, ctx.ring_degree),
+                checked=ctx.checked,
+                backend=ctx.backend,
             )
-        # One hoist tensor per group, shaped by its switcher.
-        self._hoist_bufs = [
-            np.empty((sw.dnum, sw.num_ext, n_ring), np.uint64)
-            for _, sw in hoist_specs
-        ]
+        return self._accs[level]
 
     # -- plan protocol -----------------------------------------------------
     def validate(self, config) -> None:
@@ -615,17 +530,9 @@ class CircuitPlan:
         with np.errstate(over="ignore"):
             h = np.uint64(len(self._steps))
             for idx, step in enumerate(self._steps):
-                if step.kind == "multiply_plain":
-                    pt, p_ntt = step.payload
-                    polys = (pt.poly, p_ntt)
-                elif step.kind == "mac":
-                    pts, p_ntts = step.payload
-                    polys = tuple(pt.poly for pt in pts) + tuple(p_ntts)
-                elif step.kind == "add_plain":
-                    polys = (step.payload.poly,)
-                else:
+                if not step.consts:
                     continue
-                for poly in polys:
+                for poly in step.consts:
                     h = (h ^ np.uint64(poly.fingerprint())) * _FP_MIX
                     prepared = poly.state.prepared
                     if prepared is not None:
@@ -726,9 +633,8 @@ class CircuitPlan:
         return ct if step.emit_ntt else materialize(ct)
 
     def _run_step(self, step, vals, provided) -> None:
-        kind = step.kind
-        if kind == "input":
-            name, scale = step.payload
+        if step.kind == "input":
+            name, scale = step.arg, step.scale
             ct = provided[name]
             if not isinstance(ct, Ciphertext):
                 raise ParameterError(
@@ -747,40 +653,22 @@ class CircuitPlan:
             vals[step.dst] = ct
             return
         cts = [vals[s] for s in step.srcs]
-        if kind == "hoist":
-            gidx, switcher = step.payload
-            switcher.hoist(cts[0].c1, out=self._hoist_bufs[gidx])
+        if step.kind == "hoist":
+            step.res["switcher"].hoist(cts[0].c1, out=step.res["hoisted"])
             return
-        arg, key = step.operands()
-        res = {}
-        if kind in ("add", "sub", "negate"):
-            # domain-preserving: operands meet in the step's output domain
-            if not step.emit_ntt or len({ct.domain for ct in cts}) > 1:
-                cts = [materialize(ct) for ct in cts]
-        elif kind == "multiply_plain":
-            res["p_ntt"] = step.payload[1]
-        elif kind == "mac":
-            res["p_ntts"] = step.payload[1]
-            res["acc"] = self._accs[step.level]
-        elif kind == "multiply":
-            _, res["switcher"] = step.payload
-            res["acc"] = self._accs[step.level]
-        elif kind == "galois":
-            _, _, res["perm"], gidx, res["switcher"] = step.payload
-            res["hoisted"] = self._hoist_bufs[gidx]
-        ct = OPS[kind].apply(cts, arg, key, self._noise, **res)
+        ct = OPS[step.kind].apply(cts, step.arg, step.key, self._noise, **step.res)
         vals[step.dst] = self._finish(step, ct)
 
     # -- pricing -----------------------------------------------------------
     def cost(self) -> OpCost:
         """Price one :meth:`run` in Table-3 int32 instructions.
 
-        Field-wise sum over the step list, each step kind priced here
-        from the :class:`~repro.poly.cost.CostModel` kernel entries at
-        the step's level.  The plan supplies what the op table cannot
-        know: term counts, output domains, fused rescales and hoist
-        sharing — a hoist step pays the key switch's shared front once,
-        each Galois step of its group pays only the finish.
+        Field-wise sum over the step list of each op step's
+        :meth:`~repro.scheme.ops.Op.price` at the operands' level, its
+        fused rescales priced by the rescale entry one level down each,
+        and the hoist steps: a hoist step pays the key switch's shared
+        front once, each Galois step of its group pays only the finish.
+        Input steps are free.
         """
         models: dict[int, CostModel] = {}
 
@@ -791,56 +679,13 @@ class CircuitPlan:
 
         total = OpCost(self.ctx.method, 0, 0)
         for s in self._steps:
-            m, limbs = at(s.level), s.level
-            key = s.operands()[1]
             parts: list[tuple[OpCost, int]] = []  # (kernel, calls)
-            if s.kind in ("add", "sub", "negate"):
-                parts = [(m.add(), 2)]
-            elif s.kind == "add_plain":
-                parts = [(m.add(), 1)]
-            elif s.kind == "multiply_plain":
-                parts = [(m.ntt(), 2 * limbs), (m.pointwise(), 2 * limbs)]
-            elif s.kind == "mac":
-                terms = len(s.srcs)
-                parts = [
-                    (m.ntt(), 2 * terms * limbs),
-                    (m.multiply_accumulate(terms), 2),
-                ]
-            elif s.kind == "multiply":
-                # The tensor (four forward transforms, two pointwise
-                # products, a two-term MAC for the cross component, two
-                # inverses for the degree-0/1 outputs), then the
-                # relinearization: one more inverse for the degree-2
-                # input, the key switch and its two component adds.
-                parts = [
-                    (m.ntt(), 4 * limbs),
-                    (m.pointwise(), 2 * limbs),
-                    (m.multiply_accumulate(2), 1),
-                    (m.intt(), 3 * limbs),
-                    (m.ks_shared(key.num_aux, dnum=key.dnum), 1),
-                    (m.ks_finish(key.num_aux, dnum=key.dnum), 1),
-                    (m.add(), 2),
-                ]
+            if s.kind in OPS:
+                parts += OPS[s.kind].price(at(s.level), s)
             elif s.kind == "hoist":
-                switcher = s.payload[1]
-                parts = [(m.ks_shared(len(switcher.aux), dnum=switcher.dnum), 1)]
-            elif s.kind == "galois":
-                # the finish, a free NTT-domain permutation of the
-                # hoisted digits, the coefficient-domain pass on c0 and
-                # the add of the switched part into it
-                parts = [
-                    (m.ks_finish(key.num_aux, dnum=key.dnum), 1),
-                    (m.automorphism("ntt"), 1),
-                    (m.automorphism("coeff"), 1),
-                    (m.add(), 1),
-                ]
-            elif s.kind == "rescale":
-                parts = [(m.rescale(), 2)]
-            # input steps are free
-            if s.kind in ("multiply_plain", "mac") and not s.emit_ntt:
-                parts.append((m.intt(), 2 * limbs))
-            for level in range(limbs, limbs - s.rescales, -1):
-                parts.append((at(level).rescale(), 2))
+                parts.append((at(s.level).ks_shared(s.key.num_aux, dnum=s.key.dnum), 1))
+            for level in range(s.level, s.level - s.rescales, -1):
+                parts += RESCALE.price(at(level), s)
             for op, calls in parts:
                 total = _merge(total, op.scaled(calls))
         return total

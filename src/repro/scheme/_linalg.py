@@ -264,7 +264,10 @@ class SlotLinalg:
         """
         babies = [baby for baby, _ in terms]
         pts = [pt for _, pt in terms]
-        return materialize(MAC.apply(babies, pts, None, self.ev.noise_model))
+        consts, _ = MAC.capture(babies[0].ctx, pts, None)
+        return materialize(
+            MAC.apply(babies, pts, None, self.ev.noise_model, **consts)
+        )
 
     # -- BSGS polynomial evaluation ----------------------------------------
     def poly_eval(

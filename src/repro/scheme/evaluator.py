@@ -1,8 +1,9 @@
 """Homomorphic evaluator over two-component RLWE ciphertexts.
 
 Every op is one entry of the op table (:mod:`repro.scheme.ops`): the
-evaluator runs an entry's operand checks, then its arithmetic and its
-scale and noise rules, and hands back a coefficient-domain ciphertext.
+evaluator runs an entry's operand checks, captures its constants, then
+runs its arithmetic and its scale and noise rules, and hands back a
+coefficient-domain ciphertext.
 The compiled-circuit executor and the static analyzer read the same
 entries, which is what keeps them bit-identical to this eager path.
 
@@ -205,10 +206,14 @@ class Evaluator:
 
     # -- the op set: every op is one entry of the op table ---------------
     def _apply(self, op: Op, cts, arg=None, **res) -> Ciphertext:
-        """Check the operands, run the entry, return a coefficient-domain
-        result (the tracer overrides this to record instead)."""
+        """Check the operands, capture the entry's constants, run it and
+        return a coefficient-domain result (the tracer overrides this to
+        record instead)."""
         key = op.check(self, cts, arg)
-        return materialize(op.apply(cts, arg, key, self.noise_model, **res))
+        consts, _ = op.capture(cts[0].ctx, arg, key)
+        return materialize(
+            op.apply(cts, arg, key, self.noise_model, **consts, **res)
+        )
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self._apply(ADD, (a, b))

@@ -3,15 +3,19 @@
 Every consumer of an op's semantics reads the same entry of :data:`OPS`:
 
 * the eager :class:`~repro.scheme.evaluator.Evaluator` runs an entry's
-  ``check`` and then ``apply``;
+  ``check``, ``capture`` and then ``apply``;
 * :class:`~repro.scheme._circuit.CircuitTracer` runs the same ``check``
   and records the ``scale`` and ``ctx`` rules instead of computing;
-* the circuit planner reads the four flags, and the
+* the circuit planner reads the flags, calls ``capture`` once per step
+  and binds the result by name on the step, next to the plan scratch
+  the entry's ``binds`` names; the
   :class:`~repro.scheme._circuit.CircuitPlan` executor runs ``apply``
-  with the key switchers, accumulators, hoist tensors and encodings it
-  captured at compile time;
+  with those bindings, ``CircuitPlan.cost`` adds up ``price`` and
+  ``CircuitPlan.fingerprint`` checksums the captured plaintexts;
 * :func:`repro.analysis.check_plan` replays ``validate``, ``scale`` and
-  ``noise`` and the flags over a step list without running it.
+  ``noise`` and the flags over a step list without running it, and its
+  ``redundant-ntt-roundtrip`` lint calls the planner's
+  :func:`persists_ntt`.
 
 Because the executor and the analyzer evaluate the very functions the
 eager path evaluates, compiled limbs, scales and noise floats are
@@ -22,10 +26,16 @@ An entry (an :class:`Op`) holds:
 * ``validate`` — operand soundness on ciphertext metadata alone (level,
   context, scale), so it runs on real, traced and abstract operands;
   ``check`` adds the switching-key lookup through the evaluator;
+* ``capture`` — the constants ``compute`` reads, derived from the op's
+  argument and key alone (a plaintext's prepared NTT twin, the key
+  switcher, the slot permutation), with the plaintext polynomials they
+  come from;
 * ``compute`` — the arithmetic on the component polynomials;
 * ``scale`` / ``noise`` / ``ctx`` — the transfer rules.  Noise is the
   heuristic ``log2 |noise|`` estimate of :attr:`Ciphertext.noise_bits`,
   good for budgeting and test assertions, nothing cryptographic;
+* ``price`` — the Table-3 kernels one compiled step runs, as
+  ``(kernel cost, calls)`` pairs;
 * the flags ``ntt_operand``, ``keeps_ntt``, ``absorbs_rescale`` and
   ``raises_scale``.
 
@@ -140,6 +150,11 @@ class Op:
     raises_scale = False
     #: the result does not depend on the operand order
     commutative = False
+    #: what a compiled step binds for ``apply`` besides the captured
+    #: constants: ``"acc"`` (the level's lazy accumulator, one product per
+    #: operand), ``"hoisted"`` (the hoist group's ModUp tensor) and
+    #: ``"ntt"`` (the step keeps its result in the NTT domain)
+    binds: tuple[str, ...] = ()
 
     def validate(self, cts, arg) -> None:
         """Raise if the operands cannot be combined soundly."""
@@ -148,6 +163,12 @@ class Op:
         """:meth:`validate`, then the switching key ``ev`` holds for the op."""
         self.validate(cts, arg)
         return None
+
+    def capture(self, ctx, arg, key):
+        """``(res, consts)``: the constants :meth:`compute` reads, derived
+        from ``arg`` and ``key`` at the operands' context ``ctx``, as
+        keyword arguments, and the plaintext polynomials they come from."""
+        return {}, ()
 
     def ctx(self, cts):
         return cts[0].ctx
@@ -171,11 +192,56 @@ class Op:
             noise_bits=self.noise(cts, arg, key, model),
         )
 
+    def price(self, model, step) -> list:
+        """``[(kernel cost, calls)]`` of one compiled ``step``, from the
+        :class:`~repro.poly.cost.CostModel` at the operands' level; the
+        plan adds the step's fused rescales (priced by the rescale entry)."""
+        raise NotImplementedError
 
-class _Linear(Op):
+
+def persists_ntt(kind: str, rescales: int, is_output: bool, consumers) -> bool:
+    """The NTT-persistence rule over the table's flags.
+
+    A value produced by a ``kind`` step stays in the NTT domain when the
+    entry keeps NTT, the step fuses no rescale, the value is no plan
+    output, and it has consumers whose kinds (``consumers``) all accept
+    an NTT operand.  Conversions are exact either way; this only removes
+    inverse/forward transform pairs.  The planner applies it and the
+    analyzer's ``redundant-ntt-roundtrip`` lint replays it.
+    """
+    op = OPS.get(kind)
+    return (
+        op is not None
+        and op.keeps_ntt
+        and not rescales
+        and not is_output
+        and bool(consumers)
+        and all(c in OPS and OPS[c].ntt_operand for c in consumers)
+    )
+
+
+class _Limbwise(Op):
+    """A limb-wise op, computed in its operands' domain.
+
+    Operands meet in the NTT domain only when the step keeps its result
+    there (``ntt``, bound by the plan) and every operand is in it, else
+    in the coefficient domain.
+    """
+
     ntt_operand = True
     keeps_ntt = True
+    binds = ("ntt",)
 
+    def compute(self, cts, arg, key, ntt=False):
+        if not ntt or len({ct.domain for ct in cts}) > 1:
+            cts = [materialize(ct) for ct in cts]
+        return self.combine(cts)
+
+    def price(self, model, step) -> list:
+        return [(model.add(), 2)]
+
+
+class _Linear(_Limbwise):
     def validate(self, cts, arg) -> None:
         a, b = cts
         check_pair(a, b, self.name)
@@ -188,7 +254,7 @@ class _Linear(Op):
 class Add(_Linear):
     name = "add"
 
-    def compute(self, cts, arg, key):
+    def combine(self, cts):
         a, b = cts
         return a.c0.add(b.c0), a.c1.add(b.c1)
 
@@ -196,17 +262,15 @@ class Add(_Linear):
 class Sub(_Linear):
     name = "sub"
 
-    def compute(self, cts, arg, key):
+    def combine(self, cts):
         a, b = cts
         return a.c0.sub(b.c0), a.c1.sub(b.c1)
 
 
-class Negate(Op):
+class Negate(_Limbwise):
     name = "negate"
-    ntt_operand = True
-    keeps_ntt = True
 
-    def compute(self, cts, arg, key):
+    def combine(self, cts):
         (ct,) = cts
         return ct.c0.negate(), ct.c1.negate()
 
@@ -219,22 +283,49 @@ class AddPlain(Op):
         check_scales(ct.scale, pt.scale, self.name)
         check_context(ct.ctx, pt.ctx, self.name)
 
+    def capture(self, ctx, pt, key):
+        return {}, (pt.poly,)
+
     def compute(self, cts, pt, key):
         (ct,) = cts
         return ct.c0.to_coeff().add(pt.poly.to_coeff()), ct.c1.to_coeff()
 
+    def price(self, model, step) -> list:
+        return [(model.add(), 1)]
 
-class MultiplyPlain(Op):
-    """Scale-multiplying plaintext product of both components."""
 
-    name = "multiply_plain"
+def _prepared_twin(pt):
+    """``pt``'s NTT twin with its reducer-prepared form cached."""
+    p_ntt = pt.poly.to_ntt()
+    p_ntt.prepared_operand()
+    return p_ntt
+
+
+class _PlainProduct(Op):
+    """Plaintext products: computed in the NTT domain, scale-raising."""
+
     ntt_operand = True
     keeps_ntt = True
     absorbs_rescale = True
     raises_scale = True
 
+    @staticmethod
+    def materialized(model, step) -> list:
+        """Both components' inverse, unless the step keeps NTT."""
+        return [] if step.emit_ntt else [(model.intt(), 2 * model.num_limbs)]
+
+
+class MultiplyPlain(_PlainProduct):
+    """Scale-multiplying plaintext product of both components."""
+
+    name = "multiply_plain"
+
     def validate(self, cts, pt) -> None:
         check_context(cts[0].ctx, pt.ctx, self.name)
+
+    def capture(self, ctx, pt, key):
+        p_ntt = _prepared_twin(pt)
+        return {"p_ntt": p_ntt}, (pt.poly, p_ntt)
 
     def scale(self, cts, pt) -> float:
         return cts[0].scale * pt.scale
@@ -242,17 +333,23 @@ class MultiplyPlain(Op):
     def noise(self, cts, pt, key, model) -> float:
         return cts[0].noise_bits + math.log2(pt.scale) + model.half_n
 
-    def compute(self, cts, pt, key, p_ntt=None):
+    def compute(self, cts, pt, key, p_ntt):
         (ct,) = cts
-        if p_ntt is None:
-            p_ntt = pt.poly.to_ntt()
         return (
             ct.c0.to_ntt().pointwise_multiply(p_ntt),
             ct.c1.to_ntt().pointwise_multiply(p_ntt),
         )
 
+    def price(self, model, step) -> list:
+        limbs = model.num_limbs
+        return [
+            (model.ntt(), 2 * limbs),
+            (model.pointwise(), 2 * limbs),
+            *self.materialized(model, step),
+        ]
 
-class Mac(Op):
+
+class Mac(_PlainProduct):
     """``sum_i pt_i * ct_i`` as one fused NTT-domain MAC per component.
 
     Exactly the multiply_plain-then-add chain it replaces: the NTT is
@@ -262,10 +359,11 @@ class Mac(Op):
     """
 
     name = "mac"
-    ntt_operand = True
-    keeps_ntt = True
-    absorbs_rescale = True
-    raises_scale = True
+    binds = ("acc",)
+
+    def capture(self, ctx, pts, key):
+        p_ntts = [_prepared_twin(pt) for pt in pts]
+        return {"p_ntts": p_ntts}, (*(pt.poly for pt in pts), *p_ntts)
 
     def scale(self, cts, pts) -> float:
         return cts[0].scale * pts[0].scale
@@ -277,9 +375,7 @@ class Mac(Op):
             noise = bits if noise is None else combine_bits(noise, bits)
         return noise
 
-    def compute(self, cts, pts, key, p_ntts=None, acc=None):
-        if p_ntts is None:
-            p_ntts = [pt.poly.to_ntt() for pt in pts]
+    def compute(self, cts, pts, key, p_ntts, acc=None):
         c0 = RnsPolynomial.multiply_accumulate(
             [ct.c0.to_ntt() for ct in cts], p_ntts, acc=acc
         )
@@ -287,6 +383,19 @@ class Mac(Op):
             [ct.c1.to_ntt() for ct in cts], p_ntts, acc=acc
         )
         return c0, c1
+
+    def price(self, model, step) -> list:
+        terms = len(step.srcs)
+        return [
+            (model.ntt(), 2 * terms * model.num_limbs),
+            (model.multiply_accumulate(terms), 2),
+            *self.materialized(model, step),
+        ]
+
+
+def _switcher(ctx, ksk):
+    """The key switcher ``ksk``'s digits run through at ``ctx``."""
+    return ctx.key_switcher(ksk.aux_primes, ksk.dnum)
 
 
 class Multiply(Op):
@@ -305,6 +414,7 @@ class Multiply(Op):
     # the tensor components and the noise estimate are symmetric in the
     # operands, so a*b and b*a may share one traced node
     commutative = True
+    binds = ("acc",)
 
     def validate(self, cts, arg) -> None:
         check_pair(cts[0], cts[1], self.name)
@@ -312,6 +422,9 @@ class Multiply(Op):
     def check(self, ev, cts, arg):
         self.validate(cts, arg)
         return ev._relin_for(cts[0], self.name)
+
+    def capture(self, ctx, arg, relin):
+        return {"switcher": _switcher(ctx, relin)}, ()
 
     def scale(self, cts, arg) -> float:
         return cts[0].scale * cts[1].scale
@@ -327,10 +440,8 @@ class Multiply(Op):
             model.key_switch_bits(relin),
         )
 
-    def compute(self, cts, arg, relin, switcher=None, acc=None):
+    def compute(self, cts, arg, relin, switcher, acc=None):
         a, b = cts
-        if switcher is None:
-            switcher = a.ctx.key_switcher(relin.aux_primes, relin.dnum)
         a0, a1 = a.c0.to_ntt(), a.c1.to_ntt()
         b0, b1 = b.c0.to_ntt(), b.c1.to_ntt()
         t0 = a0.pointwise_multiply(b0)
@@ -338,6 +449,23 @@ class Multiply(Op):
         t2 = a1.pointwise_multiply(b1)
         d0, d1 = switcher.run(t2, relin)
         return t0.to_coeff().add(d0), t1.to_coeff().add(d1)
+
+    def price(self, model, step) -> list:
+        """The tensor (four forward transforms, two pointwise products, a
+        two-term MAC for the cross component, two inverses for the
+        degree-0/1 outputs), then the relinearization: one more inverse
+        for the degree-2 input, the key switch and its two component
+        adds."""
+        limbs, key = model.num_limbs, step.key
+        return [
+            (model.ntt(), 4 * limbs),
+            (model.pointwise(), 2 * limbs),
+            (model.multiply_accumulate(2), 1),
+            (model.intt(), 3 * limbs),
+            (model.ks_shared(key.num_aux, dnum=key.dnum), 1),
+            (model.ks_finish(key.num_aux, dnum=key.dnum), 1),
+            (model.add(), 2),
+        ]
 
 
 class Galois(Op):
@@ -352,23 +480,37 @@ class Galois(Op):
 
     name = "galois"
     absorbs_rescale = True
+    binds = ("hoisted",)
 
     def check(self, ev, cts, k):
         return ev._galois_for(k, cts[0], "apply_galois")
 
+    def capture(self, ctx, k, ksk):
+        perm = automorphism_tables(ctx.ring_degree, k)[2]
+        return {"switcher": _switcher(ctx, ksk), "perm": perm}, ()
+
     def noise(self, cts, k, ksk, model) -> float:
         return combine_bits(cts[0].noise_bits, model.key_switch_bits(ksk))
 
-    def compute(self, cts, k, ksk, switcher=None, hoisted=None, perm=None):
+    def compute(self, cts, k, ksk, switcher, perm, hoisted=None):
         (ct,) = cts
-        if switcher is None:
-            switcher = ct.ctx.key_switcher(ksk.aux_primes, ksk.dnum)
-        if hoisted is None:
+        if hoisted is None:  # this ciphertext's own ModUp
             hoisted = switcher.hoist(ct.c1)
-        if perm is None:
-            perm = automorphism_tables(ct.ctx.ring_degree, k)[2]
         d0, d1 = switcher.run_hoisted(hoisted, ksk, perm=perm)
         return ct.c0.to_coeff().automorphism(k).add(d0), d1
+
+    def price(self, model, step) -> list:
+        """The finish (a hoist step pays the shared front once per
+        group), a free NTT-domain permutation of the hoisted digits, the
+        coefficient-domain pass on c0 and the add of the switched part
+        into it."""
+        key = step.key
+        return [
+            (model.ks_finish(key.num_aux, dnum=key.dnum), 1),
+            (model.automorphism("ntt"), 1),
+            (model.automorphism("coeff"), 1),
+            (model.add(), 1),
+        ]
 
 
 class Rescale(Op):
@@ -398,6 +540,9 @@ class Rescale(Op):
     def compute(self, cts, arg, key):
         (ct,) = cts
         return ct.c0.to_coeff().exact_rescale(), ct.c1.to_coeff().exact_rescale()
+
+    def price(self, model, step) -> list:
+        return [(model.rescale(), 2)]
 
 
 ADD = Add()

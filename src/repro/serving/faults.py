@@ -21,8 +21,10 @@ Fault kinds (``KINDS``):
     neighbours proceed untouched.
 ``corrupt-plan``
     Flip a bit inside one of the tenant plan's captured constants — the
-    backend-*prepared* operand array a pointwise kernel actually reads
-    (at :meth:`before_dispatch`, when no run of the plan is in flight).
+    backend-*prepared* operand array a pointwise kernel actually reads,
+    the first one found walking the steps' captured plaintexts
+    (``step.consts``, what the plan fingerprint covers) — at
+    :meth:`before_dispatch`, when no run of the plan is in flight.
     Detected pre-dispatch by
     :meth:`~repro.scheme._circuit.CircuitPlan.fingerprint`; the scheduler
     rebuilds the plan from the tenant's build function.
@@ -191,19 +193,14 @@ class FaultInjector:
             self.corrupt_plan(plan)
 
     def corrupt_plan(self, plan) -> bool:
-        """Flip one bit in a captured prepared operand of ``plan``.
+        """Flip one bit in the first prepared operand among ``plan``'s
+        captured plaintexts.
 
         Returns ``True`` if a constant was found and corrupted (plans
-        with no plaintext constants have nothing to corrupt).
+        with no plaintext products have nothing to corrupt).
         """
         for step in plan._steps:
-            if step.kind == "multiply_plain":
-                polys = (step.payload[1],)
-            elif step.kind == "mac":
-                polys = tuple(step.payload[1])
-            else:
-                continue
-            for poly in polys:
+            for poly in step.consts:
                 prepared = poly.state.prepared
                 if prepared:
                     flat = prepared[0].reshape(-1).view(np.uint64)

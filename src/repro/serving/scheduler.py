@@ -156,8 +156,8 @@ class Request:
         self.tenant = tenant
         if np.ndim(value) == 0:
             self.value = float(value)
-        else:
-            self.value = np.asarray(value, dtype=np.float64)
+        else:  # a copy: the caller keeps its buffer, the queue its own
+            self.value = np.array(value, dtype=np.float64)
         self.priority = int(priority)
         self.deadline = float(deadline)
         self.submitted_at = time.monotonic()

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from repro import Plan
 from repro.errors import (
     CheddarError,
     KeyError_,
@@ -25,7 +26,6 @@ from repro.errors import (
     ScaleMismatchError,
     TraceError,
 )
-from repro.plan import Plan
 from repro.poly.rns_poly import PolyContext
 from repro.rns.primes import PrimePool
 from repro.scheme import (
@@ -341,6 +341,16 @@ class TestTracer:
             x.c0
         with pytest.raises(TraceError, match="no noise estimate"):
             x.noise_bits
+
+    def test_fused_matvec_is_not_traceable(self):
+        # The eager fused MAC computes; only matvec_naive traces (the
+        # planner forms the MACs itself).
+        ctx, _, ev = _setup(1024, "smr")
+        tracer = CircuitTracer(ev)
+        lin = SlotLinalg(CanonicalEncoder(ctx), tracer)
+        x = tracer.input("x", scale=SCALE)
+        with pytest.raises(TraceError, match="no component polynomials"):
+            lin.matvec(x, np.eye(4))
 
     def test_encrypt_decrypt_refused(self):
         ctx, keygen, ev = _setup(1024, "smr")

@@ -102,6 +102,25 @@ def test_corrupted_payload_fails_alone_others_deliver(cc):
     assert verify_delivered(server) == 0
 
 
+def test_payload_corruption_leaves_the_callers_array_alone(cc):
+    """The server queues a copy of a vector payload: the injected bit
+    flip corrupts the queued copy, which the checksum rejects, and never
+    the array the caller submitted."""
+    injector = FaultInjector(1, forced={0: "corrupt-payload"})
+    server = make_server(cc, injector)
+    server.register_tenant(
+        "vector", make_builds(cc)["affine"], scale_bits=SCALE_BITS,
+        input_dim=4,
+    )
+    payload = np.array([0.1, 0.2, 0.3, 0.4])
+    submitted = payload.copy()
+    with pytest.raises(ServingError) as ei:
+        serve(server, server.submit("vector", payload))
+    assert ei.value.code == "corrupted-payload"
+    assert injector.injected["corrupt-payload"] == 1
+    assert np.array_equal(payload.view(np.uint64), submitted.view(np.uint64))
+
+
 def test_expired_request_carries_no_payload_corruption(cc):
     """A ``corrupt-payload`` draw fires at the batch cut: a request that
     expires first is rejected on its deadline and never corrupted, so

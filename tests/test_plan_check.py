@@ -143,9 +143,9 @@ class TestRejectsDoomedPlans:
         # operand is the error the tracer would have refused to record.
         ctx, _, _ = tc._setup(N, METHOD)
         steps = [
-            _Step("input", dst=0, payload=("x", 2.0**20), level=4),
-            _Step("input", dst=1, payload=("y", 2.0**20), level=3),
-            _Step("rescale", dst=2, srcs=(0,), level=3),
+            _Step("input", dst=0, arg="x", scale=2.0**20, level=4),
+            _Step("input", dst=1, arg="y", scale=2.0**20, level=3),
+            _Step("rescale", dst=2, srcs=(0,), level=4),
             _Step("add", dst=3, srcs=(2, 1), level=3, label="n3:add"),
         ]
         plan = _HandPlan(
@@ -168,14 +168,14 @@ class TestRejectsDoomedPlans:
     def test_key_level_mismatch_and_operand_levels(self):
         ctx, _, ev = tc._setup(N, METHOD)
         steps = [
-            _Step("input", dst=0, payload=("x", 2.0**20), level=4),
-            _Step("input", dst=1, payload=("y", 2.0**20), level=4),
+            _Step("input", dst=0, arg="x", scale=2.0**20, level=4),
+            _Step("input", dst=1, arg="y", scale=2.0**20, level=4),
             # Step claims level 3; the relin key covers the 4-limb basis.
             _Step(
                 "multiply",
                 dst=2,
                 srcs=(0, 1),
-                payload=(ev.relin_key, None, None),
+                key=ev.relin_key,
                 level=3,
             ),
         ]
@@ -190,11 +190,25 @@ class TestRejectsDoomedPlans:
         assert "level-mismatch" in _codes(report.errors)
         assert "key-level-mismatch" in _codes(report.errors)
 
+    def test_mac_at_an_undefined_level_is_reported(self):
+        ctx, _, _ = tc._setup(N, METHOD)
+        pt = Plaintext.encode(ctx, np.zeros(ctx.ring_degree), 2.0**20)
+        steps = [
+            _Step("input", dst=0, arg="x", scale=2.0**20, level=4),
+            _Step("mac", dst=1, srcs=(0,), arg=(pt,), level=9),
+        ]
+        plan = _HandPlan(
+            ctx, steps, [("x", 0, 2.0**20)], {"out": 1}, n_slots=2
+        )
+        report = check_plan(plan)
+        assert _codes(report.errors) == ["level-mismatch"]
+        assert "declares level 9" in report.errors[0].detail
+
     def test_dead_hoist_is_flagged(self):
         ctx, _, _ = tc._setup(N, METHOD)
         steps = [
-            _Step("input", dst=0, payload=("x", 2.0**20), level=4),
-            _Step("hoist", dst=-1, srcs=(0,), payload=(0, None), level=4),
+            _Step("input", dst=0, arg="x", scale=2.0**20, level=4),
+            _Step("hoist", dst=-1, srcs=(0,), level=4),
         ]
         plan = _HandPlan(
             ctx, steps, [("x", 0, 2.0**20)], {"out": 0}, n_slots=1
@@ -206,7 +220,7 @@ class TestRejectsDoomedPlans:
     def test_undefined_register_is_invalid(self):
         ctx, _, _ = tc._setup(N, METHOD)
         steps = [
-            _Step("input", dst=0, payload=("x", 2.0**20), level=4),
+            _Step("input", dst=0, arg="x", scale=2.0**20, level=4),
             _Step("add", dst=1, srcs=(0, 5), level=4),
         ]
         plan = _HandPlan(
@@ -220,7 +234,7 @@ class TestRejectsDoomedPlans:
     def test_unknown_step_kind_is_invalid(self):
         ctx, _, _ = tc._setup(N, METHOD)
         steps = [
-            _Step("input", dst=0, payload=("x", 2.0**20), level=4),
+            _Step("input", dst=0, arg="x", scale=2.0**20, level=4),
             _Step("frobnicate", dst=1, srcs=(0,), level=4),
         ]
         plan = _HandPlan(
@@ -233,8 +247,8 @@ class TestRejectsDoomedPlans:
     def test_rescale_at_the_basis_floor(self):
         ctx, _, _ = tc._setup(N, METHOD)
         steps = [
-            _Step("input", dst=0, payload=("x", 2.0**20), level=1),
-            _Step("rescale", dst=1, srcs=(0,), level=0),
+            _Step("input", dst=0, arg="x", scale=2.0**20, level=1),
+            _Step("rescale", dst=1, srcs=(0,), level=1),
         ]
         plan = _HandPlan(
             ctx, steps, [("x", 0, 2.0**20)], {"out": 1}, n_slots=2
@@ -268,12 +282,12 @@ class TestLintWarnings:
 
     def test_redundant_ntt_roundtrip_on_hand_scheduled_add(self):
         # The planner keeps adds in the NTT domain whenever every
-        # consumer accepts it (_keeps_ntt); a hand schedule that does
+        # consumer accepts it (persists_ntt); a hand schedule that does
         # not is flagged for paying a transform pair for nothing.
         ctx, _, _ = tc._setup(N, METHOD)
         steps = [
-            _Step("input", dst=0, payload=("x", 2.0**20), level=4),
-            _Step("input", dst=1, payload=("y", 2.0**20), level=4),
+            _Step("input", dst=0, arg="x", scale=2.0**20, level=4),
+            _Step("input", dst=1, arg="y", scale=2.0**20, level=4),
             _Step("add", dst=2, srcs=(0, 1), level=4, emit_ntt=False),
             _Step("negate", dst=3, srcs=(2,), level=4),
         ]

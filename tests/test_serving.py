@@ -207,6 +207,27 @@ def test_vector_tenant_is_cut_without_waiting_out_the_window(cc):
     assert np.allclose(value, [0.5, 0.0], atol=1e-4)
 
 
+def test_vector_payload_buffer_is_reusable_after_submit(cc):
+    """The server queues a copy of a vector payload, so a caller that
+    refills its buffer while the request waits is served the values it
+    submitted, not rejected as corrupted."""
+    server = make_server(cc, default_deadline_s=30.0)
+    server.register_tenant(
+        "vector", make_affine(cc), scale_bits=SCALE_BITS, input_dim=2
+    )
+    buffer = np.array([0.5, -0.5])
+
+    async def reuse():
+        pending = asyncio.ensure_future(server.submit("vector", buffer))
+        await asyncio.sleep(0)  # enqueued, not yet cut
+        buffer[:] = [0.25, 0.75]
+        return await pending
+
+    value = serve(server, reuse())
+    assert np.allclose(value, [0.5, 0.0], atol=1e-4)
+    assert server.faults_detected["corrupted-payload"] == 0
+
+
 # -- deadlines, cancellation, backpressure ---------------------------------
 
 def test_expired_request_rejected_structurally(cc):
@@ -485,6 +506,35 @@ def test_plan_fingerprint_covers_prepared_operands(cc):
     corrupted = FaultInjector(0).corrupt_plan(plan)
     assert corrupted
     assert plan.fingerprint() != base
+
+
+@pytest.mark.parametrize("method", ("barrett", "montgomery", "shoup", "smr"))
+def test_plan_fingerprint_covers_every_captured_constant(method):
+    """One flipped word in any captured plaintext polynomial of a
+    multiply_plain, mac or add_plain step, or in any of its prepared
+    arrays, changes the plan fingerprint."""
+    from test_cost import _plans
+
+    plan = _plans(method)[0]
+    assert {s.kind for s in plan._steps if s.consts} == {
+        "multiply_plain", "mac", "add_plain"
+    }
+    arrays = [
+        arr
+        for step in plan._steps
+        for poly in step.consts
+        for arr in (poly.limbs, *(poly.state.prepared or ()))
+    ]
+    base = plan.fingerprint()
+    for arr in arrays:
+        words = arr.reshape(-1).view(f"u{arr.itemsize}")
+        assert np.shares_memory(words, arr)
+        words[0] ^= 1
+        try:
+            assert plan.fingerprint() != base
+        finally:
+            words[0] ^= 1
+    assert plan.fingerprint() == base
 
 
 def test_rebuilt_plan_is_bit_identical(cc):
